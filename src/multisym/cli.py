@@ -142,6 +142,8 @@ def _cmd_rewrite(args) -> int:
 def _cmd_relations(args) -> int:
     ring = _parse_ring(args.ring)
     n, m = args.n, args.m
+    if n < 1 or m < 1:
+        raise _CliError(EXIT_PARSE, "need n >= 1 and m >= 1")
     max_a = _parse_degrees(args.max_degree, m)
     entries = []
     all_ok = True

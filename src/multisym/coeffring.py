@@ -61,11 +61,16 @@ class Ring:
                 raise ValueError(f"modulus must be a prime >= 2, got {self.p!r}")
         elif self.p is not None:
             raise ValueError("only prime fields take a modulus")
+        # bound once per ring: the constants are immutable, so sharing is safe
+        object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
+        object.__setattr__(self, "one", Fraction(1) if self.kind == "Q" else 1)
 
     # construction / naming
 
     @staticmethod
     def from_string(s: str) -> "Ring":
+        if not isinstance(s, str):
+            raise ValueError(f"ring must be given as a string, got {s!r}")
         if s == "Z":
             return ZZ
         if s == "Q":
@@ -87,14 +92,6 @@ class Ring:
         return f"Ring({self.to_string()})"
 
     # arithmetic
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
 
     @property
     def has_division(self) -> bool:

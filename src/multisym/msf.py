@@ -29,7 +29,7 @@ from math import factorial
 
 from .coeffring import Ring
 from .monomial import Mono, grlex_key, mono_mul, monomials_up_to, total_degree
-from .polyring import NPoly
+from .polyring import NPoly, key_width, slot_key
 
 INF = float("inf")
 
@@ -363,12 +363,14 @@ class MsfElement:
         """Concrete orbit-sum polynomial in the n-slot ring."""
         if self.n is INF:
             raise ValueError("cannot expand an inverse-limit element")
-        out: dict[tuple, object] = {}
-        R = self.ring
+        n, m = self.n, self.m
+        w = key_width(max((e for alpha in self.terms for mu, _ in alpha for e in mu),
+                          default=0))
+        # orbit sums of distinct indices have disjoint supports
+        out: dict[int, object] = {}
         for alpha, c in self.terms.items():
-            for exps in _expand_alpha(alpha, self.n, self.m):
-                out[exps] = R.add(out.get(exps, R.zero), c)
-        return NPoly(self.n, self.m, R, out)
+            out.update(dict.fromkeys(_expand_alpha(alpha, n, m, w), c))
+        return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _alpha_key(t[0], self.m))
@@ -397,32 +399,30 @@ class MsfElement:
 
 
 @cache
-def _expand_alpha(alpha: AlphaIndex, n: int, m: int) -> tuple:
-    """Flat exponent tuples of the orbit sum of e_alpha in n slots.
+def _expand_alpha(alpha: AlphaIndex, n: int, m: int, w: int) -> tuple:
+    """Packed keys, field width w, of the orbit sum of e_alpha in n slots.
 
-    One tuple per way of giving each support monomial its multiplicity many
-    slots, all slots distinct; every tuple occurs exactly once.
+    One key per way of giving each support monomial its multiplicity many
+    slots, all slots distinct; every key occurs exactly once.
     """
     from itertools import combinations
 
-    results = []
-
-    def rec(idx, avail, exps):
-        if idx == len(alpha):
-            results.append(tuple(exps))
-            return
-        mu, mult = alpha[idx]
-        for slots in combinations(avail, mult):
-            new = list(exps)
-            for j in slots:
-                base = j * m
-                for i, e in enumerate(mu):
-                    new[base + i] += e
-            rec(idx + 1, tuple(s for s in avail if s not in slots), new)
-
     if alpha_weight(alpha) > n:
         return ()
-    rec(0, tuple(range(n)), [0] * (n * m))
+    # keys[t][j]: support monomial t placed in slot j
+    keys = [[slot_key(mu, j, m, w) for j in range(n)] for mu, _ in alpha]
+    results = []
+
+    def rec(idx, avail, key):
+        if idx == len(alpha):
+            results.append(key)
+            return
+        here, mult = keys[idx], alpha[idx][1]
+        for slots in combinations(avail, mult):
+            placed = sum(here[j] for j in slots)
+            rec(idx + 1, tuple(s for s in avail if s not in slots), key + placed)
+
+    rec(0, tuple(range(n)), 0)
     return tuple(results)
 
 

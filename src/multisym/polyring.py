@@ -3,10 +3,24 @@
 Two sparse representations over a coefficient ring R:
 
 * ``MPoly``: R[y_1,...,y_m], keys are exponent tuples of length m.
-* ``NPoly``: R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring.  Keys are flat
-  exponent tuples of length n*m in slot-major layout, x_i(j) living at flat
-  index (j-1)*m + (i-1).  Slot-major makes the slot permutation action a
-  block permutation of the key.
+* ``NPoly``: R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring.  Monomials are
+  flat exponent tuples of length n*m in slot-major layout, x_i(j) living at
+  flat index (j-1)*m + (i-1).  Slot-major makes the slot permutation action
+  a block permutation of the key.
+
+Internally an NPoly stores each monomial as one packed integer: the
+variable at flat index k owns a bit field of fixed width w starting at bit
+k*w, and the top bit of every field is a guard bit that no stored key sets.
+Multiplying two monomials is then a single integer addition.  Keys leave
+this module only as exponent tuples: ``NPoly.terms`` is a read-only mapping
+view that decodes on iteration and encodes on lookup, and ``sorted_terms``,
+``npoly_text``, ``sn_act`` and ``subst_slot`` all speak tuples.
+
+Overflow policy: widths start at ``BASE_WIDTH`` bits and only ever double.
+A product whose sum reaches a guard bit is still exact in w bits and is
+repacked at 2w, so keys never wrap and exponents have no limit.  Operands
+of different widths are brought to the wider one, so equality and every
+output are independent of the width a polynomial carries.
 
 Both are canonical: no zero coefficients are ever stored, so structural
 equality is ring equality.
@@ -14,12 +28,17 @@ equality is ring equality.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
+from functools import cache, reduce
+from operator import or_
+
 from .coeffring import Ring
 from .monomial import Mono, grlex_key
 
 __all__ = [
     "MPoly",
     "NPoly",
+    "npoly_sum",
     "subst_slot",
     "sn_act",
     "check_perm",
@@ -189,19 +208,119 @@ def flat_index(i: int, j: int, m: int) -> int:
     return (j - 1) * m + (i - 1)
 
 
+# Packed exponent keys (Monagan & Pearce, CASC 2007); layout and overflow
+# policy are in the module docstring.
+
+BASE_WIDTH = 8  # bits per field, guard bit included
+
+
+def key_width(top: int) -> int:
+    """Field width for exponents up to top: BASE_WIDTH, doubled until the
+    exponents fit below the guard bit."""
+    w = BASE_WIDTH
+    while top >> (w - 1):
+        w *= 2
+    return w
+
+
+def pack_key(mono, w: int) -> int:
+    """Packed key of a flat exponent tuple, fields of width w."""
+    key = 0
+    for e in reversed(mono):
+        key = (key << w) | e
+    return key
+
+
+def slot_key(mu, j: int, m: int, w: int) -> int:
+    """Packed key, fields of width w, of the monomial mu in the m variables
+    of slot j, slots counted from 0.  Keys of monomials in disjoint slots
+    add up to the key of their product."""
+    return pack_key(mu, w) << (j * m * w)
+
+
+def unpack_key(key: int, size: int, w: int) -> tuple:
+    """Flat exponent tuple of a packed key with size fields of width w."""
+    mask = (1 << w) - 1
+    return tuple((key >> s) & mask for s in range(0, size * w, w))
+
+
+@cache
+def _guard_bits(size: int, w: int) -> int:
+    return sum(1 << (s + w - 1) for s in range(0, size * w, w))
+
+
+def _repack(d: dict, size: int, w: int, w2: int) -> dict:
+    return {pack_key(unpack_key(k, size, w), w2): c for k, c in d.items()}
+
+
+def _clean(ring: Ring, raw: dict) -> dict:
+    """Drop the zeros of raw coefficient sums, reduced into the ring.
+
+    Ring elements are Python numbers, so + and * are exact over Z and Q
+    and need only a final reduction mod p over Z/p.
+    """
+    p = ring.p
+    if p is not None:
+        raw = {k: c % p for k, c in raw.items()}
+    return {k: c for k, c in raw.items() if c}
+
+
+class NPolyTerms(Mapping):
+    """Read-only view of an NPoly's terms, keyed by flat exponent tuples.
+
+    Keys are decoded when iterated and encoded when looked up; len is O(1).
+    """
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "NPoly"):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p._d)
+
+    def __iter__(self):
+        p = self._p
+        size, w = p.n * p.m, p._w
+        return (unpack_key(k, size, w) for k in p._d)
+
+    def __getitem__(self, mono):
+        p = self._p
+        top = 1 << (p._w - 1)
+        try:
+            ok = len(mono) == p.n * p.m and all(
+                isinstance(e, int) and 0 <= e < top for e in mono)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise KeyError(mono)
+        return p._d[pack_key(mono, p._w)]
+
+    def items(self):
+        return _NPolyItems(self)
+
+    def values(self):
+        return self._p._d.values()
+
+
+class _NPolyItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._p._d.values())
+
+
 class NPoly:
     """Sparse polynomial in the n*m variables x_i(j)."""
 
-    __slots__ = ("n", "m", "ring", "terms")
+    __slots__ = ("n", "m", "ring", "_d", "_w")
 
     def __init__(self, n: int, m: int, ring: Ring, terms=None):
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        self.n = n
-        self.m = m
-        self.ring = ring
         size = n * m
         clean = {}
+        top = 0
         if terms:
             for mono, c in terms.items():
                 if len(mono) != size:
@@ -210,7 +329,21 @@ class NPoly:
                     raise ValueError(f"negative exponent in {mono}")
                 if not ring.is_zero(c):
                     clean[mono] = c
-        self.terms = clean
+                    top = max(top, *mono)
+        w = key_width(top)
+        self.n = n
+        self.m = m
+        self.ring = ring
+        self._d = {pack_key(mono, w): c for mono, c in clean.items()}
+        self._w = w
+
+    @classmethod
+    def _packed(cls, n: int, m: int, ring: Ring, d: dict, w: int) -> "NPoly":
+        """Trusted constructor: d maps keys of field width w, guard bits
+        clear, to nonzero reduced coefficients."""
+        p = object.__new__(cls)
+        p.n, p.m, p.ring, p._d, p._w = n, m, ring, d, w
+        return p
 
     @classmethod
     def zero(cls, n: int, m: int, ring: Ring) -> "NPoly":
@@ -236,56 +369,86 @@ class NPoly:
         exps[flat_index(i, j, m)] = 1
         return cls(n, m, ring, {tuple(exps): ring.one})
 
+    @property
+    def terms(self) -> NPolyTerms:
+        """The terms as a read-only mapping from flat exponent tuples."""
+        return NPolyTerms(self)
+
+    def _keys_at(self, w: int) -> dict:
+        """The packed terms at field width w >= self._w."""
+        if w == self._w:
+            return self._d
+        return _repack(self._d, self.n * self.m, self._w, w)
+
     def _compat(self, other: "NPoly") -> None:
         if self.n != other.n or self.m != other.m or self.ring != other.ring:
             raise ValueError("ambient mismatch between NPoly operands")
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._d
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NPoly):
             return NotImplemented
-        return (self.n, self.m, self.ring) == (other.n, other.m, other.ring) and self.terms == other.terms
+        if (self.n, self.m, self.ring) != (other.n, other.m, other.ring) \
+                or len(self._d) != len(other._d):
+            return False
+        w = max(self._w, other._w)
+        return self._keys_at(w) == other._keys_at(w)
 
     __hash__ = None
 
     def __add__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
-        R = self.ring
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = R.add(out.get(mono, R.zero), c)
-        return NPoly(self.n, self.m, R, out)
+        w = max(self._w, other._w)
+        out = dict(self._keys_at(w))
+        get = out.get
+        for k, c in other._keys_at(w).items():
+            out[k] = get(k, 0) + c
+        return NPoly._packed(self.n, self.m, self.ring, _clean(self.ring, out), w)
 
     def __neg__(self) -> "NPoly":
         R = self.ring
-        return NPoly(self.n, self.m, R, {mu: R.neg(c) for mu, c in self.terms.items()})
+        return NPoly._packed(self.n, self.m, R,
+                             {k: R.neg(c) for k, c in self._d.items()}, self._w)
 
     def __sub__(self, other: "NPoly") -> "NPoly":
         return self + (-other)
 
     def scale(self, c) -> "NPoly":
-        R = self.ring
-        return NPoly(self.n, self.m, R, {mu: R.mul(c, v) for mu, v in self.terms.items()})
+        out = {k: c * v for k, v in self._d.items()}
+        return NPoly._packed(self.n, self.m, self.ring, _clean(self.ring, out), self._w)
 
     def __mul__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
-        R = self.ring
-        addf, mulf, zero = R.add, R.mul, R.zero
+        w = max(self._w, other._w)
+        outer, inner = self._keys_at(w), other._keys_at(w)
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner = list(inner.items())
         out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = addf(out.get(key, zero), mulf(ca, cb))
-        return NPoly(self.n, self.m, R, out)
+        get = out.get
+        for ka, ca in outer.items():
+            for kb, cb in inner:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        d = _clean(self.ring, out)
+        size = self.n * self.m
+        if reduce(or_, d, 0) & _guard_bits(size, w):
+            # A field reached its guard bit.  Every field sum still fits in
+            # w bits, so the keys are exact; at 2w they fit below the guard.
+            d = _repack(d, size, w, 2 * w)
+            w *= 2
+        return NPoly._packed(self.n, self.m, self.ring, d, w)
 
     def __pow__(self, k: int) -> "NPoly":
         if k < 0:
             raise ValueError("negative power")
-        acc = NPoly.one(self.n, self.m, self.ring)
-        for _ in range(k):
+        if k == 0:
+            return NPoly.one(self.n, self.m, self.ring)
+        acc = self
+        for _ in range(k - 1):
             acc = acc * self
         return acc
 
@@ -293,9 +456,11 @@ class NPoly:
         """Terms of multidegree exactly a; summing over all a recovers self."""
         if len(a) != self.m:
             raise ValueError("multidegree length must equal m")
-        keep = {mono: c for mono, c in self.terms.items()
-                if npoly_multidegree(mono, self.m) == tuple(a)}
-        return NPoly(self.n, self.m, self.ring, keep)
+        a = tuple(a)
+        size, w, m = self.n * self.m, self._w, self.m
+        keep = {k: c for k, c in self._d.items()
+                if npoly_multidegree(unpack_key(k, size, w), m) == a}
+        return NPoly._packed(self.n, self.m, self.ring, keep, w)
 
     def multidegrees(self):
         """Set of multidegrees occurring in this polynomial."""
@@ -306,6 +471,22 @@ class NPoly:
 
     def __repr__(self) -> str:
         return f"NPoly({npoly_text(self)})"
+
+
+def npoly_sum(pairs, n: int, m: int, ring: Ring) -> NPoly:
+    """The sum of c*p over (c, p) pairs, accumulated in one dict."""
+    out = {}
+    w = BASE_WIDTH
+    for c, p in pairs:
+        if (p.n, p.m, p.ring) != (n, m, ring):
+            raise ValueError("ambient mismatch between NPoly operands")
+        if p._w > w:
+            out = _repack(out, n * m, w, p._w)
+            w = p._w
+        get = out.get
+        for k, v in p._keys_at(w).items():
+            out[k] = get(k, 0) + c * v
+    return NPoly._packed(n, m, ring, _clean(ring, out), w)
 
 
 def npoly_multidegree(mono, m: int) -> Mono:

@@ -19,7 +19,7 @@ from .linalg import RankTracker, rank_of
 from .monomial import Mono, grlex_key, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import (INF, MsfElement, alpha_weight, alphas_of_multidegree,
                   e_alpha, ek_of_f)
-from .polyring import MPoly, NPoly
+from .polyring import MPoly, NPoly, npoly_sum
 from .rewrite import GenPoly, evaluate, rewrite
 
 __all__ = [
@@ -77,19 +77,23 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     """
     R = g.ring
     m = g.m
-    total = NPoly.zero(n, m, R)
+    one = NPoly.one(n, m, R)
     cache: dict[tuple, NPoly] = {}
-    for symmono, c in g.terms.items():
-        term = NPoly.one(n, m, R)
-        for (i, nu), e in symmono:
-            if i > n:
-                term = NPoly.zero(n, m, R)
-                break
-            if (i, nu) not in cache:
-                cache[(i, nu)] = e_alpha([(nu, i)], n, m, R).expand()
-            term = term * (cache[(i, nu)] ** e)
-        total = total + term.scale(c)
-    return total
+
+    def scaled_terms():
+        for symmono, c in g.terms.items():
+            term = one
+            for (i, nu), e in symmono:
+                if i > n:  # e_i(nu) vanishes, and so does the term
+                    break
+                if (i, nu) not in cache:
+                    cache[(i, nu)] = e_alpha([(nu, i)], n, m, R).expand()
+                f = cache[(i, nu)] ** e
+                term = f if term is one else term * f
+            else:
+                yield c, term
+
+    return npoly_sum(scaled_terms(), n, m, R)
 
 
 def verify_relation(g: GenPoly, n: int) -> bool:

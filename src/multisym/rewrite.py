@@ -337,19 +337,27 @@ def genpoly_to_json(g: GenPoly) -> dict:
     return {"m": g.m, "ring": g.ring.to_string(), "terms": terms}
 
 
+def _json_int(v, what: str, least: int) -> int:
+    """v must be a JSON integer, not a boolean, of at least `least`."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ValueError(f"bad {what} {v!r}")
+    return v
+
+
 def genpoly_from_json(d) -> GenPoly:
     if not isinstance(d, dict):
         raise ValueError("generator polynomial must be a JSON object")
     for key in ("m", "ring", "terms"):
         if key not in d:
             raise ValueError(f"missing the {key!r} field")
-    m = d["m"]
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"bad variable count {m!r}")
+    m = _json_int(d["m"], "variable count", 1)
     ring = Ring.from_string(d["ring"])
+    if not isinstance(d["terms"], list):
+        raise ValueError("terms must be a list")
     out = {}
     for t in d["terms"]:
-        if not isinstance(t, dict) or "symbols" not in t or "coeff" not in t:
+        if not isinstance(t, dict) or "symbols" not in t or "coeff" not in t \
+                or not isinstance(t["symbols"], list) or not isinstance(t["coeff"], str):
             raise ValueError(f"bad term {t!r}")
         syms = {}
         for s in t["symbols"]:
@@ -358,8 +366,10 @@ def genpoly_from_json(d) -> GenPoly:
             nu = s["nu"]
             if not isinstance(nu, list) or len(nu) != m:
                 raise ValueError(f"bad symbol monomial {nu!r}")
-            sym = (s["i"], tuple(nu))
-            syms[sym] = syms.get(sym, 0) + s["exp"]
+            for x in nu:
+                _json_int(x, "symbol monomial exponent", 0)
+            sym = (_json_int(s["i"], "symbol index", 1), tuple(nu))
+            syms[sym] = syms.get(sym, 0) + _json_int(s["exp"], "symbol exponent", 1)
         key = tuple(sorted(syms.items(), key=lambda t2: _symbol_key(t2[0])))
         c = ring.parse_coeff(t["coeff"])
         out[key] = ring.add(out.get(key, ring.zero), c)

@@ -74,6 +74,16 @@ def test_parse_errors_exit_3(tmp_path, capsys):
                         "--max-degree", "1"])[0] == 3  # wrong length
 
 
+@pytest.mark.parametrize("n, m, degrees", [("0", "2", "1,1"), ("2", "0", ""),
+                                           ("-1", "1", "1")])
+def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
+    code, out, err = run(capsys, ["relations", "--n", n, "--m", m,
+                                  "--max-degree", degrees])
+    assert code == 3
+    assert out == ""
+    assert err == "error: need n >= 1 and m >= 1\n"
+
+
 def test_expand_golden(tmp_path, capsys):
     x = write_element(tmp_path, "x.json",
                       e_alpha([((1, 0), 2), ((0, 1), 1)], 3, 2, ZZ))

@@ -180,3 +180,29 @@ def test_genpoly_json_rejects_malformed():
         breakage(d)
         with pytest.raises(ValueError):
             genpoly_from_json(d)
+
+
+def test_genpoly_json_rejects_non_integers():
+    import copy
+    good = genpoly_to_json(sym(2, A))
+
+    def symbol(**fields):
+        return lambda d: d["terms"][0]["symbols"][0].update(**fields)
+
+    for breakage in [
+            symbol(exp="2"), symbol(exp=True), symbol(exp=1.5), symbol(exp=0),
+            symbol(exp=None),
+            symbol(i="2"), symbol(i=True), symbol(i=2.0), symbol(i=0),
+            symbol(nu=[True, 0]), symbol(nu=["1", 0]), symbol(nu=[0.5, 1]),
+            lambda d: d.update(m=True),
+            lambda d: d.update(ring=2),
+            lambda d: d.update(terms={}),
+            lambda d: d["terms"][0].update(symbols=7),
+            lambda d: d["terms"][0].update(coeff=1),
+    ]:
+        d = copy.deepcopy(good)
+        breakage(d)
+        with pytest.raises(ValueError):
+            genpoly_from_json(d)
+    # the well-formed original still loads
+    assert genpoly_from_json(copy.deepcopy(good)) == sym(2, A)
