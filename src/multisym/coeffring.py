@@ -150,6 +150,8 @@ class Ring:
 
     def parse_coeff(self, s: str):
         """Parse "17", "-3" or (rationals only) "3/2"."""
+        if not isinstance(s, str):
+            raise ValueError(f"coefficient must be given as a string, got {s!r}")
         s = s.strip()
         if "/" in s:
             if self.kind != "Q":

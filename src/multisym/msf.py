@@ -20,6 +20,11 @@ equal arguments being merged with a multinomial factor.  In a finite
 ambient only tables of total sum <= n survive.  All structure constants are
 computed over Z and embedded into R at the end, so they can vanish in
 positive characteristic.
+
+Validation happens once, at the boundary: the MsfElement constructor,
+make_alpha, e_alpha and element_from_json check every index.  Arithmetic
+builds its results through MsfElement._make, which only drops zero
+coefficients; its callers guarantee canonical indices of weight at most n.
 """
 
 from __future__ import annotations
@@ -222,14 +227,18 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
     return out
 
 
+def _check_slots(n) -> None:
+    if n is not INF and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
+        raise ValueError(f"ambient slot count must be a positive integer or INF, got {n!r}")
+
+
 class MsfElement:
     """R-linear combination of basis symbols; ambient is n slots or INF."""
 
     __slots__ = ("n", "m", "ring", "terms")
 
     def __init__(self, n, m: int, ring: Ring, terms=None):
-        if n is not INF and (not isinstance(n, int) or n < 1):
-            raise ValueError(f"ambient slot count must be a positive integer or INF, got {n!r}")
+        _check_slots(n)
         if m < 1:
             raise ValueError("need m >= 1")
         self.n = n
@@ -243,6 +252,20 @@ class MsfElement:
                 self._check_alpha(alpha)
                 clean[alpha] = c
         self.terms = clean
+
+    @classmethod
+    def _make(cls, n, m: int, ring: Ring, terms: dict) -> "MsfElement":
+        """Trusted constructor: only drops zero coefficients.
+
+        The caller guarantees canonical indices of weight at most n.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.m = m
+        self.ring = ring
+        zero = ring.zero
+        self.terms = {a: c for a, c in terms.items() if c != zero}
+        return self
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
         prev = None
@@ -298,18 +321,18 @@ class MsfElement:
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = R.add(out.get(a, R.zero), c)
-        return MsfElement(self.n, self.m, R, out)
+        return MsfElement._make(self.n, self.m, R, out)
 
     def __neg__(self) -> "MsfElement":
         R = self.ring
-        return MsfElement(self.n, self.m, R, {a: R.neg(c) for a, c in self.terms.items()})
+        return MsfElement._make(self.n, self.m, R, {a: R.neg(c) for a, c in self.terms.items()})
 
     def __sub__(self, other: "MsfElement") -> "MsfElement":
         return self + (-other)
 
     def scale(self, c) -> "MsfElement":
         R = self.ring
-        return MsfElement(self.n, self.m, R, {a: R.mul(c, v) for a, v in self.terms.items()})
+        return MsfElement._make(self.n, self.m, R, {a: R.mul(c, v) for a, v in self.terms.items()})
 
     def __mul__(self, other: "MsfElement") -> "MsfElement":
         self._compat(other)
@@ -323,9 +346,9 @@ class MsfElement:
                 if ck is not None and ck >= alpha_weight(ax) + alpha_weight(ay):
                     ck = None
                 for gamma, mult in _alpha_product_z(ax, ay, ck).items():
-                    c = R.mul(cxy, R.embed(mult))
+                    c = cxy if mult == 1 else R.mul(cxy, R.embed(mult))
                     out[gamma] = R.add(out.get(gamma, R.zero), c)
-        return MsfElement(self.n, self.m, R, out)
+        return MsfElement._make(self.n, self.m, R, out)
 
     def __pow__(self, k: int) -> "MsfElement":
         if k < 0:
@@ -336,25 +359,26 @@ class MsfElement:
         return acc
 
     def truncate(self, target) -> "MsfElement":
+        _check_slots(target)
         if self.n is not INF and (target is INF or target > self.n):
             raise ValueError(f"cannot lift from ambient {self.n} to {target}")
         if target == self.n:
             return self
         keep = {a: c for a, c in self.terms.items()
                 if target is INF or alpha_weight(a) <= target}
-        return MsfElement(target, self.m, self.ring, keep)
+        return MsfElement._make(target, self.m, self.ring, keep)
 
     def multidegree_component(self, a: Mono) -> "MsfElement":
         a = tuple(a)
         keep = {al: c for al, c in self.terms.items()
                 if alpha_multidegree(al, self.m) == a}
-        return MsfElement(self.n, self.m, self.ring, keep)
+        return MsfElement._make(self.n, self.m, self.ring, keep)
 
     def total_degree_cut(self, bound: int) -> "MsfElement":
         """Keep the terms of total multidegree <= bound."""
         keep = {al: c for al, c in self.terms.items()
                 if sum(alpha_multidegree(al, self.m)) <= bound}
-        return MsfElement(self.n, self.m, self.ring, keep)
+        return MsfElement._make(self.n, self.m, self.ring, keep)
 
     def multidegrees(self):
         return {alpha_multidegree(a, self.m) for a in self.terms}
@@ -556,37 +580,40 @@ def element_to_json(x: MsfElement) -> dict:
     }
 
 
+def _json_int(v, what: str, least: int) -> int:
+    """v must be a JSON integer, not a boolean, of at least `least`."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ValueError(f"bad {what} {v!r}")
+    return v
+
+
 def element_from_json(d) -> MsfElement:
     if not isinstance(d, dict):
         raise ValueError("element must be a JSON object")
     for key in ("n", "m", "ring", "terms"):
         if key not in d:
             raise ValueError(f"element is missing the {key!r} field")
-    n = d["n"]
-    if n == "inf":
-        n = INF
-    elif not isinstance(n, int) or n < 1:
-        raise ValueError(f"bad slot count {d['n']!r}")
-    m = d["m"]
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"bad variable count {m!r}")
+    n = INF if d["n"] == "inf" else _json_int(d["n"], "slot count", 1)
+    m = _json_int(d["m"], "variable count", 1)
     ring = Ring.from_string(d["ring"])
     if not isinstance(d["terms"], list):
         raise ValueError("terms must be a list")
     out = {}
     R = ring
     for t in d["terms"]:
-        if not isinstance(t, dict) or "alpha" not in t or "coeff" not in t:
+        if not isinstance(t, dict) or "alpha" not in t or "coeff" not in t \
+                or not isinstance(t["alpha"], list) or not isinstance(t["coeff"], str):
             raise ValueError(f"bad term {t!r}")
         pairs = []
         for entry in t["alpha"]:
             if not isinstance(entry, dict) or "mono" not in entry or "mult" not in entry:
                 raise ValueError(f"bad index entry {entry!r}")
             mono = entry["mono"]
-            if not isinstance(mono, list) or len(mono) != m \
-                    or any(not isinstance(e, int) or e < 0 for e in mono):
+            if not isinstance(mono, list) or len(mono) != m:
                 raise ValueError(f"bad monomial {mono!r}")
-            pairs.append((tuple(mono), entry["mult"]))
+            for e in mono:
+                _json_int(e, "monomial exponent", 0)
+            pairs.append((tuple(mono), _json_int(entry["mult"], "multiplicity", 1)))
         alpha = make_alpha(pairs)
         c = R.parse_coeff(t["coeff"])
         out[alpha] = R.add(out.get(alpha, R.zero), c)

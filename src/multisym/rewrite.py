@@ -16,6 +16,10 @@ is ambient-independent because every index involved keeps weight at most
 the input's.  primitive_reduce then replaces each symbol e_i(nu^k), k >= 2,
 by the polynomial P_{i,k} evaluated at e_j -> E[j;nu], killing E[j;nu] with
 j > n first in a finite ambient.
+
+As in msf, the GenPoly constructor and genpoly_from_json validate every
+symbol; arithmetic and the pipeline build results through GenPoly._make,
+which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from functools import cache
 from .coeffring import Ring
 from .monomial import (Mono, deg_leq, deg_scale, grlex_key, is_primitive,
                        monomials_up_to, primitive_decompose)
-from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, alpha_weight,
-                  e_alpha)
+from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _json_int,
+                  alpha_weight, e_alpha)
 from .symfun import epoly_substitute, plethysm_P
 
 __all__ = [
@@ -88,6 +92,19 @@ class GenPoly:
         self.terms = clean
 
     @classmethod
+    def _make(cls, m: int, ring: Ring, terms: dict) -> "GenPoly":
+        """Trusted constructor: only drops zero coefficients.
+
+        The caller guarantees well-formed, canonically sorted symbol monomials.
+        """
+        self = object.__new__(cls)
+        self.m = m
+        self.ring = ring
+        zero = ring.zero
+        self.terms = {k: c for k, c in terms.items() if c != zero}
+        return self
+
+    @classmethod
     def zero(cls, m: int, ring: Ring) -> "GenPoly":
         return cls(m, ring)
 
@@ -124,18 +141,18 @@ class GenPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = R.add(out.get(k, R.zero), c)
-        return GenPoly(self.m, R, out)
+        return GenPoly._make(self.m, R, out)
 
     def __neg__(self) -> "GenPoly":
         R = self.ring
-        return GenPoly(self.m, R, {k: R.neg(c) for k, c in self.terms.items()})
+        return GenPoly._make(self.m, R, {k: R.neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other: "GenPoly") -> "GenPoly":
         return self + (-other)
 
     def scale(self, c) -> "GenPoly":
         R = self.ring
-        return GenPoly(self.m, R, {k: R.mul(c, v) for k, v in self.terms.items()})
+        return GenPoly._make(self.m, R, {k: R.mul(c, v) for k, v in self.terms.items()})
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         self._compat(other)
@@ -145,7 +162,7 @@ class GenPoly:
             for kb, cb in other.terms.items():
                 key = _symmono_mul(ka, kb)
                 out[key] = R.add(out.get(key, R.zero), R.mul(ca, cb))
-        return GenPoly(self.m, R, out)
+        return GenPoly._make(self.m, R, out)
 
     def __pow__(self, k: int) -> "GenPoly":
         if k < 0:
@@ -179,7 +196,7 @@ class GenPoly:
         a = tuple(a)
         keep = {k: c for k, c in self.terms.items()
                 if _symmono_degree(k, self.m) == a}
-        return GenPoly(self.m, self.ring, keep)
+        return GenPoly._make(self.m, self.ring, keep)
 
     def _term_key(self, symmono):
         d = _symmono_degree(symmono, self.m)
@@ -256,7 +273,7 @@ def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
         for symmono, k in _reduce_alpha(alpha):
             v = R.mul(c, R.embed(k))
             out[symmono] = R.add(out.get(symmono, R.zero), v)
-    return GenPoly(x.m, R, out)
+    return GenPoly._make(x.m, R, out)
 
 
 def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
@@ -295,15 +312,16 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
         factor_cache[sym] = out
         return out
 
-    total = GenPoly.zero(m, R)
+    out: dict[tuple, object] = {}
     for symmono, c in p.terms.items():
         term = GenPoly.const(c, m, R)
         for sym, e in symmono:
             if term.is_zero:
                 break
             term = term * (factor_for(sym) ** e)
-        total = total + term
-    return total
+        for k, v in term.terms.items():
+            out[k] = R.add(out.get(k, R.zero), v)
+    return GenPoly._make(m, R, out)
 
 
 def rewrite(x: MsfElement) -> GenPoly:
@@ -315,16 +333,22 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     """Substitute E[i;nu] -> e_i(nu) and multiply out in ambient n."""
     R = g.ring
     m = g.m
-    total = MsfElement.zero(n, m, R)
+    one = MsfElement.one(n, m, R)
+    powers: dict[tuple, MsfElement] = {}  # (i, nu, e) -> e_i(nu)**e
+    out: dict[AlphaIndex, object] = {}
     for symmono, c in g.terms.items():
-        term = MsfElement.one(n, m, R)
+        term = one
         for (i, nu), e in symmono:
             if term.is_zero:
                 break
-            base = e_alpha([(nu, i)], n, m, R, truncating=True)
-            term = term * (base ** e)
-        total = total + term.scale(c)
-    return total
+            key = (i, nu, e)
+            power = powers.get(key)
+            if power is None:
+                power = powers[key] = e_alpha([(nu, i)], n, m, R, truncating=True) ** e
+            term = term * power
+        for a, v in term.terms.items():
+            out[a] = R.add(out.get(a, R.zero), R.mul(c, v))
+    return MsfElement._make(n, m, R, out)
 
 
 def genpoly_to_json(g: GenPoly) -> dict:
@@ -335,13 +359,6 @@ def genpoly_to_json(g: GenPoly) -> dict:
             "coeff": g.ring.format_coeff(c),
         })
     return {"m": g.m, "ring": g.ring.to_string(), "terms": terms}
-
-
-def _json_int(v, what: str, least: int) -> int:
-    """v must be a JSON integer, not a boolean, of at least `least`."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < least:
-        raise ValueError(f"bad {what} {v!r}")
-    return v
 
 
 def genpoly_from_json(d) -> GenPoly:

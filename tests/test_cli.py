@@ -84,6 +84,32 @@ def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
     assert err == "error: need n >= 1 and m >= 1\n"
 
 
+@pytest.mark.parametrize("breakage", [
+    lambda d: d["terms"][0].update(coeff=5),
+    lambda d: d["terms"][0].update(coeff=None),
+    lambda d: d.update(n=True),
+    lambda d: d.update(m=True),
+    lambda d: d.update(n=2.0),
+    lambda d: d["terms"][0]["alpha"][0].update(mult=True),
+    lambda d: d["terms"][0]["alpha"][0].update(mult=1.0),
+    lambda d: d["terms"][0]["alpha"][0].update(mono=[True, 0]),
+    lambda d: d["terms"][0]["alpha"][0].update(mono=[1.0, 0]),
+    lambda d: d["terms"][0].update(alpha=3),
+])
+@pytest.mark.parametrize("command", ["expand", "product"])
+def test_malformed_element_files_exit_3(tmp_path, capsys, breakage, command):
+    d = element_to_json(e_alpha([((1, 0), 1)], 2, 2, ZZ))
+    breakage(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    argv = [command, str(bad)] + ([str(bad)] if command == "product" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_expand_golden(tmp_path, capsys):
     x = write_element(tmp_path, "x.json",
                       e_alpha([((1, 0), 2), ((0, 1), 1)], 3, 2, ZZ))

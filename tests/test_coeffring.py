@@ -89,3 +89,10 @@ def test_coeff_parse_and_format():
         ZZ.parse_coeff("3/2")
     with pytest.raises(ValueError):
         QQ.parse_coeff("three")
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(5)])
+@pytest.mark.parametrize("value", [5, 1.5, None, ["1"], True])
+def test_parse_coeff_rejects_non_strings(ring, value):
+    with pytest.raises(ValueError):
+        ring.parse_coeff(value)
