@@ -7,6 +7,8 @@ primitive nu, and the defining relations of the finite-slot ring, with a
 brute-force oracle for differential checks.
 """
 
+import sys
+
 from .coeffring import QQ, Ring, ZZ, Zmod
 from .monomial import grlex_key, mono_cmp, mono_mul, primitive_decompose
 from .msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
@@ -35,4 +37,19 @@ __all__ = [
     "free_monomial_count",
     "kernel_basis", "relation_polys", "verify_relation", "genpoly_expand",
     "char_zero_ideal_gens", "coverage_rank",
+    "clear_caches",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every module-level functools cache of the package.
+
+    The caches hold ring-independent data, so clearing them only
+    costs time; it never changes a result.
+    """
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()

@@ -15,16 +15,17 @@ import argparse
 import json
 import random
 import sys
+from itertools import groupby
+from operator import itemgetter
 
 from .coeffring import QQ, Ring
 from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
-from .msf import (INF, AmbientMismatch, MsfElement, alpha_weight,
-                  alpha_multidegree, basis_alphas, e_alpha, element_from_json,
-                  element_to_json)
+from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
+                  basis_alphas, e_alpha, element_from_json, element_to_json)
 from .polyring import NPoly, npoly_text
 from .rewrite import evaluate, genpoly_to_json, rewrite
-from .relations import kernel_basis, verify_relation
+from .relations import kernel_basis, relation_items, verify_relation
 from . import oracle
 
 __all__ = ["main"]
@@ -147,16 +148,10 @@ def _cmd_relations(args) -> int:
     max_a = _parse_degrees(args.max_degree, m)
     entries = []
     all_ok = True
-    from .relations import multidegrees_upto
-
-    for a in multidegrees_upto(max_a):
-        kernel = kernel_basis(n, m, a)
-        if not kernel:
-            continue
+    for a, items in groupby(relation_items(n, m, max_a, ring), key=itemgetter(0)):
         rels = []
         verified = True
-        for alpha in kernel:
-            g = rewrite(e_alpha(alpha, INF, m, ring))
+        for _, alpha, g in items:
             ok = verify_relation(g, n)
             verified = verified and ok
             rels.append({

@@ -11,10 +11,15 @@ the prime fields advertise it through :attr:`Ring.has_division`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["Ring", "ZZ", "QQ", "Zmod", "is_prime"]
+
+# Canonical coefficient strings: ASCII digits, an optional sign, and for the
+# rationals an optional denominator; no spaces or underscores.
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 # Deterministic Miller-Rabin witnesses; exact for n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -146,22 +151,38 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def reduce_sums(self, raw: dict) -> dict:
+        """Reduce raw sums of products into the ring and drop the zeros.
+
+        Ring elements are Python numbers, so sums of products of ring
+        elements and integers are exact over Z and Q and need only a final
+        reduction mod p over Z/p.
+        """
+        p = self.p
+        if p is not None:
+            raw = {k: c % p for k, c in raw.items()}
+        return {k: c for k, c in raw.items() if c}
+
     # serialization
 
     def parse_coeff(self, s: str):
-        """Parse "17", "-3" or (rationals only) "3/2"."""
+        """Parse "17", "-3" or (rationals only) "3/2".
+
+        ASCII digits only, without surrounding spaces or underscores; a
+        fraction need not be reduced but its denominator must be nonzero.
+        """
         if not isinstance(s, str):
             raise ValueError(f"coefficient must be given as a string, got {s!r}")
-        s = s.strip()
-        if "/" in s:
+        if not _COEFF_RE.fullmatch(s):
+            raise ValueError(f"bad coefficient string {s!r}")
+        num, _, den = s.partition("/")
+        if den:
             if self.kind != "Q":
                 raise ValueError(f"fractional coefficient {s!r} outside Q")
-            return Fraction(s)
-        try:
-            k = int(s)
-        except ValueError:
-            raise ValueError(f"bad coefficient string {s!r}") from None
-        return self.embed(k)
+            if not int(den):
+                raise ValueError(f"zero denominator in coefficient {s!r}")
+            return Fraction(int(num), int(den))
+        return self.embed(int(num))
 
     def format_coeff(self, a) -> str:
         return str(a)

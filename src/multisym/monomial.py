@@ -31,7 +31,6 @@ __all__ = [
     "compositions",
     "monomials_of_total_degree",
     "monomials_up_to",
-    "deg_add",
     "deg_scale",
     "deg_leq",
 ]
@@ -124,11 +123,6 @@ def monomials_up_to(m: int, bound: Mono) -> list[Mono]:
 
 
 # multidegree vector helpers
-
-def deg_add(a: Mono, b: Mono) -> Mono:
-    _same_m(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def deg_scale(a: Mono, k: int) -> Mono:
     return tuple(x * k for x in a)

@@ -33,8 +33,8 @@ from functools import cache
 from math import factorial
 
 from .coeffring import Ring
-from .monomial import Mono, grlex_key, mono_mul, monomials_up_to, total_degree
-from .polyring import NPoly, key_width, slot_key
+from .monomial import Mono, grlex_key, mono_mul, monomials_up_to
+from .polyring import NPoly, binary_power, key_width, slot_key
 
 INF = float("inf")
 
@@ -351,12 +351,7 @@ class MsfElement:
         return MsfElement._make(self.n, self.m, R, out)
 
     def __pow__(self, k: int) -> "MsfElement":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = MsfElement.one(self.n, self.m, self.ring)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return binary_power(self, k, lambda: MsfElement.one(self.n, self.m, self.ring))
 
     def truncate(self, target) -> "MsfElement":
         _check_slots(target)

@@ -32,7 +32,7 @@ from collections.abc import ItemsView, Mapping
 from functools import cache, reduce
 from operator import or_
 
-from .coeffring import Ring
+from .coeffring import ZZ, Ring
 from .monomial import Mono, grlex_key
 
 __all__ = [
@@ -47,6 +47,22 @@ __all__ = [
     "npoly_text",
     "parse_npoly",
 ]
+
+
+def binary_power(x, k: int, one):
+    """x**k by square-and-multiply, starting from x itself; one() for k = 0."""
+    if k < 0:
+        raise ValueError("negative power")
+    if k == 0:
+        return one()
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else acc * x
+        k >>= 1
+        if not k:
+            return acc
+        x = x * x
 
 
 class MPoly:
@@ -146,16 +162,7 @@ class MPoly:
         return MPoly(self.m, R, out)
 
     def __pow__(self, k: int) -> "MPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = MPoly.one(self.m, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return binary_power(self, k, lambda: MPoly.one(self.m, self.ring))
 
     def permute_vars(self, perm) -> "MPoly":
         """Apply y_i -> y_perm(i); perm is a 1-based image tuple of length m."""
@@ -251,18 +258,6 @@ def _guard_bits(size: int, w: int) -> int:
 
 def _repack(d: dict, size: int, w: int, w2: int) -> dict:
     return {pack_key(unpack_key(k, size, w), w2): c for k, c in d.items()}
-
-
-def _clean(ring: Ring, raw: dict) -> dict:
-    """Drop the zeros of raw coefficient sums, reduced into the ring.
-
-    Ring elements are Python numbers, so + and * are exact over Z and Q
-    and need only a final reduction mod p over Z/p.
-    """
-    p = ring.p
-    if p is not None:
-        raw = {k: c % p for k, c in raw.items()}
-    return {k: c for k, c in raw.items() if c}
 
 
 class NPolyTerms(Mapping):
@@ -406,7 +401,7 @@ class NPoly:
         get = out.get
         for k, c in other._keys_at(w).items():
             out[k] = get(k, 0) + c
-        return NPoly._packed(self.n, self.m, self.ring, _clean(self.ring, out), w)
+        return NPoly._packed(self.n, self.m, self.ring, self.ring.reduce_sums(out), w)
 
     def __neg__(self) -> "NPoly":
         R = self.ring
@@ -418,7 +413,7 @@ class NPoly:
 
     def scale(self, c) -> "NPoly":
         out = {k: c * v for k, v in self._d.items()}
-        return NPoly._packed(self.n, self.m, self.ring, _clean(self.ring, out), self._w)
+        return NPoly._packed(self.n, self.m, self.ring, self.ring.reduce_sums(out), self._w)
 
     def __mul__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
@@ -433,7 +428,7 @@ class NPoly:
             for kb, cb in inner:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        d = _clean(self.ring, out)
+        d = self.ring.reduce_sums(out)
         size = self.n * self.m
         if reduce(or_, d, 0) & _guard_bits(size, w):
             # A field reached its guard bit.  Every field sum still fits in
@@ -443,14 +438,7 @@ class NPoly:
         return NPoly._packed(self.n, self.m, self.ring, d, w)
 
     def __pow__(self, k: int) -> "NPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return NPoly.one(self.n, self.m, self.ring)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+        return binary_power(self, k, lambda: NPoly.one(self.n, self.m, self.ring))
 
     def multidegree_component(self, a: Mono) -> "NPoly":
         """Terms of multidegree exactly a; summing over all a recovers self."""
@@ -474,11 +462,15 @@ class NPoly:
 
 
 def npoly_sum(pairs, n: int, m: int, ring: Ring) -> NPoly:
-    """The sum of c*p over (c, p) pairs, accumulated in one dict."""
+    """The sum of c*p over (c, p) pairs, accumulated in one dict.
+
+    Each c is in ring; each p is over ring or over the integers, whose
+    image in ring it then stands for.
+    """
     out = {}
     w = BASE_WIDTH
     for c, p in pairs:
-        if (p.n, p.m, p.ring) != (n, m, ring):
+        if (p.n, p.m) != (n, m) or p.ring not in (ring, ZZ):
             raise ValueError("ambient mismatch between NPoly operands")
         if p._w > w:
             out = _repack(out, n * m, w, p._w)
@@ -486,7 +478,7 @@ def npoly_sum(pairs, n: int, m: int, ring: Ring) -> NPoly:
         get = out.get
         for k, v in p._keys_at(w).items():
             out[k] = get(k, 0) + c * v
-    return NPoly._packed(n, m, ring, _clean(ring, out), w)
+    return NPoly._packed(n, m, ring, ring.reduce_sums(out), w)
 
 
 def npoly_multidegree(mono, m: int) -> Mono:

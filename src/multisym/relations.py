@@ -7,18 +7,27 @@ identity that must evaluate to zero once the cutoff is applied: a defining
 relation.  Over the rationals the single symbol family e_{n+1}(f) generates
 the relation ideal, and the free e_1 alphabet makes those generators
 explicit.
+
+Vanishing is checked along two independent routes: evaluate (the abstract
+product, through rewrite) and genpoly_expand, which multiplies concrete
+orbit-sum polynomials in the n-slot ring and shares no code with rewrite
+or the orbit-sum product.  genpoly_expand keeps its own cache of integer
+images: the full expansion over Z of each generator monomial, keyed by the
+monomial and the ambient (n, m) but never by a coefficient ring.  The ring
+enters last, when npoly_sum adds coefficient times image into one dict and
+reduces the sums once.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import product as _cartesian
 
-from .coeffring import QQ, Ring, Zmod
+from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker, rank_of
 from .monomial import Mono, grlex_key, mono_pow, monomials_of_total_degree, monomials_up_to
-from .msf import (INF, MsfElement, alpha_weight, alphas_of_multidegree,
-                  e_alpha, ek_of_f)
+from .msf import INF, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
 from .polyring import MPoly, NPoly, npoly_sum
 from .rewrite import GenPoly, evaluate, rewrite
 
@@ -68,6 +77,19 @@ def relation_polys(n: int, m: int, max_a: Mono, ring: Ring) -> list:
     return [g for _, _, g in relation_items(n, m, max_a, ring)]
 
 
+@cache
+def _expansion_z(symmono, n: int, m: int) -> NPoly:
+    """prod e_i(nu)**e over a symbol monomial, expanded over Z in n slots."""
+    if not symmono:
+        return NPoly.one(n, m, ZZ)
+    if len(symmono) > 1:
+        return _expansion_z(symmono[:-1], n, m) * _expansion_z(symmono[-1:], n, m)
+    ((i, nu), e), = symmono
+    if i > n:  # e_i(nu) vanishes
+        return NPoly.zero(n, m, ZZ)
+    return e_alpha([(nu, i)], n, m, ZZ).expand() ** e
+
+
 def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     """Expand a generator polynomial in the concrete n-slot ring.
 
@@ -75,25 +97,11 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     there, bypassing the abstract product: an independent route used to
     double-check vanishing.
     """
-    R = g.ring
     m = g.m
-    one = NPoly.one(n, m, R)
-    cache: dict[tuple, NPoly] = {}
-
-    def scaled_terms():
-        for symmono, c in g.terms.items():
-            term = one
-            for (i, nu), e in symmono:
-                if i > n:  # e_i(nu) vanishes, and so does the term
-                    break
-                if (i, nu) not in cache:
-                    cache[(i, nu)] = e_alpha([(nu, i)], n, m, R).expand()
-                f = cache[(i, nu)] ** e
-                term = f if term is one else term * f
-            else:
-                yield c, term
-
-    return npoly_sum(scaled_terms(), n, m, R)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return npoly_sum(((c, _expansion_z(symmono, n, m)) for symmono, c in g.terms.items()),
+                     n, m, g.ring)
 
 
 def verify_relation(g: GenPoly, n: int) -> bool:

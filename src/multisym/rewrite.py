@@ -20,18 +20,28 @@ j > n first in a finite ambient.
 As in msf, the GenPoly constructor and genpoly_from_json validate every
 symbol; arithmetic and the pipeline build results through GenPoly._make,
 which only drops zero coefficients.
+
+Caching contract: every cache here holds integer images, keyed by the
+input and the ambient n (and m) but never by a coefficient ring.  The
+structure constants are integers, so one image serves Z, Q and every Z/p:
+_reduce_alpha gives e_alpha in the symbols e_i(mu), _primitive_image_z a
+symbol monomial's primitive form in ambient n, and _evaluate_image_z the
+orbit-sum expansion of a generator monomial in ambient n.  The ring enters
+last, when reduce_to_monomial_es, primitive_reduce and evaluate add
+coefficient times image into one dict and reduce the sums once.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .coeffring import Ring
+from .coeffring import ZZ, Ring
 from .monomial import (Mono, deg_leq, deg_scale, grlex_key, is_primitive,
                        monomials_up_to, primitive_decompose)
-from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _json_int,
-                  alpha_weight, e_alpha)
-from .symfun import epoly_substitute, plethysm_P
+from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _check_slots,
+                  _json_int, alpha_weight, e_alpha)
+from .polyring import binary_power
+from .symfun import plethysm_P
 
 __all__ = [
     "GenPoly",
@@ -165,12 +175,7 @@ class GenPoly:
         return GenPoly._make(self.m, R, out)
 
     def __pow__(self, k: int) -> "GenPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = GenPoly.one(self.m, self.ring)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return binary_power(self, k, lambda: GenPoly.one(self.m, self.ring))
 
     def symbols(self):
         out = set()
@@ -267,13 +272,42 @@ def _reduce_alpha(alpha: AlphaIndex) -> tuple:
 
 def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
     """First stage: x as a polynomial in symbols e_i(mu), mu any monomial."""
-    R = x.ring
     out: dict[tuple, object] = {}
+    get = out.get
     for alpha, c in x.terms.items():
         for symmono, k in _reduce_alpha(alpha):
-            v = R.mul(c, R.embed(k))
-            out[symmono] = R.add(out.get(symmono, R.zero), v)
-    return GenPoly._make(x.m, R, out)
+            out[symmono] = get(symmono, 0) + c * k
+    return GenPoly._make(x.m, x.ring, x.ring.reduce_sums(out))
+
+
+@cache
+def _primitive_symbol_z(sym, n) -> GenPoly:
+    """The primitive form over Z of one symbol e_i(mu) in ambient n.
+
+    For mu = nu^k, k >= 2, this is P_{i,k} at e_j -> E[j;nu]; symbols with
+    index above a finite n are zero.
+    """
+    i, mu = sym
+    nu, k = primitive_decompose(mu)
+    terms = {}
+    if n is INF or i <= n:
+        if k == 1:
+            terms[(((i, nu), 1),)] = 1
+        else:
+            # one nu throughout, so ascending j is the canonical symbol order
+            for exps, c in plethysm_P(i, k).terms.items():
+                if n is INF or len(exps) <= n:
+                    terms[tuple(((j + 1, nu), e) for j, e in enumerate(exps) if e)] = c
+    return GenPoly._make(len(mu), ZZ, terms)
+
+
+@cache
+def _primitive_image_z(symmono, n) -> GenPoly:
+    """The primitive form over Z of a nonempty symbol monomial in ambient n."""
+    if len(symmono) > 1:
+        return _primitive_image_z(symmono[:-1], n) * _primitive_image_z(symmono[-1:], n)
+    (sym, e), = symmono
+    return _primitive_symbol_z(sym, n) ** e
 
 
 def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
@@ -283,45 +317,15 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
     finite ambient all symbols with index above n are zero and are dropped
     before substituting.
     """
-    R = p.ring
-    m = p.m
-    one = GenPoly.one(m, R)
-    zero = GenPoly.zero(m, R)
-
-    factor_cache: dict[tuple, GenPoly] = {}
-
-    def factor_for(sym) -> GenPoly:
-        if sym in factor_cache:
-            return factor_cache[sym]
-        i, mu = sym
-        nu, k = primitive_decompose(mu)
-        if n is not INF and i > n:
-            out = zero
-        elif k == 1:
-            out = GenPoly.symbol(i, nu, m, R)
-        else:
-            ep = plethysm_P(i, k)
-
-            def value_of(j, nu=nu):
-                if n is not INF and j > n:
-                    return zero
-                return GenPoly.symbol(j, nu, m, R)
-
-            out = epoly_substitute(ep, value_of, one,
-                                   lambda c, g: g.scale(R.embed(c)))
-        factor_cache[sym] = out
-        return out
-
     out: dict[tuple, object] = {}
+    get = out.get
     for symmono, c in p.terms.items():
-        term = GenPoly.const(c, m, R)
-        for sym, e in symmono:
-            if term.is_zero:
-                break
-            term = term * (factor_for(sym) ** e)
-        for k, v in term.terms.items():
-            out[k] = R.add(out.get(k, R.zero), v)
-    return GenPoly._make(m, R, out)
+        if not symmono:
+            out[()] = get((), 0) + c
+            continue
+        for k, v in _primitive_image_z(symmono, n).terms.items():
+            out[k] = get(k, 0) + c * v
+    return GenPoly._make(p.m, p.ring, p.ring.reduce_sums(out))
 
 
 def rewrite(x: MsfElement) -> GenPoly:
@@ -329,26 +333,28 @@ def rewrite(x: MsfElement) -> GenPoly:
     return primitive_reduce(reduce_to_monomial_es(x), x.n)
 
 
+@cache
+def _evaluate_image_z(symmono, n, m: int) -> MsfElement:
+    """prod e_i(nu)**e over a nonempty symbol monomial, over Z in ambient n."""
+    if len(symmono) > 1:
+        return _evaluate_image_z(symmono[:-1], n, m) * _evaluate_image_z(symmono[-1:], n, m)
+    ((i, nu), e), = symmono
+    return e_alpha([(nu, i)], n, m, ZZ, truncating=True) ** e
+
+
 def evaluate(g: GenPoly, n) -> MsfElement:
     """Substitute E[i;nu] -> e_i(nu) and multiply out in ambient n."""
-    R = g.ring
+    _check_slots(n)
     m = g.m
-    one = MsfElement.one(n, m, R)
-    powers: dict[tuple, MsfElement] = {}  # (i, nu, e) -> e_i(nu)**e
     out: dict[AlphaIndex, object] = {}
+    get = out.get
     for symmono, c in g.terms.items():
-        term = one
-        for (i, nu), e in symmono:
-            if term.is_zero:
-                break
-            key = (i, nu, e)
-            power = powers.get(key)
-            if power is None:
-                power = powers[key] = e_alpha([(nu, i)], n, m, R, truncating=True) ** e
-            term = term * power
-        for a, v in term.terms.items():
-            out[a] = R.add(out.get(a, R.zero), R.mul(c, v))
-    return MsfElement._make(n, m, R, out)
+        if not symmono:
+            out[()] = get((), 0) + c
+            continue
+        for a, v in _evaluate_image_z(symmono, n, m).terms.items():
+            out[a] = get(a, 0) + c * v
+    return MsfElement._make(n, m, g.ring, g.ring.reduce_sums(out))
 
 
 def genpoly_to_json(g: GenPoly) -> dict:

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .coeffring import Ring, ZZ
-from .polyring import MPoly
+from .polyring import MPoly, binary_power
 
 __all__ = [
     "EPoly",
@@ -119,12 +119,7 @@ class EPoly:
         return EPoly(out)
 
     def __pow__(self, k: int) -> "EPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = EPoly.const(1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return binary_power(self, k, lambda: EPoly.const(1))
 
     def degree(self) -> int:
         """Graded degree with deg(e_i) = i; -1 for zero."""

@@ -1,0 +1,97 @@
+"""Ring-independent caches, clear_caches, and square-and-multiply powers.
+
+rewrite, evaluate and genpoly_expand cache integer images keyed by the
+ambient but not by the coefficient ring.  A result computed with the
+caches filled by other rings and ambients must equal the result computed
+from empty caches.
+"""
+
+import sys
+
+import pytest
+
+import multisym
+from conftest import random_element, seeded
+from multisym.coeffring import QQ, ZZ, Zmod
+from multisym.msf import INF, MsfElement
+from multisym.polyring import NPoly
+from multisym.relations import genpoly_expand
+from multisym.rewrite import GenPoly, evaluate, rewrite
+
+RINGS = [ZZ, Zmod(2), Zmod(3), QQ]
+AMBIENTS = [2, 3, INF]
+
+
+def integer_element(n) -> MsfElement:
+    """One integer element per ambient; every ring sees its image."""
+    return random_element(seeded(f"caches:{n}"), n, 2, ZZ, 5, max_terms=5)
+
+
+def in_ring(x: MsfElement, ring) -> MsfElement:
+    return MsfElement(x.n, x.m, ring,
+                      {a: ring.embed(c) for a, c in x.terms.items()})
+
+
+def pipeline(ring, n) -> tuple:
+    """rewrite, evaluate and genpoly_expand of one element.
+
+    At n = INF the rewrite is expanded in two slots, its image there.
+    """
+    x = in_ring(integer_element(n), ring)
+    g = rewrite(x)
+    back = evaluate(g, n)
+    expanded = genpoly_expand(g, 2 if n is INF else n)
+    return x, g, back, expanded
+
+
+@pytest.mark.parametrize("rings", [RINGS, RINGS[::-1]], ids=["Z-first", "Q-first"])
+def test_warm_caches_agree_with_cold_across_rings_and_ambients(rings):
+    multisym.clear_caches()
+    warm = {(ring, n): pipeline(ring, n) for ring in rings for n in AMBIENTS}
+    for (ring, n), got in warm.items():
+        x, g, back, expanded = got
+        assert g.ring == ring and back.ring == ring and expanded.ring == ring
+        assert back == x
+        if n is not INF:
+            assert expanded == x.expand()
+        multisym.clear_caches()
+        assert pipeline(ring, n) == got
+
+
+def test_clear_caches_empties_every_module_cache():
+    pipeline(QQ, 3)
+    pipeline(Zmod(3), INF)
+    multisym.clear_caches()
+    caches = [obj for name, mod in sys.modules.items()
+              if name.startswith("multisym.")
+              for obj in vars(mod).values() if hasattr(obj, "cache_info")]
+    names = {c.__name__ for c in caches}
+    assert {"_alpha_product_z", "_reduce_alpha", "_expand_alpha",
+            "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
+            "_primitive_image_z", "_evaluate_image_z", "_expansion_z"} <= names
+    assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+def repeated(x, k: int, one):
+    acc = one
+    for _ in range(k):
+        acc = acc * x
+    return acc
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("n", [INF, 2, 3, 4])
+def test_powers_equal_repeated_products(ring, n):
+    x = random_element(seeded(f"pow:{ring.to_string()}:{n}"), n, 2, ring, 3,
+                       max_terms=3)
+    g = rewrite(x)
+    cases = [(x, MsfElement.one(n, 2, ring)), (g, GenPoly.one(2, ring))]
+    if n is not INF:
+        p = x.expand()
+        cases.append((p, NPoly.one(n, 2, ring)))
+    for value, one in cases:
+        assert value ** 1 is value
+        for k in range(6):
+            assert value ** k == repeated(value, k, one)
+        with pytest.raises(ValueError):
+            value ** -1

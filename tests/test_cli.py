@@ -95,6 +95,14 @@ def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
     lambda d: d["terms"][0]["alpha"][0].update(mono=[True, 0]),
     lambda d: d["terms"][0]["alpha"][0].update(mono=[1.0, 0]),
     lambda d: d["terms"][0].update(alpha=3),
+    lambda d: (d.update(ring="Q"), d["terms"][0].update(coeff="1/0")),
+    lambda d: (d.update(ring="Q"), d["terms"][0].update(coeff="-3/00")),
+    lambda d: d["terms"][0].update(coeff=" 1_0 "),
+    lambda d: d["terms"][0].update(coeff="1_0"),
+    lambda d: d["terms"][0].update(coeff=" 1"),
+    lambda d: d["terms"][0].update(coeff="1\n"),
+    lambda d: d["terms"][0].update(coeff="\u0661"),  # ARABIC-INDIC DIGIT ONE
+    lambda d: d["terms"][0].update(coeff="\uff17"),  # FULLWIDTH DIGIT SEVEN
 ])
 @pytest.mark.parametrize("command", ["expand", "product"])
 def test_malformed_element_files_exit_3(tmp_path, capsys, breakage, command):

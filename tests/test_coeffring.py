@@ -91,6 +91,26 @@ def test_coeff_parse_and_format():
         QQ.parse_coeff("three")
 
 
+def test_coeff_parse_accepts_canonical_forms():
+    assert ZZ.parse_coeff("+7") == 7
+    assert QQ.parse_coeff("-7") == Fraction(-7)
+    assert QQ.parse_coeff("6/3") == Fraction(2)
+    assert QQ.parse_coeff("-9/7") == Fraction(-9, 7)
+    assert isinstance(QQ.parse_coeff("6/3"), Fraction)
+    assert Zmod(7).parse_coeff("-1") == 6
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(5)])
+@pytest.mark.parametrize("text", [
+    "1/0", "0/0", "-3/00", " 1", "1 ", " 1_0 ", "1_0", "1/1_0", "1\n", "\t2",
+    "\u0661", "\uff17", "1\u0660", "", "-", "+", "1/", "/2", "1/-2", "1.5",
+    "1e3", "0x10", "1/2/3",
+])
+def test_parse_coeff_rejects_non_canonical_strings(ring, text):
+    with pytest.raises(ValueError):
+        ring.parse_coeff(text)
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(5)])
 @pytest.mark.parametrize("value", [5, 1.5, None, ["1"], True])
 def test_parse_coeff_rejects_non_strings(ring, value):
