@@ -18,7 +18,7 @@ import sys
 from itertools import groupby
 from operator import itemgetter
 
-from .coeffring import QQ, Ring
+from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
@@ -201,8 +201,23 @@ def _multidegrees_total_upto(m: int, bound: int):
         yield from monomials_of_total_degree(m, total)
 
 
+def _full_rank(rows, ncols: int, field: Ring) -> bool:
+    """Whether the integer rows, given as {column: value}, are independent
+    over the field."""
+    tracker = RankTracker(ncols, field)
+    for row in rows:
+        dense = [field.zero] * ncols
+        for col, c in row.items():
+            dense[col] = field.embed(c)
+        tracker.add(dense)
+    return tracker.rank == len(rows)
+
+
 def _verify_basis_rank(n, m, deg, ring):
-    field = ring if ring.has_division else QQ
+    # The expansion matrix has 0/1 entries, so full rank modulo a large
+    # prime certifies full rank over Q; Q itself is needed only when the
+    # rank modulo the prime comes out short.
+    fields = (ring,) if ring.kind == "Zp" else (Zmod(1000003), QQ)
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         alphas = basis_alphas(n, m, a)
@@ -211,13 +226,9 @@ def _verify_basis_rank(n, m, deg, ring):
             failures += 1
             continue
         cols = {mono: i for i, mono in enumerate(oracle.monomials_of_multidegree(n, m, a))}
-        tracker = RankTracker(len(cols), field)
-        for alpha in alphas:
-            row = [field.zero] * len(cols)
-            for mono, c in e_alpha(alpha, n, m, field).expand().terms.items():
-                row[cols[mono]] = c
-            tracker.add(row)
-        if tracker.rank != len(alphas):
+        rows = [{cols[mono]: c for mono, c in e_alpha(alpha, n, m, ZZ).expand().terms.items()}
+                for alpha in alphas]
+        if not any(_full_rank(rows, len(cols), field) for field in fields):
             failures += 1
     return checked, failures
 

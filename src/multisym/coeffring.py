@@ -12,7 +12,6 @@ the prime fields advertise it through :attr:`Ring.has_division`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["Ring", "ZZ", "QQ", "Zmod", "is_prime"]
@@ -48,27 +47,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Ring:
     """One of Z, Q, or Z/p with p prime.
 
-    All operations are total and pure; a Ring is safe to share freely.
+    All operations are total and pure; a Ring is safe to share freely.  It
+    is immutable: setting or deleting an attribute raises AttributeError.
+    Two rings are equal when kind and modulus agree.
     """
 
-    kind: str  # "Z" | "Q" | "Zp"
-    p: int | None = None
+    __slots__ = ("kind", "p", "zero", "one")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Q", "Zp"):
-            raise ValueError(f"unknown ring kind: {self.kind!r}")
-        if self.kind == "Zp":
-            if not isinstance(self.p, int) or self.p < 2 or not is_prime(self.p):
-                raise ValueError(f"modulus must be a prime >= 2, got {self.p!r}")
-        elif self.p is not None:
+    kind: str  # "Z" | "Q" | "Zp"
+    p: int | None
+
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind not in ("Z", "Q", "Zp"):
+            raise ValueError(f"unknown ring kind: {kind!r}")
+        if kind == "Zp":
+            if not isinstance(p, int) or p < 2 or not is_prime(p):
+                raise ValueError(f"modulus must be a prime >= 2, got {p!r}")
+        elif p is not None:
             raise ValueError("only prime fields take a modulus")
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "p", p)
         # bound once per ring: the constants are immutable, so sharing is safe
-        object.__setattr__(self, "zero", Fraction(0) if self.kind == "Q" else 0)
-        object.__setattr__(self, "one", Fraction(1) if self.kind == "Q" else 1)
+        init(self, "zero", Fraction(0) if kind == "Q" else 0)
+        init(self, "one", Fraction(1) if kind == "Q" else 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ring is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Ring is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Ring, (self.kind, self.p))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     # construction / naming
 

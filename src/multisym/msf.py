@@ -21,19 +21,38 @@ ambient only tables of total sum <= n survive.  All structure constants are
 computed over Z and embedded into R at the end, so they can vanish in
 positive characteristic.
 
+Which tables exist depends only on the multiplicity vectors of alpha and
+beta, so the rule is split in three cached steps:
+
+* _margin_tables(avec, bvec, min_inner) enumerates the tables once per
+  shape, each as its argument list over slots f_i, g_j and f_i*g_j;
+* _product_skeleton(avec, bvec, min_inner, ranks) merges them once per
+  rank pattern: ranks names each slot's monomial by its grlex rank among
+  the distinct candidates of an index pair, equal monomials sharing a
+  rank, and the result maps index patterns ((rank, mult), ...) to
+  integers;
+* _alpha_product_z(alpha, beta, cap) builds the k+h+kh candidate
+  monomials of one pair, ranks them and renames the skeleton's ranks to
+  monomials.
+
+None of these keys holds a ring.
+
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index.  Arithmetic
-builds its results through MsfElement._make, which only drops zero
-coefficients; its callers guarantee canonical indices of weight at most n.
+builds its results through the trusted MsfElement._make, which only drops
+zero coefficients, or MsfElement._from_sums, which reduces raw sums of
+products into the ring; their callers guarantee canonical indices of
+weight at most n.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import comb, factorial
+from operator import add
 
 from .coeffring import Ring
-from .monomial import Mono, grlex_key, mono_mul, monomials_up_to
+from .monomial import Mono, grlex_key, monomials_up_to
 from .polyring import NPoly, binary_power, key_width, slot_key
 
 INF = float("inf")
@@ -105,9 +124,24 @@ def alpha_multidegree(alpha: AlphaIndex, m: int) -> Mono:
     return tuple(deg)
 
 
-def _alpha_key(alpha: AlphaIndex, m: int):
-    a = alpha_multidegree(alpha, m)
-    return (sum(a), a, tuple((grlex_key(mu), mult) for mu, mult in alpha))
+def _alpha_key(alpha: AlphaIndex, m: int) -> tuple:
+    """Canonical sort key of an index, built in one pass over its support.
+
+    Orders by total degree, then multidegree, then the support pairs
+    compared as (grlex key of mu, mult); the pairs are flattened into the
+    key, which orders the same as nesting them.
+    """
+    total = 0
+    key = [0, 0]
+    scaled = []
+    for mu, mult in alpha:
+        s = sum(mu)
+        total += s * mult
+        key += (s, mu, mult)
+        scaled.append(mu if mult == 1 else [e * mult for e in mu])
+    key[0] = total
+    key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * m
+    return tuple(key)
 
 
 def mono_text(mu: Mono) -> str:
@@ -154,42 +188,84 @@ def merge_repeats(args, ring: Ring):
     return alpha, ring.embed(k)
 
 
-def _inner_tables(avec, bvec, min_inner):
-    """Nonnegative k x h tables with row sums <= avec, col sums <= bvec and
-    total >= min_inner, in row-major lexicographic order."""
+@cache
+def _margin_tables(avec, bvec, min_inner) -> tuple:
+    """The tables of the product rule for multiplicity vectors avec, bvec.
+
+    A table is a nonnegative k x h inner part with row sums <= avec, column
+    sums <= bvec and total >= min_inner, in row-major lexicographic order.
+    Each is stored as its argument list over slots: slot i is f_i with the
+    rest of row i, slot k + j is g_j with the rest of column j, slot
+    k + h + i*h + j is f_i*g_j with the inner entry; zero entries are left
+    out.
+    """
     k, h = len(avec), len(bvec)
     cells = k * h
     inner = [0] * cells
-    colcap = list(bvec)
+    rowleft = list(avec)
+    colleft = list(bvec)
+    # rows_rest[i]: total multiplicity of the rows after row i
+    rows_rest = [sum(avec[i + 1:]) for i in range(k)]
+    tables = []
 
-    def rec(pos, rowleft, total, rows_rest):
+    def leaf():
+        args = [(i, v) for i, v in enumerate(rowleft) if v]
+        args += [(k + j, v) for j, v in enumerate(colleft) if v]
+        args += [(k + h + p, v) for p, v in enumerate(inner) if v]
+        tables.append(tuple(args))
+
+    def rec(pos, total):
         if pos == cells:
             if total >= min_inner:
-                yield tuple(inner)
-            return
-        # even filling every later cell to its row capacity cannot reach
-        # min_inner: prune
-        if total + rowleft + rows_rest < min_inner:
+                leaf()
             return
         i, j = divmod(pos, h)
-        cap = min(rowleft, colcap[j])
-        for v in range(cap + 1):
+        # even filling every later cell to its row capacity cannot reach
+        # min_inner: prune
+        if total + rowleft[i] + rows_rest[i] < min_inner:
+            return
+        for v in range(min(rowleft[i], colleft[j]) + 1):
             inner[pos] = v
-            colcap[j] -= v
-            if j == h - 1:
-                nxt_rowleft = avec[i + 1] if i + 1 < k else 0
-                nxt_rest = rows_rest - nxt_rowleft
-                yield from rec(pos + 1, nxt_rowleft, total + v, nxt_rest)
-            else:
-                yield from rec(pos + 1, rowleft - v, total + v, rows_rest)
-            colcap[j] += v
+            rowleft[i] -= v
+            colleft[j] -= v
+            rec(pos + 1, total + v)
+            rowleft[i] += v
+            colleft[j] += v
         inner[pos] = 0
 
     if cells == 0:
         if min_inner <= 0:
-            yield ()
-        return
-    yield from rec(0, avec[0], 0, sum(avec) - avec[0])
+            leaf()
+    else:
+        rec(0, 0)
+    return tuple(tables)
+
+
+@cache
+def _product_skeleton(avec, bvec, min_inner, ranks) -> dict:
+    """The product rule for one shape, with monomials named by rank.
+
+    ranks[s] is the grlex rank of slot s's monomial among the distinct
+    candidate monomials of one index pair; slots whose monomials coincide
+    share a rank.  Merging a table's arguments of equal rank gives an index
+    pattern ((rank, mult), ...) in ascending rank, and its multinomial
+    factor.  Patterns keep the table order of their first occurrence.
+    """
+    out: dict[tuple, int] = {}
+    for args in _margin_tables(avec, bvec, min_inner):
+        merged: dict[int, int] = {}
+        factor = 1
+        for slot, v in args:
+            r = ranks[slot]
+            if r in merged:
+                t = merged[r] + v
+                factor *= comb(t, v)
+                merged[r] = t
+            else:
+                merged[r] = v
+        pattern = tuple(sorted(merged.items()))
+        out[pattern] = out.get(pattern, 0) + factor
+    return out
 
 
 @cache
@@ -199,32 +275,18 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
     cap is None for the no-cutoff product (inverse limit) or the slot count
     n; keys of the result are the indices gamma with |gamma| <= cap.
     """
-    wa, wb = alpha_weight(alpha), alpha_weight(beta)
     fs = [mu for mu, _ in alpha]
     gs = [mu for mu, _ in beta]
     avec = tuple(mult for _, mult in alpha)
     bvec = tuple(mult for _, mult in beta)
-    min_inner = 0 if cap is None else wa + wb - cap
-    h = len(bvec)
-    out: dict[AlphaIndex, int] = {}
-    for inner in _inner_tables(avec, bvec, min_inner):
-        args = []
-        for i, fi in enumerate(fs):
-            row = inner[i * h:(i + 1) * h]
-            left = avec[i] - sum(row)
-            if left:
-                args.append((fi, left))
-            for j, v in enumerate(row):
-                if v:
-                    args.append((mono_mul(fi, gs[j]), v))
-        for j, gj in enumerate(gs):
-            colsum = sum(inner[i * h + j] for i in range(len(avec)))
-            left = bvec[j] - colsum
-            if left:
-                args.append((gj, left))
-        gamma, mult = _merge_int(args)
-        out[gamma] = out.get(gamma, 0) + mult
-    return out
+    min_inner = 0 if cap is None else max(0, sum(avec) + sum(bvec) - cap)
+    slots = fs + gs + [tuple(map(add, f, g)) for f in fs for g in gs]
+    monos = [mu for _, mu in sorted([(sum(mu), mu) for mu in set(slots)])]
+    rank = {mu: r for r, mu in enumerate(monos)}
+    skeleton = _product_skeleton(avec, bvec, min_inner,
+                                 tuple(map(rank.__getitem__, slots)))
+    return {tuple([(monos[r], t) for r, t in pattern]): c
+            for pattern, c in skeleton.items()}
 
 
 def _check_slots(n) -> None:
@@ -265,6 +327,20 @@ class MsfElement:
         self.ring = ring
         zero = ring.zero
         self.terms = {a: c for a, c in terms.items() if c != zero}
+        return self
+
+    @classmethod
+    def _from_sums(cls, n, m: int, ring: Ring, raw: dict) -> "MsfElement":
+        """Trusted constructor from raw sums of products of coefficients.
+
+        Ring.reduce_sums reduces the sums into the ring and drops the zeros;
+        the caller guarantees canonical indices of weight at most n.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.m = m
+        self.ring = ring
+        self.terms = ring.reduce_sums(raw)
         return self
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
@@ -336,19 +412,18 @@ class MsfElement:
 
     def __mul__(self, other: "MsfElement") -> "MsfElement":
         self._compat(other)
-        R = self.ring
         cap = None if self.n is INF else self.n
         out: dict[AlphaIndex, object] = {}
+        get = out.get
         for ax, cx in self.terms.items():
             for ay, cy in other.terms.items():
-                cxy = R.mul(cx, cy)
+                cxy = cx * cy
                 ck = cap
                 if ck is not None and ck >= alpha_weight(ax) + alpha_weight(ay):
                     ck = None
                 for gamma, mult in _alpha_product_z(ax, ay, ck).items():
-                    c = cxy if mult == 1 else R.mul(cxy, R.embed(mult))
-                    out[gamma] = R.add(out.get(gamma, R.zero), c)
-        return MsfElement._make(self.n, self.m, R, out)
+                    out[gamma] = get(gamma, 0) + (cxy if mult == 1 else cxy * mult)
+        return MsfElement._from_sums(self.n, self.m, self.ring, out)
 
     def __pow__(self, k: int) -> "MsfElement":
         return binary_power(self, k, lambda: MsfElement.one(self.n, self.m, self.ring))
@@ -392,7 +467,8 @@ class MsfElement:
         return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _alpha_key(t[0], self.m))
+        m = self.m
+        return sorted(self.terms.items(), key=lambda t: _alpha_key(t[0], m))
 
     def text(self) -> str:
         if not self.terms:

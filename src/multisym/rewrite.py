@@ -203,12 +203,28 @@ class GenPoly:
                 if _symmono_degree(k, self.m) == a}
         return GenPoly._make(self.m, self.ring, keep)
 
-    def _term_key(self, symmono):
-        d = _symmono_degree(symmono, self.m)
-        return (sum(d), d, tuple((_symbol_key(sym), e) for sym, e in symmono))
+    def _term_key(self, symmono) -> tuple:
+        """Canonical sort key of a symbol monomial, built in one pass.
+
+        Orders by total degree, then multidegree, then the factors compared
+        as (symbol key, exponent); the factors are flattened into the key,
+        which orders the same as nesting them.
+        """
+        total = 0
+        key = [0, 0]
+        scaled = []
+        for (i, nu), e in symmono:
+            s = sum(nu)
+            total += s * i * e
+            key += (s, nu, i, e)
+            scaled.append([x * i * e for x in nu])
+        key[0] = total
+        key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * self.m
+        return tuple(key)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: self._term_key(t[0]))
+        key = self._term_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     def text(self) -> str:
         if not self.terms:
@@ -354,7 +370,7 @@ def evaluate(g: GenPoly, n) -> MsfElement:
             continue
         for a, v in _evaluate_image_z(symmono, n, m).terms.items():
             out[a] = get(a, 0) + c * v
-    return MsfElement._make(n, m, g.ring, g.ring.reduce_sums(out))
+    return MsfElement._from_sums(n, m, g.ring, out)
 
 
 def genpoly_to_json(g: GenPoly) -> dict:

@@ -12,6 +12,7 @@ import pytest
 
 import multisym
 from conftest import random_element, seeded
+from multisym import msf
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
@@ -61,12 +62,15 @@ def test_warm_caches_agree_with_cold_across_rings_and_ambients(rings):
 def test_clear_caches_empties_every_module_cache():
     pipeline(QQ, 3)
     pipeline(Zmod(3), INF)
+    assert msf._margin_tables.cache_info().currsize > 0
+    assert msf._product_skeleton.cache_info().currsize > 0
     multisym.clear_caches()
     caches = [obj for name, mod in sys.modules.items()
               if name.startswith("multisym.")
               for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     names = {c.__name__ for c in caches}
-    assert {"_alpha_product_z", "_reduce_alpha", "_expand_alpha",
+    assert {"_alpha_product_z", "_margin_tables", "_product_skeleton",
+            "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from multisym import cli
 from multisym.cli import main
-from multisym.coeffring import ZZ
+from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement, e_alpha, element_to_json
 
 A3, B3, C3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -198,6 +199,26 @@ def test_verify_passes_at_desk_scale(capsys):
                          "relation_vanishing"}
         assert all(c["failures"] == 0 and c["checked"] > 0
                    for c in got["checks"])
+
+
+def test_basis_rank_falls_back_to_q_when_short_mod_p(monkeypatch):
+    """A rank that comes out short modulo the big prime is decided over Q."""
+    assert cli._full_rank([{0: 1, 1: 1}, {1: 1}], 2, Zmod(1000003))
+    assert not cli._full_rank([{0: 1000003}], 1, Zmod(1000003))
+    assert cli._full_rank([{0: 1000003}], 1, QQ)
+    fields = []
+    real = cli._full_rank
+
+    def short_mod_p(rows, ncols, field):
+        fields.append(field)
+        return field == QQ and real(rows, ncols, field)
+
+    monkeypatch.setattr(cli, "_full_rank", short_mod_p)
+    checked, failures = cli._verify_basis_rank(2, 2, 3, ZZ)
+    assert failures == 0 and fields == [Zmod(1000003), QQ] * checked
+    fields.clear()
+    assert cli._verify_basis_rank(2, 2, 3, Zmod(5)) == (checked, checked)
+    assert fields == [Zmod(5)] * checked
 
 
 def test_verify_guard_refuses_large_ambient(capsys):

@@ -1,10 +1,17 @@
 """Coefficient rings: string forms, embeddings, axioms, inverses."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import multisym
 from multisym.coeffring import QQ, Ring, ZZ, Zmod
 
 
@@ -116,3 +123,32 @@ def test_parse_coeff_rejects_non_canonical_strings(ring, text):
 def test_parse_coeff_rejects_non_strings(ring, value):
     with pytest.raises(ValueError):
         ring.parse_coeff(value)
+
+
+def test_ring_is_immutable_and_compares_by_value():
+    r = Zmod(7)
+    assert r == Ring("Zp", 7) and hash(r) == hash(Ring("Zp", 7))
+    assert r != Zmod(5) and ZZ != QQ and ZZ != "Z"
+    assert len({ZZ, QQ, Ring("Z"), Zmod(7), r}) == 3
+    assert repr(r) == "Ring(Zmod:7)" and repr(QQ) == "Ring(Q)"
+    assert copy.deepcopy(r) == r and pickle.loads(pickle.dumps(QQ)) == QQ
+    for name in ("kind", "p", "zero", "one", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 5)
+    with pytest.raises(AttributeError):
+        del r.p
+    assert (r.kind, r.p, r.zero, r.one) == ("Zp", 7, 0, 1)
+
+
+def test_cli_import_does_not_load_dataclasses():
+    """A fresh CLI process imports no more of the standard library than it
+    uses; Ring is a plain class, so dataclasses (and with it inspect, ast,
+    dis and tokenize) stays unloaded."""
+    src = str(Path(multisym.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, multisym.cli; "
+            "print(' '.join(sorted(set(sys.modules) & "
+            "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'})))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
