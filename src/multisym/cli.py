@@ -22,9 +22,9 @@ from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
-                  basis_alphas, e_alpha, element_from_json, element_to_json)
+                  basis_alphas, e_alpha, element_from_json, element_json_text)
 from .polyring import NPoly, npoly_text
-from .rewrite import evaluate, genpoly_to_json, rewrite
+from .rewrite import evaluate, genpoly_json_text, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
 from . import oracle
 
@@ -48,8 +48,17 @@ class _CliError(Exception):
         self.code = code
 
 
-def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def _print_json(obj, render=None) -> None:
+    """Write obj as one line of canonical JSON: sorted keys, no spaces.
+
+    render(obj), when given, writes that text in one pass (elements,
+    generator polynomials and expansions); otherwise json.dumps does.
+    """
+    if render is None:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    else:
+        text = render(obj)
+    sys.stdout.write(text + "\n")
 
 
 def _load_element(path: str) -> MsfElement:
@@ -66,10 +75,12 @@ def _load_element(path: str) -> MsfElement:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}")
 
 
-def _npoly_to_json(p: NPoly) -> dict:
-    terms = [{"exps": list(mono), "coeff": p.ring.format_coeff(c)}
-             for mono, c in p.sorted_terms()]
-    return {"n": p.n, "m": p.m, "ring": p.ring.to_string(), "terms": terms}
+def _npoly_json_text(p: NPoly) -> str:
+    """Canonical JSON of an expansion, built in one pass."""
+    fmt = p.ring.format_coeff
+    terms = ",".join(['{"coeff":"%s","exps":[%s]}' % (fmt(c), ",".join(map(str, mono)))
+                      for mono, c in p.sorted_terms()])
+    return f'{{"m":{p.m},"n":{p.n},"ring":"{p.ring.to_string()}","terms":[{terms}]}}'
 
 
 def _parse_ring(s: str) -> Ring:
@@ -99,7 +110,7 @@ def _cmd_product(args) -> int:
     if args.text:
         sys.stdout.write(z.text() + "\n")
     else:
-        _print_json(element_to_json(z))
+        _print_json(z, element_json_text)
     return EXIT_OK
 
 
@@ -111,7 +122,7 @@ def _cmd_expand(args) -> int:
     if args.text:
         sys.stdout.write(npoly_text(p) + "\n")
     else:
-        _print_json(_npoly_to_json(p))
+        _print_json(p, _npoly_json_text)
     return EXIT_OK
 
 
@@ -131,10 +142,7 @@ def _cmd_rewrite(args) -> int:
         if check:
             sys.stdout.write(f"check: {check}\n")
     else:
-        out = genpoly_to_json(g)
-        if check:
-            out["check"] = check
-        _print_json(out)
+        _print_json(g, lambda g: genpoly_json_text(g, check))
     if check == "FAIL":
         return EXIT_CHECK
     return EXIT_OK

@@ -7,24 +7,43 @@ so structural equality is mathematical equality and every element hashes.
 
 Division is deliberately not part of the common contract; the rationals and
 the prime fields advertise it through :attr:`Ring.has_division`.
+
+The hot loops of the package run on Python ints in every ring, as FLINT's
+``fmpq_poly`` does over Q (Hart, "FLINT: Fast Library for Number Theory",
+ICMS 2010).  :meth:`Ring.lift` writes a dict of coefficients as integer
+numerators over one common denominator: the identity with denominator 1
+over Z and Z/p, the lcm of the denominators over Q.  A caller adds
+integer numerators times integer structure constants into one dict, and
+:meth:`Ring.settle` is the one place where the ring enters: it reduces
+mod p once over Z/p, divides each surviving sum by the denominator once
+over Q, and drops the zeros.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-__all__ = ["Ring", "ZZ", "QQ", "Zmod", "is_prime"]
+__all__ = ["Ring", "ZZ", "QQ", "Zmod", "is_prime", "PRIME_BOUND"]
 
 # Canonical coefficient strings: ASCII digits, an optional sign, and for the
 # rationals an optional denominator; no spaces or underscores.
 _COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
-# Deterministic Miller-Rabin witnesses; exact for n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the primes up to 41 decide
+# primality exactly below PRIME_BOUND, the least odd composite that is a
+# strong pseudoprime to all of them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).  The primes up to
+# 37 alone pass 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime; proven for n < PRIME_BOUND, refused above."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}, got {n}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -173,16 +192,30 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def reduce_sums(self, raw: dict) -> dict:
-        """Reduce raw sums of products into the ring and drop the zeros.
+    def lift(self, terms: dict) -> tuple[dict, int]:
+        """Integer numerators over one denominator: (ints, den) with
+        terms[k] == ints[k] / den.
 
-        Ring elements are Python numbers, so sums of products of ring
-        elements and integers are exact over Z and Q and need only a final
-        reduction mod p over Z/p.
+        The identity with den = 1 over Z and Z/p; over Q den is the lcm of
+        the denominators.  The result may be terms itself: do not mutate it.
         """
+        if self.kind != "Q":
+            return terms, 1
+        den = lcm(*[c.denominator for c in terms.values()])
+        return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+    def settle(self, raw: dict, den: int) -> dict:
+        """Ring elements raw[k] / den, zeros dropped.
+
+        raw holds exact sums of products of lifted numerators and integers:
+        reduced mod p once over Z/p, divided by den once over Q (where den
+        may be 1 and the sums Fractions).  Over Z and Z/p den is 1.
+        """
+        if self.kind == "Q":
+            return {k: Fraction(c, den) for k, c in raw.items() if c}
         p = self.p
         if p is not None:
-            raw = {k: c % p for k, c in raw.items()}
+            return {k: r for k, c in raw.items() if (r := c % p)}
         return {k: c for k, c in raw.items() if c}
 
     # serialization

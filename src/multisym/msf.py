@@ -40,9 +40,9 @@ None of these keys holds a ring.
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index.  Arithmetic
 builds its results through the trusted MsfElement._make, which only drops
-zero coefficients, or MsfElement._from_sums, which reduces raw sums of
-products into the ring; their callers guarantee canonical indices of
-weight at most n.
+zero coefficients, or MsfElement._from_sums, which settles integer sums
+over a common denominator into the ring (Ring.lift and Ring.settle); their
+callers guarantee canonical indices of weight at most n.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ __all__ = [
     "ek_of_f",
     "alphas_of_multidegree",
     "basis_alphas",
+    "element_json_text",
     "element_to_json",
     "element_from_json",
 ]
@@ -330,17 +331,17 @@ class MsfElement:
         return self
 
     @classmethod
-    def _from_sums(cls, n, m: int, ring: Ring, raw: dict) -> "MsfElement":
-        """Trusted constructor from raw sums of products of coefficients.
+    def _from_sums(cls, n, m: int, ring: Ring, raw: dict, den: int) -> "MsfElement":
+        """Trusted constructor from integer sums over the denominator den.
 
-        Ring.reduce_sums reduces the sums into the ring and drops the zeros;
-        the caller guarantees canonical indices of weight at most n.
+        Ring.settle takes the sums into the ring and drops the zeros; the
+        caller guarantees canonical indices of weight at most n.
         """
         self = object.__new__(cls)
         self.n = n
         self.m = m
         self.ring = ring
-        self.terms = ring.reduce_sums(raw)
+        self.terms = ring.settle(raw, den)
         return self
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
@@ -412,18 +413,22 @@ class MsfElement:
 
     def __mul__(self, other: "MsfElement") -> "MsfElement":
         self._compat(other)
+        R = self.ring
         cap = None if self.n is INF else self.n
-        out: dict[AlphaIndex, object] = {}
+        xs, dx = R.lift(self.terms)
+        ys, dy = R.lift(other.terms)
+        ys = ys.items()
+        out: dict[AlphaIndex, int] = {}
         get = out.get
-        for ax, cx in self.terms.items():
-            for ay, cy in other.terms.items():
+        for ax, cx in xs.items():
+            for ay, cy in ys:
                 cxy = cx * cy
                 ck = cap
                 if ck is not None and ck >= alpha_weight(ax) + alpha_weight(ay):
                     ck = None
                 for gamma, mult in _alpha_product_z(ax, ay, ck).items():
                     out[gamma] = get(gamma, 0) + (cxy if mult == 1 else cxy * mult)
-        return MsfElement._from_sums(self.n, self.m, self.ring, out)
+        return MsfElement._from_sums(self.n, self.m, R, out, dx * dy)
 
     def __pow__(self, k: int) -> "MsfElement":
         return binary_power(self, k, lambda: MsfElement.one(self.n, self.m, self.ring))
@@ -636,19 +641,28 @@ def basis_alphas(n: int, m: int, a: Mono) -> list:
 
 # JSON forms, the CLI exchange format
 
+def element_json_text(x: MsfElement) -> str:
+    """Canonical JSON of x, built in one pass over its sorted terms.
+
+    The text equals json.dumps(element_to_json(x), sort_keys=True,
+    separators=(",", ":")); ring strings and coefficients need no escapes.
+    """
+    fmt = x.ring.format_coeff
+    terms = ",".join([
+        '{"alpha":[%s],"coeff":"%s"}' % (
+            ",".join(['{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult)
+                      for mu, mult in alpha]),
+            fmt(c))
+        for alpha, c in x.sorted_terms()])
+    n = '"inf"' if x.n is INF else x.n
+    return f'{{"m":{x.m},"n":{n},"ring":"{x.ring.to_string()}","terms":[{terms}]}}'
+
+
 def element_to_json(x: MsfElement) -> dict:
-    terms = []
-    for alpha, c in x.sorted_terms():
-        terms.append({
-            "alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
-            "coeff": x.ring.format_coeff(c),
-        })
-    return {
-        "n": "inf" if x.n is INF else x.n,
-        "m": x.m,
-        "ring": x.ring.to_string(),
-        "terms": terms,
-    }
+    """The JSON object of x, as element_json_text writes it."""
+    import json
+
+    return json.loads(element_json_text(x))
 
 
 def _json_int(v, what: str, least: int) -> int:

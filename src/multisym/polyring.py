@@ -401,7 +401,7 @@ class NPoly:
         get = out.get
         for k, c in other._keys_at(w).items():
             out[k] = get(k, 0) + c
-        return NPoly._packed(self.n, self.m, self.ring, self.ring.reduce_sums(out), w)
+        return NPoly._packed(self.n, self.m, self.ring, self.ring.settle(out, 1), w)
 
     def __neg__(self) -> "NPoly":
         R = self.ring
@@ -413,7 +413,7 @@ class NPoly:
 
     def scale(self, c) -> "NPoly":
         out = {k: c * v for k, v in self._d.items()}
-        return NPoly._packed(self.n, self.m, self.ring, self.ring.reduce_sums(out), self._w)
+        return NPoly._packed(self.n, self.m, self.ring, self.ring.settle(out, 1), self._w)
 
     def __mul__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
@@ -421,6 +421,9 @@ class NPoly:
         outer, inner = self._keys_at(w), other._keys_at(w)
         if len(outer) > len(inner):
             outer, inner = inner, outer
+        R = self.ring
+        outer, da = R.lift(outer)
+        inner, db = R.lift(inner)
         inner = list(inner.items())
         out = {}
         get = out.get
@@ -428,7 +431,7 @@ class NPoly:
             for kb, cb in inner:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        d = self.ring.reduce_sums(out)
+        d = R.settle(out, da * db)
         size = self.n * self.m
         if reduce(or_, d, 0) & _guard_bits(size, w):
             # A field reached its guard bit.  Every field sum still fits in
@@ -461,11 +464,13 @@ class NPoly:
         return f"NPoly({npoly_text(self)})"
 
 
-def npoly_sum(pairs, n: int, m: int, ring: Ring) -> NPoly:
-    """The sum of c*p over (c, p) pairs, accumulated in one dict.
+def npoly_sum(pairs, n: int, m: int, ring: Ring, den: int = 1) -> NPoly:
+    """The sum of c*p/den over (c, p) pairs, accumulated in one dict.
 
-    Each c is in ring; each p is over ring or over the integers, whose
-    image in ring it then stands for.
+    Each p is over ring or over the integers, whose image in ring it then
+    stands for.  With den = 1 each c may be any element of ring; with the
+    denominator of Ring.lift the c are its integer numerators, and the sums
+    stay ints until Ring.settle.
     """
     out = {}
     w = BASE_WIDTH
@@ -478,7 +483,7 @@ def npoly_sum(pairs, n: int, m: int, ring: Ring) -> NPoly:
         get = out.get
         for k, v in p._keys_at(w).items():
             out[k] = get(k, 0) + c * v
-    return NPoly._packed(n, m, ring, ring.reduce_sums(out), w)
+    return NPoly._packed(n, m, ring, ring.settle(out, den), w)
 
 
 def npoly_multidegree(mono, m: int) -> Mono:

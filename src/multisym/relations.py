@@ -14,8 +14,9 @@ orbit-sum polynomials in the n-slot ring and shares no code with rewrite
 or the orbit-sum product.  genpoly_expand keeps its own cache of integer
 images: the full expansion over Z of each generator monomial, keyed by the
 monomial and the ambient (n, m) but never by a coefficient ring.  The ring
-enters last, when npoly_sum adds coefficient times image into one dict and
-reduces the sums once.
+enters last: the coefficients are lifted to integer numerators over one
+denominator (Ring.lift), npoly_sum adds numerator times image into one dict
+of ints and settles each sum into the ring once (Ring.settle).
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     m = g.m
     if n < 1:
         raise ValueError("need n >= 1")
-    return npoly_sum(((c, _expansion_z(symmono, n, m)) for symmono, c in g.terms.items()),
-                     n, m, g.ring)
+    cs, den = g.ring.lift(g.terms)
+    return npoly_sum(((c, _expansion_z(symmono, n, m)) for symmono, c in cs.items()),
+                     n, m, g.ring, den)
 
 
 def verify_relation(g: GenPoly, n: int) -> bool:

@@ -27,8 +27,12 @@ structure constants are integers, so one image serves Z, Q and every Z/p:
 _reduce_alpha gives e_alpha in the symbols e_i(mu), _primitive_image_z a
 symbol monomial's primitive form in ambient n, and _evaluate_image_z the
 orbit-sum expansion of a generator monomial in ambient n.  The ring enters
-last, when reduce_to_monomial_es, primitive_reduce and evaluate add
-coefficient times image into one dict and reduce the sums once.
+last.  reduce_to_monomial_es, primitive_reduce and evaluate lift the input's
+coefficients to integer numerators over one denominator (Ring.lift: the
+coefficients themselves over Z and Z/p, over Q the numerators scaled to the
+lcm of the denominators), add numerator times image into one dict of ints,
+and settle each surviving sum into the ring once (Ring.settle: mod p over
+Z/p, one Fraction per term over Q).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "rewrite",
     "evaluate",
     "free_monomial_count",
+    "genpoly_json_text",
     "genpoly_to_json",
     "genpoly_from_json",
 ]
@@ -288,12 +293,14 @@ def _reduce_alpha(alpha: AlphaIndex) -> tuple:
 
 def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
     """First stage: x as a polynomial in symbols e_i(mu), mu any monomial."""
-    out: dict[tuple, object] = {}
+    R = x.ring
+    cs, den = R.lift(x.terms)
+    out: dict[tuple, int] = {}
     get = out.get
-    for alpha, c in x.terms.items():
+    for alpha, c in cs.items():
         for symmono, k in _reduce_alpha(alpha):
             out[symmono] = get(symmono, 0) + c * k
-    return GenPoly._make(x.m, x.ring, x.ring.reduce_sums(out))
+    return GenPoly._make(x.m, R, R.settle(out, den))
 
 
 @cache
@@ -333,15 +340,17 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
     finite ambient all symbols with index above n are zero and are dropped
     before substituting.
     """
-    out: dict[tuple, object] = {}
+    R = p.ring
+    cs, den = R.lift(p.terms)
+    out: dict[tuple, int] = {}
     get = out.get
-    for symmono, c in p.terms.items():
+    for symmono, c in cs.items():
         if not symmono:
             out[()] = get((), 0) + c
             continue
         for k, v in _primitive_image_z(symmono, n).terms.items():
             out[k] = get(k, 0) + c * v
-    return GenPoly._make(p.m, p.ring, p.ring.reduce_sums(out))
+    return GenPoly._make(p.m, R, R.settle(out, den))
 
 
 def rewrite(x: MsfElement) -> GenPoly:
@@ -362,25 +371,41 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     """Substitute E[i;nu] -> e_i(nu) and multiply out in ambient n."""
     _check_slots(n)
     m = g.m
-    out: dict[AlphaIndex, object] = {}
+    cs, den = g.ring.lift(g.terms)
+    out: dict[AlphaIndex, int] = {}
     get = out.get
-    for symmono, c in g.terms.items():
+    for symmono, c in cs.items():
         if not symmono:
             out[()] = get((), 0) + c
             continue
         for a, v in _evaluate_image_z(symmono, n, m).terms.items():
             out[a] = get(a, 0) + c * v
-    return MsfElement._from_sums(n, m, g.ring, out)
+    return MsfElement._from_sums(n, m, g.ring, out, den)
+
+
+def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
+    """Canonical JSON of g, built in one pass over its sorted terms.
+
+    check, when given, is the verdict of a round trip, written as a
+    leading "check" member.  The text equals json.dumps of the dict form
+    with sort_keys=True and separators=(",", ":").
+    """
+    fmt = g.ring.format_coeff
+    terms = ",".join([
+        '{"coeff":"%s","symbols":[%s]}' % (
+            fmt(c),
+            ",".join(['{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, ",".join(map(str, nu)))
+                      for (i, nu), e in symmono]))
+        for symmono, c in g.sorted_terms()])
+    head = "" if check is None else f'"check":"{check}",'
+    return f'{{{head}"m":{g.m},"ring":"{g.ring.to_string()}","terms":[{terms}]}}'
 
 
 def genpoly_to_json(g: GenPoly) -> dict:
-    terms = []
-    for symmono, c in g.sorted_terms():
-        terms.append({
-            "symbols": [{"i": i, "nu": list(nu), "exp": e} for (i, nu), e in symmono],
-            "coeff": g.ring.format_coeff(c),
-        })
-    return {"m": g.m, "ring": g.ring.to_string(), "terms": terms}
+    """The JSON object of g, as genpoly_json_text writes it."""
+    import json
+
+    return json.loads(genpoly_json_text(g))
 
 
 def genpoly_from_json(d) -> GenPoly:

@@ -85,6 +85,26 @@ def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
     assert err == "error: need n >= 1 and m >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rewrite", "--check", "ELEMENT"],
+    ["relations", "--n", "2", "--m", "1", "--max-degree", "3",
+     "--ring", "Zmod:3317044064679887385961981"],
+    ["verify", "--n", "2", "--m", "1", "--max-total-degree", "2",
+     "--ring", "Zmod:3317044064679887385961981"],
+])
+def test_modulus_beyond_the_primality_bound_exits_3(tmp_path, capsys, argv):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 is not prime
+    d = element_to_json(e_alpha([((1, 0), 1)], INF, 2, ZZ))
+    d["ring"] = "Zmod:3317044064679887385961981"
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run(capsys, [str(path) if a == "ELEMENT" else a for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "3317044064679887385961981" in err
+
+
 @pytest.mark.parametrize("breakage", [
     lambda d: d["terms"][0].update(coeff=5),
     lambda d: d["terms"][0].update(coeff=None),

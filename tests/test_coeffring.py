@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import multisym
-from multisym.coeffring import QQ, Ring, ZZ, Zmod
+from multisym.coeffring import PRIME_BOUND, QQ, Ring, ZZ, Zmod, is_prime
 
 
 def test_string_round_trip():
@@ -31,6 +31,22 @@ def test_modulus_must_be_prime():
         Zmod(91)  # 7 * 13
     assert Zmod(1000003).p == 1000003
     assert Zmod(2).to_string() == "Zmod:2"
+
+
+def test_primality_is_proven_below_the_bound_and_refused_above():
+    assert PRIME_BOUND == 3317044064679887385961981 == 1287836182261 * 2575672364521
+    assert is_prime(2**61 - 1)
+    assert Zmod(2**61 - 1).p == 2**61 - 1
+    # composite, and a strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
+    assert not is_prime(PRIME_BOUND - 2)  # odd, divisible by 3
+    for p in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(p)
+        with pytest.raises(ValueError):
+            Ring.from_string(f"Zmod:{p}")
+    assert [p for p in range(50) if is_prime(p)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
 def test_embed_is_a_ring_map():
