@@ -5,8 +5,11 @@ elements are UTF-8 JSON files; every output is deterministic, so goldens
 can pin bytes.
 
 Exit codes: 0 success, 1 verify found a failing property, 2 ambient
-mismatch, 3 parse or validation error, 4 a --check round trip failed,
-5 a relation failed to vanish.
+mismatch, 3 parse or validation error (bad flags included), 4 a --check
+round trip failed, 5 a relation failed to vanish.
+
+`run()` is the process entry (`multisym`, `python -m multisym.cli`);
+`main(argv)` is the same command for callers in a running interpreter.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
                   basis_alphas, e_alpha, element_from_json, element_json_text)
 from .polyring import NPoly, npoly_text
-from .rewrite import evaluate, genpoly_json_text, rewrite
+from .rewrite import GenPoly, evaluate, genpoly_json_text, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
 from . import oracle
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,6 +51,30 @@ class _CliError(Exception):
         self.code = code
 
 
+def _error_line(msg: str) -> str:
+    """The one stderr line of a refused request."""
+    return "error: " + msg.replace("\n", "\\n") + "\n"
+
+
+def _render(render, obj) -> str:
+    """render(obj); a coefficient too long for str() exits 3, not with a traceback.
+
+    Rendering a computed result does no validation, so its only ValueError
+    is str(int) refusing an integer over the interpreter's digit limit.
+    """
+    try:
+        return render(obj)
+    except ValueError:
+        raise _CliError(
+            EXIT_PARSE,
+            f"the result has a coefficient over {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for integer string conversion (PYTHONINTMAXSTRDIGITS)")
+
+
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _print_json(obj, render=None) -> None:
     """Write obj as one line of canonical JSON: sorted keys, no spaces.
 
@@ -55,23 +82,23 @@ def _print_json(obj, render=None) -> None:
     generator polynomials and expansions); otherwise json.dumps does.
     """
     if render is None:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    else:
-        text = render(obj)
-    sys.stdout.write(text + "\n")
+        render = _canonical_json
+    sys.stdout.write(_render(render, obj) + "\n")
 
 
 def _load_element(path: str) -> MsfElement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        return element_from_json(data)
     except OSError as exc:
         raise _CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
+    except RecursionError:
+        raise _CliError(EXIT_PARSE, f"{path}: JSON nested too deeply")
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}")
-    try:
-        return element_from_json(data)
     except ValueError as exc:
+        # not UTF-8, a malformed element, or an integer literal over the digit limit
         raise _CliError(EXIT_PARSE, f"{path}: {exc}")
 
 
@@ -97,6 +124,8 @@ def _parse_degrees(s: str, m: int) -> tuple:
         raise _CliError(EXIT_PARSE, f"bad degree list {s!r}")
     if len(parts) != m or any(d < 0 for d in parts):
         raise _CliError(EXIT_PARSE, f"need {m} nonnegative degrees, got {s!r}")
+    if any(d >= sys.maxsize for d in parts):
+        raise _CliError(EXIT_PARSE, f"degrees must be below {sys.maxsize}, got {s!r}")
     return parts
 
 
@@ -108,7 +137,7 @@ def _cmd_product(args) -> int:
     except AmbientMismatch as exc:
         raise _CliError(EXIT_AMBIENT, f"ambient mismatch: {exc}")
     if args.text:
-        sys.stdout.write(z.text() + "\n")
+        sys.stdout.write(_render(MsfElement.text, z) + "\n")
     else:
         _print_json(z, element_json_text)
     return EXIT_OK
@@ -120,7 +149,7 @@ def _cmd_expand(args) -> int:
         raise _CliError(EXIT_PARSE, "cannot expand an element with n=inf")
     p = x.expand()
     if args.text:
-        sys.stdout.write(npoly_text(p) + "\n")
+        sys.stdout.write(_render(npoly_text, p) + "\n")
     else:
         _print_json(p, _npoly_json_text)
     return EXIT_OK
@@ -138,7 +167,7 @@ def _cmd_rewrite(args) -> int:
             ok = back.expand() == x.expand()
         check = "PASS" if ok else "FAIL"
     if args.text:
-        sys.stdout.write(g.text() + "\n")
+        sys.stdout.write(_render(GenPoly.text, g) + "\n")
         if check:
             sys.stdout.write(f"check: {check}\n")
     else:
@@ -321,8 +350,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags are a malformed request: one error line and exit 3.
+
+    --help still exits 0; subparsers inherit this class.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, _error_line(f"{self.prog}: {message}"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="multisym",
         description="Exact computations with multisymmetric functions.")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -373,9 +412,27 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(_error_line(str(exc)))
         return exc.code
 
 
+def run() -> None:
+    """Process entry point: main() with the cyclic garbage collector off.
+
+    The engine keeps its results in acyclic cache tables, so in a process
+    that exits after one command the collector only walks live data again
+    and again.  It is disabled for the command, and the heap is frozen
+    before exit so that finalization's full collection skips it; atexit
+    handlers and teardown still run.  main() leaves the collector alone,
+    for tests and long-lived callers.
+    """
+    import gc  # only the process entry needs it: importing cli stays as it was
+
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,12 @@
-"""Shared helpers: deterministic pseudo-random elements and degree boxes."""
+"""Shared helpers: deterministic pseudo-random elements, degree boxes and
+the command line run in process."""
 
+import contextlib
+import io
 import itertools
 import random
 
+from multisym.cli import main
 from multisym.coeffring import Ring
 from multisym.msf import INF, MsfElement, alphas_of_multidegree
 
@@ -42,3 +46,15 @@ def random_element(rng: random.Random, n, m: int, ring: Ring,
     for _ in range(rng.randint(1, max_terms)):
         terms[rng.choice(pool)] = random_coeff(rng, ring)
     return MsfElement(n, m, ring, terms)
+
+
+def run_main(argv) -> tuple:
+    """cli.main(argv) in process: (exit code, stdout, stderr), with a usage
+    error's SystemExit taken as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()

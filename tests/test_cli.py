@@ -1,6 +1,7 @@
 """Command line front end: golden outputs, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -139,6 +140,48 @@ def test_malformed_element_files_exit_3(tmp_path, capsys, breakage, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",                                  # not UTF-8
+    b"[" * 100000,                                 # nested past the recursion limit
+    b'{"n": ' + b"1" * 5000 + b', "m": 1, "ring": "Z", "terms": []}',  # over the digit limit
+], ids=["not-utf8", "deep", "long-literal"])
+@pytest.mark.parametrize("command", ["expand", "product"])
+def test_unreadable_element_files_exit_3(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, str(bad)] + ([str(bad)] if command == "product" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("degrees", ["99999999999999999999,1", f"{sys.maxsize},1"])
+@pytest.mark.parametrize("command", ["relations", "basis"])
+def test_degrees_at_or_above_maxsize_exit_3(capsys, command, degrees):
+    code, out, err = run(capsys, [command, "--n", "2", "--m", "2", "--max-degree", degrees])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: degrees must be below {sys.maxsize}, got {degrees!r}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                    or not sys.get_int_max_str_digits(),
+                    reason="this interpreter has no digit limit for str(int)")
+@pytest.mark.parametrize("flags", [[], ["--text"]])
+def test_result_over_the_digit_limit_exits_3(tmp_path, capsys, flags):
+    limit = sys.get_int_max_str_digits()
+    d = element_to_json(e_alpha([((1, 0), 1)], 2, 2, ZZ))
+    d["terms"][0]["coeff"] = "9" * (limit // 2 + 1)  # the input is under the limit
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(d))
+    code, out, err = run(capsys, ["product", str(x), str(x)] + flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{limit} digits" in err
+
+
 def test_expand_golden(tmp_path, capsys):
     x = write_element(tmp_path, "x.json",
                       e_alpha([((1, 0), 2), ((0, 1), 1)], 3, 2, ZZ))
@@ -254,3 +297,29 @@ def test_verify_guard_refuses_large_ambient(capsys):
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["basis", "--n", "2", "--m", "2", "--max-degree", "1,1", "--bogus"],
+    ["basis", "--n", "2"],
+    ["relations", "--n", "abc", "--m", "1", "--max-degree", "1"],
+    ["product", "x.json"],
+    ["basis", "--n", "2", "--m", "2", "--max-degree", "1,1", "line\nbreak"],
+])
+def test_bad_flags_exit_3_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: multisym") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: multisym basis") and err == ""
