@@ -5,8 +5,9 @@ elements are UTF-8 JSON files; every output is deterministic, so goldens
 can pin bytes.
 
 Exit codes: 0 success, 1 verify found a failing property, 2 ambient
-mismatch, 3 parse or validation error (bad flags included), 4 a --check
-round trip failed, 5 a relation failed to vanish.
+mismatch, 3 parse or validation error (bad flags included) or a request
+over a size budget, 4 a --check round trip failed, 5 a relation failed to
+vanish.
 
 `run()` is the process entry (`multisym`, `python -m multisym.cli`);
 `main(argv)` is the same command for callers in a running interpreter.
@@ -19,13 +20,15 @@ import json
 import random
 import sys
 from itertools import groupby
+from math import factorial, perm
 from operator import itemgetter
 
 from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
-                  basis_alphas, e_alpha, element_from_json, element_json_text)
+                  alpha_weight, basis_alphas, e_alpha, element_from_json,
+                  element_json_text)
 from .polyring import NPoly, npoly_text
 from .rewrite import GenPoly, evaluate, genpoly_json_text, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
@@ -43,6 +46,15 @@ EXIT_RELATION = 5
 VERIFY_MAX_N = 4
 VERIFY_MAX_M = 3
 VERIFY_MAX_DEG = 6
+
+# Packed exponent fields an expansion may build: each orbit term, and each
+# slot of each support monomial, is one key of n*m fields.
+EXPAND_MAX_FIELDS = 2_000_000
+# Largest plethysm degree i*k of a symbol e_i(nu^k) that rewrite may meet.
+# Rewriting an index meets only i*k up to its largest multidegree component,
+# which is what is checked; P_{i,k} has about as many terms as i*k has
+# partitions, and newton_p recurses i*k deep.
+REWRITE_MAX_PLETHYSM = 16
 
 
 class _CliError(Exception):
@@ -110,6 +122,22 @@ def _npoly_json_text(p: NPoly) -> str:
     return f'{{"m":{p.m},"n":{p.n},"ring":"{p.ring.to_string()}","terms":[{terms}]}}'
 
 
+def _check_expansion_size(x: MsfElement) -> None:
+    """Refuse to expand x when the keys would exceed EXPAND_MAX_FIELDS."""
+    n, m = x.n, x.m
+    fields = 0
+    for alpha in x.terms:
+        fields += n * len(alpha) * n * m  # first, so perm only sees small n
+        if fields <= EXPAND_MAX_FIELDS:
+            orbit = perm(n, alpha_weight(alpha))
+            for _, k in alpha:
+                orbit //= factorial(k)
+            fields += orbit * n * m
+        if fields > EXPAND_MAX_FIELDS:
+            raise _CliError(EXIT_PARSE, f"expanding in n={n} slots needs over "
+                            f"{EXPAND_MAX_FIELDS} packed exponent fields")
+
+
 def _parse_ring(s: str) -> Ring:
     try:
         return Ring.from_string(s)
@@ -147,6 +175,7 @@ def _cmd_expand(args) -> int:
     x = _load_element(args.x)
     if x.n is INF:
         raise _CliError(EXIT_PARSE, "cannot expand an element with n=inf")
+    _check_expansion_size(x)
     p = x.expand()
     if args.text:
         sys.stdout.write(_render(npoly_text, p) + "\n")
@@ -157,6 +186,12 @@ def _cmd_expand(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     x = _load_element(args.x)
+    top = max((max(alpha_multidegree(a, x.m)) for a in x.terms), default=0)
+    if top > REWRITE_MAX_PLETHYSM:
+        raise _CliError(EXIT_PARSE, f"rewrite is limited to plethysm degree {REWRITE_MAX_PLETHYSM},"
+                        f" and an index has a multidegree component of {top}")
+    if args.check and x.n is not INF:
+        _check_expansion_size(x)
     g = rewrite(x)
     check = None
     if args.check:

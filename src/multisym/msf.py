@@ -53,7 +53,7 @@ from operator import add
 
 from .coeffring import Ring
 from .monomial import Mono, grlex_key, monomials_up_to
-from .polyring import NPoly, binary_power, key_width, slot_key
+from .polyring import NPoly, binary_power, key_width, signed_text, slot_key
 
 INF = float("inf")
 
@@ -125,26 +125,6 @@ def alpha_multidegree(alpha: AlphaIndex, m: int) -> Mono:
     return tuple(deg)
 
 
-def _alpha_key(alpha: AlphaIndex, m: int) -> tuple:
-    """Canonical sort key of an index, built in one pass over its support.
-
-    Orders by total degree, then multidegree, then the support pairs
-    compared as (grlex key of mu, mult); the pairs are flattened into the
-    key, which orders the same as nesting them.
-    """
-    total = 0
-    key = [0, 0]
-    scaled = []
-    for mu, mult in alpha:
-        s = sum(mu)
-        total += s * mult
-        key += (s, mu, mult)
-        scaled.append(mu if mult == 1 else [e * mult for e in mu])
-    key[0] = total
-    key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * m
-    return tuple(key)
-
-
 def mono_text(mu: Mono) -> str:
     if not any(mu):
         return "1"
@@ -155,9 +135,57 @@ def mono_text(mu: Mono) -> str:
 
 
 def alpha_text(alpha: AlphaIndex) -> str:
-    if not alpha:
-        return "1"
-    return "e(" + ", ".join(f"{mono_text(mu)}:{mult}" for mu, mult in alpha) + ")"
+    return "e(%s)" % ", ".join([_pair_render(p)[2] for p in alpha]) if alpha else "1"
+
+
+# Render records: everything the writers need of one support pair (here) or
+# one symbol factor (rewrite._factor_render), as a tuple (key part, scaled
+# multidegree, text fragment, JSON fragment).  They hold no ring or ambient,
+# so only the coefficient is formatted per call.
+
+@cache
+def _pair_render(pair) -> tuple:
+    """Render record of a support pair (mu, mult)."""
+    mu, mult = pair
+    return ((sum(mu), mu, mult), tuple([e * mult for e in mu]),
+            f"{mono_text(mu)}:{mult}",
+            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult))
+
+
+def _records_key(recs: list, m: int) -> tuple:
+    """Canonical sort key of a term from the render records of its parts.
+
+    Orders by total degree, then multidegree, then the parts compared by
+    their key parts; the key parts are flattened into the key, which orders
+    the same as nesting them.
+    """
+    if not recs:
+        return (0, (0,) * m)
+    deg = tuple(map(sum, zip(*[r[1] for r in recs])))
+    key = [sum(deg), deg]
+    for r in recs:
+        key += r[0]
+    return tuple(key)
+
+
+def _alpha_key(alpha: AlphaIndex, m: int) -> tuple:
+    """Canonical sort key of an index: by total degree, multidegree, then
+    the support pairs compared as (grlex key of mu, mult)."""
+    return _records_key([*map(_pair_render, alpha)], m)
+
+
+def _sorted_rows(terms: dict, m: int, render) -> list:
+    """(key, records, index, coefficient) of every term, in canonical order.
+
+    render is the cached record of one part of an index; keys are unique,
+    so the sort never compares beyond them.
+    """
+    rows = []
+    for idx, c in terms.items():
+        recs = [*map(render, idx)]
+        rows.append((_records_key(recs, m), recs, idx, c))
+    rows.sort()
+    return rows
 
 
 # integer core of the merge rule: equal argument monomials collapse and pick
@@ -472,26 +500,12 @@ class MsfElement:
         return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
-        m = self.m
-        return sorted(self.terms.items(), key=lambda t: _alpha_key(t[0], m))
+        return [(alpha, c) for _, _, alpha, c in _sorted_rows(self.terms, self.m, _pair_render)]
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        R = self.ring
-        bits = []
-        for alpha, c in self.sorted_terms():
-            body = alpha_text(alpha)
-            cs = R.format_coeff(c)
-            if alpha:
-                t = body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}")
-            else:
-                t = cs
-            bits.append(t)
-        out = bits[0]
-        for t in bits[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        fmt = self.ring.format_coeff
+        return signed_text((fmt(c), "e(%s)" % ", ".join([r[2] for r in recs]) if recs else "")
+                           for _, recs, _, c in _sorted_rows(self.terms, self.m, _pair_render))
 
     def __repr__(self) -> str:
         n = "inf" if self.n is INF else self.n
@@ -648,12 +662,8 @@ def element_json_text(x: MsfElement) -> str:
     separators=(",", ":")); ring strings and coefficients need no escapes.
     """
     fmt = x.ring.format_coeff
-    terms = ",".join([
-        '{"alpha":[%s],"coeff":"%s"}' % (
-            ",".join(['{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult)
-                      for mu, mult in alpha]),
-            fmt(c))
-        for alpha, c in x.sorted_terms()])
+    terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join([r[3] for r in recs]), fmt(c))
+                      for _, recs, _, c in _sorted_rows(x.terms, x.m, _pair_render)])
     n = '"inf"' if x.n is INF else x.n
     return f'{{"m":{x.m},"n":{n},"ring":"{x.ring.to_string()}","terms":[{terms}]}}'
 

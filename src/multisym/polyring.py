@@ -65,6 +65,19 @@ def binary_power(x, k: int, one):
         x = x * x
 
 
+def signed_text(rows) -> str:
+    """A sum as text from ordered (coefficient text, monomial text) rows.
+
+    A coefficient of 1 or -1 is left out, an empty monomial is a constant,
+    a leading minus joins as " - "; no rows is "0".
+    """
+    out = []
+    for cs, body in rows:
+        t = cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}"
+        out.append(t if not out else (" - " + t[1:] if t[0] == "-" else " + " + t))
+    return "".join(out) or "0"
+
+
 class MPoly:
     """Sparse polynomial in m variables y_1..y_m over a Ring."""
 
@@ -528,28 +541,11 @@ def sn_act(sigma, p: NPoly) -> NPoly:
 # text form, mostly for tests and --text output
 
 def npoly_text(p: NPoly) -> str:
-    if not p.terms:
-        return "0"
-    R = p.ring
-    bits = []
-    for mono, c in p.sorted_terms():
-        vs = []
-        for flat, e in enumerate(mono):
-            if e:
-                i = flat % p.m + 1
-                j = flat // p.m + 1
-                vs.append(f"x{i}({j})" + (f"^{e}" if e > 1 else ""))
-        body = "*".join(vs)
-        cs = R.format_coeff(c)
-        if body:
-            txt = body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}")
-        else:
-            txt = cs
-        bits.append(txt)
-    out = bits[0]
-    for t in bits[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    fmt, m = p.ring.format_coeff, p.m
+    return signed_text(
+        (fmt(c), "*".join(f"x{flat % m + 1}({flat // m + 1})" + (f"^{e}" if e > 1 else "")
+                          for flat, e in enumerate(mono) if e))
+        for mono, c in p.sorted_terms())
 
 
 def parse_npoly(s: str, n: int, m: int, ring: Ring) -> NPoly:

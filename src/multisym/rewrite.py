@@ -43,8 +43,8 @@ from .coeffring import ZZ, Ring
 from .monomial import (Mono, deg_leq, deg_scale, grlex_key, is_primitive,
                        monomials_up_to, primitive_decompose)
 from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _check_slots,
-                  _json_int, alpha_weight, e_alpha)
-from .polyring import binary_power
+                  _json_int, _sorted_rows, alpha_weight, e_alpha)
+from .polyring import binary_power, signed_text
 from .symfun import plethysm_P
 
 __all__ = [
@@ -71,6 +71,16 @@ def _symmono_mul(a, b) -> tuple:
     for sym, e in b:
         d[sym] = d.get(sym, 0) + e
     return tuple(sorted(d.items(), key=lambda t: _symbol_key(t[0])))
+
+
+@cache
+def _factor_render(factor) -> tuple:
+    """Render record (as in msf) of a symbol factor ((i, nu), e)."""
+    (i, nu), e = factor
+    nus = ",".join(map(str, nu))
+    return ((sum(nu), nu, i, e), tuple([x * i * e for x in nu]),
+            f"E[{i};({nus})]" + (f"^{e}" if e > 1 else ""),
+            '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus))
 
 
 def _symmono_degree(symmono, m: int) -> Mono:
@@ -208,50 +218,13 @@ class GenPoly:
                 if _symmono_degree(k, self.m) == a}
         return GenPoly._make(self.m, self.ring, keep)
 
-    def _term_key(self, symmono) -> tuple:
-        """Canonical sort key of a symbol monomial, built in one pass.
-
-        Orders by total degree, then multidegree, then the factors compared
-        as (symbol key, exponent); the factors are flattened into the key,
-        which orders the same as nesting them.
-        """
-        total = 0
-        key = [0, 0]
-        scaled = []
-        for (i, nu), e in symmono:
-            s = sum(nu)
-            total += s * i * e
-            key += (s, nu, i, e)
-            scaled.append([x * i * e for x in nu])
-        key[0] = total
-        key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * self.m
-        return tuple(key)
-
     def sorted_terms(self):
-        key = self._term_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
+        return [(k, c) for _, _, k, c in _sorted_rows(self.terms, self.m, _factor_render)]
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        R = self.ring
-        bits = []
-        for symmono, c in self.sorted_terms():
-            vs = "*".join(
-                "E[%d;(%s)]" % (i, ",".join(str(x) for x in nu))
-                + (f"^{e}" if e > 1 else "")
-                for (i, nu), e in symmono
-            )
-            cs = R.format_coeff(c)
-            if vs:
-                t = vs if cs == "1" else (f"-{vs}" if cs == "-1" else f"{cs}*{vs}")
-            else:
-                t = cs
-            bits.append(t)
-        out = bits[0]
-        for t in bits[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        fmt = self.ring.format_coeff
+        return signed_text((fmt(c), "*".join([r[2] for r in recs]))
+                           for _, recs, _, c in _sorted_rows(self.terms, self.m, _factor_render))
 
     def __repr__(self) -> str:
         return f"GenPoly({self.text()})"
@@ -391,12 +364,8 @@ def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
     with sort_keys=True and separators=(",", ":").
     """
     fmt = g.ring.format_coeff
-    terms = ",".join([
-        '{"coeff":"%s","symbols":[%s]}' % (
-            fmt(c),
-            ",".join(['{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, ",".join(map(str, nu)))
-                      for (i, nu), e in symmono]))
-        for symmono, c in g.sorted_terms()])
+    terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join([r[3] for r in recs]))
+                      for _, recs, _, c in _sorted_rows(g.terms, g.m, _factor_render)])
     head = "" if check is None else f'"check":"{check}",'
     return f'{{{head}"m":{g.m},"ring":"{g.ring.to_string()}","terms":[{terms}]}}'
 

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .coeffring import Ring, ZZ
-from .polyring import MPoly, binary_power
+from .polyring import MPoly, binary_power, signed_text
 
 __all__ = [
     "EPoly",
@@ -143,23 +143,10 @@ class EPoly:
         return sorted(self.terms.items(), key=key, reverse=True)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps, c in self.sorted_terms():
-            vs = "*".join(
-                f"e{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps) if e
-            )
-            if vs:
-                t = vs if c == 1 else (f"-{vs}" if c == -1 else f"{c}*{vs}")
-            else:
-                t = str(c)
-            bits.append(t)
-        out = bits[0]
-        for t in bits[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return signed_text(
+            (str(c), "*".join(f"e{i+1}" + (f"^{e}" if e > 1 else "")
+                              for i, e in enumerate(exps) if e))
+            for exps, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"EPoly({self.text()})"

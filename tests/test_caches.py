@@ -17,7 +17,7 @@ from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.relations import genpoly_expand
-from multisym.rewrite import GenPoly, evaluate, rewrite
+from multisym.rewrite import GenPoly, _factor_render, evaluate, rewrite
 
 RINGS = [ZZ, Zmod(2), Zmod(3), QQ]
 AMBIENTS = [2, 3, INF]
@@ -60,10 +60,13 @@ def test_warm_caches_agree_with_cold_across_rings_and_ambients(rings):
 
 
 def test_clear_caches_empties_every_module_cache():
-    pipeline(QQ, 3)
+    x, g, _, _ = pipeline(QQ, 3)
     pipeline(Zmod(3), INF)
+    x.text(), g.text()
     assert msf._margin_tables.cache_info().currsize > 0
     assert msf._product_skeleton.cache_info().currsize > 0
+    assert msf._pair_render.cache_info().currsize > 0
+    assert _factor_render.cache_info().currsize > 0
     multisym.clear_caches()
     caches = [obj for name, mod in sys.modules.items()
               if name.startswith("multisym.")
@@ -72,7 +75,8 @@ def test_clear_caches_empties_every_module_cache():
     assert {"_alpha_product_z", "_margin_tables", "_product_skeleton",
             "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
-            "_primitive_image_z", "_evaluate_image_z", "_expansion_z"} <= names
+            "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
+            "_pair_render", "_factor_render"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,95 @@ def test_result_over_the_digit_limit_exits_3(tmp_path, capsys, flags):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{limit} digits" in err
+
+
+def _not_started(*args):
+    raise AssertionError("an over-budget computation was started")
+
+
+def _element(tmp_path, n, m, pairs_by_term):
+    d = {"n": n, "m": m, "ring": "Z",
+         "terms": [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in pairs], "coeff": "1"}
+                   for pairs in pairs_by_term]}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+FIELDS = "over 2000000 packed exponent fields"
+PLETHYSM = "limited to plethysm degree 16"
+
+
+@pytest.mark.parametrize("argv, n, pairs_by_term, message", [
+    (["expand"], 2**70, [[((1,), 1)]], FIELDS),
+    (["expand", "--text"], 2**70, [[((1,), 1)]], FIELDS),
+    (["rewrite", "--check"], 2**70, [[((1,), 1)]], FIELDS),
+    (["expand"], 2**70, [[]], FIELDS),  # one orbit term, of n*m fields
+    (["expand"], 10**6, [[((1,), 10**6)]], FIELDS),  # one orbit term, 10^6 slot keys
+    (["rewrite"], "inf", [[((3000,), 1)]], PLETHYSM),
+    (["rewrite", "--check", "--text"], "inf", [[((3000,), 1)]], PLETHYSM),
+    (["rewrite"], "inf", [[((17,), 1)]], PLETHYSM),
+    (["rewrite"], 3, [[((1,), 1)], [((1,), 2), ((2,), 1)], [((9,), 1), ((10,), 1)]], PLETHYSM),
+], ids=["e(y1)-n=2^70", "text", "check", "constant", "weight-n", "e(y1^3000)",
+        "e(y1^3000)-check", "e(y1^17)", "peeling-reaches-19"])
+def test_over_budget_requests_exit_3_before_computing(tmp_path, capsys, monkeypatch,
+                                                     argv, n, pairs_by_term, message):
+    monkeypatch.setattr(cli, "rewrite", _not_started)
+    monkeypatch.setattr(MsfElement, "expand", _not_started)
+    x = _element(tmp_path, n, 1, pairs_by_term)
+    start = time.perf_counter()
+    code, out, err = run(capsys, [argv[0], x] + argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("n, m, pairs_by_term, orbit_terms", [
+    (3, 2, [[((1, 0), 1)]], [3]),
+    (4, 2, [[((1, 0), 2), ((0, 1), 1)]], [12]),
+    (3, 2, [[], [((1, 0), 1)], [((0, 1), 1), ((1, 1), 2)]], [1, 3, 3]),
+    (5, 1, [[((1,), 3), ((2,), 1)]], [20]),
+])
+def test_expansion_budget_counts_orbit_terms_and_slot_keys(tmp_path, capsys, monkeypatch,
+                                                          n, m, pairs_by_term, orbit_terms):
+    """n*m fields for each orbit term and for each slot of each support
+    monomial; the expansion is run exactly at the budget and refused one
+    field below it."""
+    x = _element(tmp_path, n, m, pairs_by_term)
+    assert len(cli._load_element(x).expand().terms) == sum(orbit_terms)
+    fields = (sum(orbit_terms) + n * sum(map(len, pairs_by_term))) * n * m
+    monkeypatch.setattr(cli, "EXPAND_MAX_FIELDS", fields)
+    for argv in (["expand", x], ["rewrite", "--check", x]):
+        assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "EXPAND_MAX_FIELDS", fields - 1)
+    for argv in (["expand", x], ["rewrite", "--check", x]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == (f"error: expanding in n={n} slots needs over {fields - 1} "
+                       "packed exponent fields\n")
+    assert run(capsys, ["rewrite", x])[0] == 0  # no expansion without --check
+
+
+def test_plethysm_budget_bounds_what_peeling_reaches(tmp_path, capsys, monkeypatch):
+    """The pairs of e(y1^2:1, y1^3:1) have plethysm degrees 2 and 3, but
+    peeling meets e_1(y1^5), whose primitive form P_{1,5} has E[5;(1)]."""
+    x = _element(tmp_path, "inf", 1, [[((2,), 1), ((3,), 1)]])
+    code, out, _ = run(capsys, ["rewrite", "--text", x])
+    assert code == 0 and "E[5;(1)]" in out
+    monkeypatch.setattr(cli, "REWRITE_MAX_PLETHYSM", 4)
+    code, out, err = run(capsys, ["rewrite", "--text", x])
+    assert (code, out) == (3, "")
+    assert err == ("error: rewrite is limited to plethysm degree 4, and an index "
+                   "has a multidegree component of 5\n")
+    monkeypatch.setattr(cli, "REWRITE_MAX_PLETHYSM", 5)
+    assert run(capsys, ["rewrite", "--text", x])[0] == 0
+
+
+def test_plethysm_budget_takes_degree_16(tmp_path, capsys):
+    x = _element(tmp_path, "inf", 2, [[((16, 0), 1)], [((0, 2), 8)], [((1, 1), 1)]])
+    assert run(capsys, ["rewrite", x])[0] == 0
 
 
 def test_expand_golden(tmp_path, capsys):

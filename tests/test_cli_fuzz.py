@@ -4,8 +4,10 @@ exit code and one `error: ` line, never a traceback.
 Inputs are random bytes, JSON nested past the recursion limit, valid
 elements with one field replaced by a random or mistyped JSON value,
 integers over the interpreter's digit limit, and random flag lists.
-Integers stay small where the input is otherwise valid, so that no
-example is a legitimately huge computation.
+Replaced integers include slot counts and exponents up to 2^70: the
+expansion and plethysm budgets refuse those requests before computing,
+and the large values drawn (17 and up) are all over the budgets wherever
+they would make the computation large.
 """
 
 import json
@@ -22,39 +24,55 @@ HALF = "9" * 2500  # under it; a product of two such coefficients is over it
 
 VALID = {"n": 2, "m": 2, "ring": "Z",
          "terms": [{"alpha": [{"mono": [1, 0], "mult": 1}], "coeff": "1"}]}
+VALID_INF = dict(VALID, n="inf")
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3) | st.just(2.5)
-    | st.sampled_from(["", "inf", "1", "-3/2", "Z", "Q", "Zmod:4", "Zmod:5",
-                       HALF, LONG]) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["alpha", "coeff", "mono", "mult", "x"]),
-                      inner, max_size=3),
-    max_leaves=6)
+# Huge slot counts and exponents: over the expansion budget as n, over the
+# plethysm budget as an exponent, over n as a multiplicity.  Only the first
+# operand of a product draws them: two huge multiplicities in the infinite
+# ambient would make a product with no budget.
+HUGE = st.sampled_from([17, 40, 3000]) | st.integers(2**60, 2**70)
+
+
+def json_values(ints):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.just(2.5)
+        | st.sampled_from(["", "inf", "1", "-3/2", "Z", "Q", "Zmod:4", "Zmod:5",
+                           HALF, LONG]) | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["alpha", "coeff", "mono", "mult", "x"]),
+                          inner, max_size=3),
+        max_leaves=6)
+
+
+SMALL_VALUES = json_values(st.integers(-2, 3))
+HUGE_VALUES = json_values(st.integers(-2, 3) | HUGE)
 
 # Where in VALID a replacement value goes.
 PLACES = [("n",), ("m",), ("ring",), ("terms",), ("terms", 0), ("terms", 0, "alpha"),
           ("terms", 0, "coeff"), ("terms", 0, "alpha", 0),
           ("terms", 0, "alpha", 0, "mono"), ("terms", 0, "alpha", 0, "mono", 0),
           ("terms", 0, "alpha", 0, "mult")]
+# The integer places where a huge value can leave the element valid.
+SIZE_PLACES = [("n",), ("terms", 0, "alpha", 0, "mono", 0), ("terms", 0, "alpha", 0, "mult")]
 MARK = "__REPLACED__"
 
 
 @st.composite
-def element_files(draw) -> bytes:
-    kind = draw(st.sampled_from(["bytes", "nested", "mutated", "literal"]))
+def element_files(draw, huge: bool) -> bytes:
+    kind = draw(st.sampled_from(["bytes", "nested", "mutated", "literal"]
+                                + ["huge"] * (2 * huge)))
     if kind == "bytes":
         return draw(st.binary(max_size=64))
     if kind == "nested":
         depth = draw(st.sampled_from([50, 5000, 100000]))
         return (b"[" * depth + b"]" * draw(st.sampled_from([0, depth])))
-    d = json.loads(json.dumps(VALID))
-    *path, last = draw(st.sampled_from(PLACES))
+    d = json.loads(json.dumps(draw(st.sampled_from([VALID, VALID_INF]))))
+    *path, last = draw(st.sampled_from(SIZE_PLACES if kind == "huge" else PLACES))
     target = d
     for key in path:
         target = target[key]
-    if kind == "mutated":
-        target[last] = draw(json_values)
+    if kind != "literal":
+        target[last] = draw(HUGE if kind == "huge" else HUGE_VALUES if huge else SMALL_VALUES)
         return json.dumps(d).encode()
     # an integer literal over the digit limit; without a limit it would be
     # a legitimately huge slot count or exponent, so fall back to a string
@@ -83,7 +101,7 @@ def _check(argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(element_files(), element_files(),
+@given(element_files(huge=True), element_files(huge=False),
        st.sampled_from([["product", "x", "y"], ["product", "x", "y", "--text"],
                         ["expand", "x"], ["expand", "x", "--text"],
                         ["rewrite", "x", "--check"], ["rewrite", "x", "--text"]]))
