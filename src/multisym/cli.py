@@ -20,7 +20,7 @@ import json
 import random
 import sys
 from itertools import groupby
-from math import factorial, perm
+from math import factorial, perm, prod
 from operator import itemgetter
 
 from .coeffring import QQ, ZZ, Ring, Zmod
@@ -55,6 +55,11 @@ EXPAND_MAX_FIELDS = 2_000_000
 # which is what is checked; P_{i,k} has about as many terms as i*k has
 # partitions, and newton_p recurses i*k deep.
 REWRITE_MAX_PLETHYSM = 16
+# Margin-table work a product may do.  A pair of multiplicity vectors a, b
+# has at most prod (min(a_i, b_j) + 1) tables, and every multinomial factor
+# of one has at most (|a| + |b| - max) * log2(|a| + |b|) bits, max the
+# largest entry of a and b; a table counts once per 64-bit word of that.
+PRODUCT_MAX_TABLE_WORDS = 2_000_000
 
 
 class _CliError(Exception):
@@ -138,6 +143,19 @@ def _check_expansion_size(x: MsfElement) -> None:
                             f"{EXPAND_MAX_FIELDS} packed exponent fields")
 
 
+def _check_product_size(x: MsfElement, y: MsfElement) -> None:
+    """Refuse x * y when its margin tables would exceed PRODUCT_MAX_TABLE_WORDS."""
+    work = 0
+    for avec in {tuple([k for _, k in a]) for a in x.terms}:
+        for bvec in {tuple([k for _, k in b]) for b in y.terms}:
+            total = sum(avec) + sum(bvec)
+            bits = (total - max(avec + bvec, default=0)) * total.bit_length()
+            work += prod([min(a, b) + 1 for a in avec for b in bvec]) * (1 + bits // 64)
+            if work > PRODUCT_MAX_TABLE_WORDS:
+                raise _CliError(EXIT_PARSE, "multiplying needs over "
+                                f"{PRODUCT_MAX_TABLE_WORDS} words of margin tables")
+
+
 def _parse_ring(s: str) -> Ring:
     try:
         return Ring.from_string(s)
@@ -161,9 +179,11 @@ def _cmd_product(args) -> int:
     x = _load_element(args.x)
     y = _load_element(args.y)
     try:
-        z = x * y
+        x._compat(y)
     except AmbientMismatch as exc:
         raise _CliError(EXIT_AMBIENT, f"ambient mismatch: {exc}")
+    _check_product_size(x, y)
+    z = x * y
     if args.text:
         sys.stdout.write(_render(MsfElement.text, z) + "\n")
     else:

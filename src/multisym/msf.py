@@ -38,11 +38,12 @@ beta, so the rule is split in three cached steps:
 None of these keys holds a ring.
 
 Validation happens once, at the boundary: the MsfElement constructor,
-make_alpha, e_alpha and element_from_json check every index.  Arithmetic
-builds its results through the trusted MsfElement._make, which only drops
-zero coefficients, or MsfElement._from_sums, which settles integer sums
-over a common denominator into the ring (Ring.lift and Ring.settle); their
-callers guarantee canonical indices of weight at most n.
+make_alpha, e_alpha and element_from_json check every index, and refuse a
+boolean as an exponent or multiplicity.  Arithmetic builds its results
+through the trusted MsfElement._make, a direct slot store: its callers add
+integer numerators into one dict and settle it into the ring once
+(Ring.lift and Ring.settle, or polyring.Sparse for sums and scaling), and
+guarantee canonical indices of weight at most n.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from operator import add
 
 from .coeffring import Ring
 from .monomial import Mono, grlex_key, monomials_up_to
-from .polyring import NPoly, binary_power, key_width, signed_text, slot_key
+from .polyring import AmbientMismatch, NPoly, Sparse, key_width, signed_text, slot_key
 
 INF = float("inf")
 
@@ -82,10 +83,6 @@ __all__ = [
 ]
 
 
-class AmbientMismatch(Exception):
-    """Operands live in different ambients (n, m or coefficient ring)."""
-
-
 class WeightExceedsAmbient(Exception):
     """Requested basis symbol vanishes in this ambient (weight > n)."""
 
@@ -103,10 +100,10 @@ def make_alpha(pairs) -> AlphaIndex:
             m = len(mu)
         elif len(mu) != m:
             raise ValueError("mixed variable counts in one index")
-        if not mu or not any(mu) or any(e < 0 for e in mu):
-            raise ValueError(f"support monomial {mu} must have positive degree")
-        if not isinstance(mult, int) or mult < 1:
-            raise ValueError(f"multiplicity {mult!r} must be a positive integer")
+        if any(type(e) is not int or e < 0 for e in mu) or not any(mu):
+            raise ValueError(f"support monomial {mu!r} needs natural exponents, not all 0")
+        if type(mult) is not int or mult < 1:
+            raise ValueError(f"bad multiplicity {mult!r}")
         if mu in seen:
             raise ValueError(f"repeated support monomial {mu}")
         seen[mu] = mult
@@ -318,12 +315,19 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
             for pattern, c in skeleton.items()}
 
 
+def _checked_int(v, what: str, least: int) -> int:
+    """v must be an integer, not a boolean, of at least `least`."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ValueError(f"bad {what} {v!r}")
+    return v
+
+
 def _check_slots(n) -> None:
     if n is not INF and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
         raise ValueError(f"ambient slot count must be a positive integer or INF, got {n!r}")
 
 
-class MsfElement:
+class MsfElement(Sparse):
     """R-linear combination of basis symbols; ambient is n slots or INF."""
 
     __slots__ = ("n", "m", "ring", "terms")
@@ -346,98 +350,33 @@ class MsfElement:
 
     @classmethod
     def _make(cls, n, m: int, ring: Ring, terms: dict) -> "MsfElement":
-        """Trusted constructor: only drops zero coefficients.
-
-        The caller guarantees canonical indices of weight at most n.
-        """
+        """Trusted constructor: the caller guarantees canonical indices of
+        weight at most n and nonzero ring elements (Ring.settle)."""
         self = object.__new__(cls)
-        self.n = n
-        self.m = m
-        self.ring = ring
-        zero = ring.zero
-        self.terms = {a: c for a, c in terms.items() if c != zero}
+        self.n, self.m, self.ring, self.terms = n, m, ring, terms
         return self
 
-    @classmethod
-    def _from_sums(cls, n, m: int, ring: Ring, raw: dict, den: int) -> "MsfElement":
-        """Trusted constructor from integer sums over the denominator den.
+    def _ambient(self) -> tuple:
+        return (self.n, self.m, self.ring)
 
-        Ring.settle takes the sums into the ring and drops the zeros; the
-        caller guarantees canonical indices of weight at most n.
-        """
-        self = object.__new__(cls)
-        self.n = n
-        self.m = m
-        self.ring = ring
-        self.terms = ring.settle(raw, den)
-        return self
+    def _degree(self, alpha: AlphaIndex) -> Mono:
+        return alpha_multidegree(alpha, self.m)
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
-        prev = None
-        w = 0
+        prev = (1,)  # (0, mu) <= (1,) < (d, mu) for d >= 1: refuses a constant mu
         for mu, mult in alpha:
-            if len(mu) != self.m:
-                raise ValueError(f"support monomial {mu} not in {self.m} variables")
-            if not any(mu):
-                raise ValueError("constant monomial in support")
-            if mult < 1:
-                raise ValueError("nonpositive multiplicity")
-            key = grlex_key(mu)
-            if prev is not None and key <= prev:
-                raise ValueError(f"index {alpha} not in canonical order")
-            prev = key
-            w += mult
+            if type(mu) is not tuple or len(mu) != self.m \
+                    or any(type(e) is not int or e < 0 for e in mu) \
+                    or type(mult) is not int or mult < 1 or (sum(mu), mu) <= prev:
+                raise ValueError(f"index {alpha!r} is not canonical in {self.m} variables")
+            prev = (sum(mu), mu)
+        w = alpha_weight(alpha)
         if self.n is not INF and w > self.n:
             raise ValueError(f"index of weight {w} cannot live in ambient n={self.n}")
-
-    @classmethod
-    def zero(cls, n, m: int, ring: Ring) -> "MsfElement":
-        return cls(n, m, ring)
-
-    @classmethod
-    def one(cls, n, m: int, ring: Ring) -> "MsfElement":
-        return cls(n, m, ring, {(): ring.one})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def finite(self) -> bool:
         return self.n is not INF
-
-    def _compat(self, other: "MsfElement") -> None:
-        if self.n != other.n or self.m != other.m or self.ring != other.ring:
-            raise AmbientMismatch(
-                f"({self.n},{self.m},{self.ring.to_string()}) vs "
-                f"({other.n},{other.m},{other.ring.to_string()})")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MsfElement):
-            return NotImplemented
-        return (self.n, self.m, self.ring) == (other.n, other.m, other.ring) \
-            and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "MsfElement") -> "MsfElement":
-        self._compat(other)
-        R = self.ring
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = R.add(out.get(a, R.zero), c)
-        return MsfElement._make(self.n, self.m, R, out)
-
-    def __neg__(self) -> "MsfElement":
-        R = self.ring
-        return MsfElement._make(self.n, self.m, R, {a: R.neg(c) for a, c in self.terms.items()})
-
-    def __sub__(self, other: "MsfElement") -> "MsfElement":
-        return self + (-other)
-
-    def scale(self, c) -> "MsfElement":
-        R = self.ring
-        return MsfElement._make(self.n, self.m, R, {a: R.mul(c, v) for a, v in self.terms.items()})
 
     def __mul__(self, other: "MsfElement") -> "MsfElement":
         self._compat(other)
@@ -456,10 +395,7 @@ class MsfElement:
                     ck = None
                 for gamma, mult in _alpha_product_z(ax, ay, ck).items():
                     out[gamma] = get(gamma, 0) + (cxy if mult == 1 else cxy * mult)
-        return MsfElement._from_sums(self.n, self.m, R, out, dx * dy)
-
-    def __pow__(self, k: int) -> "MsfElement":
-        return binary_power(self, k, lambda: MsfElement.one(self.n, self.m, self.ring))
+        return MsfElement._make(self.n, self.m, R, R.settle(out, dx * dy))
 
     def truncate(self, target) -> "MsfElement":
         _check_slots(target)
@@ -471,20 +407,11 @@ class MsfElement:
                 if target is INF or alpha_weight(a) <= target}
         return MsfElement._make(target, self.m, self.ring, keep)
 
-    def multidegree_component(self, a: Mono) -> "MsfElement":
-        a = tuple(a)
-        keep = {al: c for al, c in self.terms.items()
-                if alpha_multidegree(al, self.m) == a}
-        return MsfElement._make(self.n, self.m, self.ring, keep)
-
     def total_degree_cut(self, bound: int) -> "MsfElement":
         """Keep the terms of total multidegree <= bound."""
         keep = {al: c for al, c in self.terms.items()
                 if sum(alpha_multidegree(al, self.m)) <= bound}
-        return MsfElement._make(self.n, self.m, self.ring, keep)
-
-    def multidegrees(self):
-        return {alpha_multidegree(a, self.m) for a in self.terms}
+        return self._like(keep)
 
     def expand(self) -> NPoly:
         """Concrete orbit-sum polynomial in the n-slot ring."""
@@ -675,21 +602,14 @@ def element_to_json(x: MsfElement) -> dict:
     return json.loads(element_json_text(x))
 
 
-def _json_int(v, what: str, least: int) -> int:
-    """v must be a JSON integer, not a boolean, of at least `least`."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < least:
-        raise ValueError(f"bad {what} {v!r}")
-    return v
-
-
 def element_from_json(d) -> MsfElement:
     if not isinstance(d, dict):
         raise ValueError("element must be a JSON object")
     for key in ("n", "m", "ring", "terms"):
         if key not in d:
             raise ValueError(f"element is missing the {key!r} field")
-    n = INF if d["n"] == "inf" else _json_int(d["n"], "slot count", 1)
-    m = _json_int(d["m"], "variable count", 1)
+    n = INF if d["n"] == "inf" else _checked_int(d["n"], "slot count", 1)
+    m = _checked_int(d["m"], "variable count", 1)
     ring = Ring.from_string(d["ring"])
     if not isinstance(d["terms"], list):
         raise ValueError("terms must be a list")
@@ -706,9 +626,7 @@ def element_from_json(d) -> MsfElement:
             mono = entry["mono"]
             if not isinstance(mono, list) or len(mono) != m:
                 raise ValueError(f"bad monomial {mono!r}")
-            for e in mono:
-                _json_int(e, "monomial exponent", 0)
-            pairs.append((tuple(mono), _json_int(entry["mult"], "multiplicity", 1)))
+            pairs.append((tuple(mono), entry["mult"]))
         alpha = make_alpha(pairs)
         c = R.parse_coeff(t["coeff"])
         out[alpha] = R.add(out.get(alpha, R.zero), c)

@@ -1,6 +1,12 @@
-"""Concrete polynomial rings.
+"""Concrete polynomial rings, and the sparse base of every coefficient dict.
 
-Two sparse representations over a coefficient ring R:
+``Sparse`` holds the ring arithmetic that all five coefficient-dict classes
+share (``MPoly`` and ``NPoly`` here, ``MsfElement``, ``GenPoly`` and
+``EPoly`` elsewhere): equality, sums, negation, scaling, powers and
+multidegree components.  A subclass supplies its ambient, one trusted
+constructor and the multidegree of a key; it keeps its own validating
+public constructor, product kernel and writers.  Two concrete
+representations over a coefficient ring R live here:
 
 * ``MPoly``: R[y_1,...,y_m], keys are exponent tuples of length m.
 * ``NPoly``: R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring.  Monomials are
@@ -22,8 +28,8 @@ repacked at 2w, so keys never wrap and exponents have no limit.  Operands
 of different widths are brought to the wider one, so equality and every
 output are independent of the width a polynomial carries.
 
-Both are canonical: no zero coefficients are ever stored, so structural
-equality is ring equality.
+Every Sparse value is canonical: no zero coefficients are ever stored, so
+structural equality is ring equality.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .coeffring import ZZ, Ring
 from .monomial import Mono, grlex_key
 
 __all__ = [
+    "AmbientMismatch",
+    "Sparse",
     "MPoly",
     "NPoly",
     "npoly_sum",
@@ -78,7 +86,95 @@ def signed_text(rows) -> str:
     return "".join(out) or "0"
 
 
-class MPoly:
+class AmbientMismatch(ValueError):
+    """Operands live in different ambients (n, m or coefficient ring)."""
+
+
+def _ambient_text(ambient) -> str:
+    return "(%s)" % ",".join([x.to_string() if isinstance(x, Ring) else str(x)
+                              for x in ambient])
+
+
+class Sparse:
+    """A finite map from keys to nonzero coefficients of one Ring.
+
+    A subclass stores its terms in ``terms`` (or overrides ``_raw``) and
+    supplies ``_ambient()``, its constructor arguments before ``terms`` as
+    a tuple; ``_make(*ambient, terms)``, the trusted constructor, which
+    stores canonical keys and nonzero ring elements as given; and
+    ``_degree(key)``, the multidegree of a key.  Sums, negation and scaling
+    accumulate into one dict and settle it into the ring once
+    (Ring.settle), so every result is canonical.
+    """
+
+    __slots__ = ()
+    _unit = ()  # key of the constant monomial
+
+    @property
+    def _raw(self) -> dict:
+        return self.terms
+
+    def _like(self, raw: dict):
+        """A result in self's ambient from canonical, settled terms."""
+        return self._make(*self._ambient(), raw)
+
+    @classmethod
+    def zero(cls, *ambient):
+        return cls(*ambient)
+
+    @classmethod
+    def one(cls, *ambient):
+        return cls(*ambient) ** 0
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._raw
+
+    def _compat(self, other) -> None:
+        a, b = self._ambient(), other._ambient()
+        if a != b:
+            raise AmbientMismatch(f"{_ambient_text(a)} vs {_ambient_text(b)}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ambient() == other._ambient() and self._raw == other._raw
+
+    __hash__ = None
+
+    def __add__(self, other):
+        self._compat(other)
+        out = dict(self._raw)
+        get = out.get
+        for k, c in other._raw.items():
+            out[k] = get(k, 0) + c
+        return self._like(self.ring.settle(out, 1))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like(self.ring.settle({k: c * v for k, v in self._raw.items()}, 1))
+
+    def __pow__(self, k: int):
+        return binary_power(self, k, lambda: self._like({self._unit: self.ring.one}))
+
+    def multidegree_component(self, a):
+        """Terms of multidegree exactly a; summing over all a recovers self."""
+        a, deg = tuple(a), self._degree
+        return self._like({k: c for k, c in self._raw.items() if deg(k) == a})
+
+    def multidegrees(self) -> set:
+        return set(map(self._degree, self._raw))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+
+
+class MPoly(Sparse):
     """Sparse polynomial in m variables y_1..y_m over a Ring."""
 
     __slots__ = ("m", "ring", "terms")
@@ -100,12 +196,20 @@ class MPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, m: int, ring: Ring) -> "MPoly":
-        return cls(m, ring)
+    def _make(cls, m: int, ring: Ring, terms: dict) -> "MPoly":
+        self = object.__new__(cls)
+        self.m, self.ring, self.terms = m, ring, terms
+        return self
 
-    @classmethod
-    def one(cls, m: int, ring: Ring) -> "MPoly":
-        return cls(m, ring, {(0,) * m: ring.one})
+    def _ambient(self) -> tuple:
+        return (self.m, self.ring)
+
+    @property
+    def _unit(self) -> Mono:
+        return (0,) * self.m
+
+    def _degree(self, mono) -> Mono:
+        return mono
 
     @classmethod
     def monomial(cls, mu: Mono, ring: Ring, coeff=None) -> "MPoly":
@@ -120,14 +224,6 @@ class MPoly:
         mu = tuple(1 if t == i - 1 else 0 for t in range(m))
         return cls(m, ring, {mu: ring.one})
 
-    def _compat(self, other: "MPoly") -> None:
-        if self.m != other.m or self.ring != other.ring:
-            raise ValueError("ambient mismatch between MPoly operands")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get((0,) * self.m, self.ring.zero)
 
@@ -137,45 +233,15 @@ class MPoly:
             return -1
         return max(sum(mu) for mu in self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.m == other.m and self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        self._compat(other)
-        R = self.ring
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = R.add(out.get(mono, R.zero), c)
-        return MPoly(self.m, R, out)
-
-    def __neg__(self) -> "MPoly":
-        R = self.ring
-        return MPoly(self.m, R, {mu: R.neg(c) for mu, c in self.terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "MPoly":
-        R = self.ring
-        return MPoly(self.m, R, {mu: R.mul(c, v) for mu, v in self.terms.items()})
-
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._compat(other)
-        R = self.ring
-        addf, mulf, zero = R.add, R.mul, R.zero
         out = {}
+        get = out.get
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = addf(out.get(key, zero), mulf(ca, cb))
-        return MPoly(self.m, R, out)
-
-    def __pow__(self, k: int) -> "MPoly":
-        return binary_power(self, k, lambda: MPoly.one(self.m, self.ring))
+                out[key] = get(key, 0) + ca * cb
+        return self._like(self.ring.settle(out, 1))
 
     def permute_vars(self, perm) -> "MPoly":
         """Apply y_i -> y_perm(i); perm is a 1-based image tuple of length m."""
@@ -186,7 +252,7 @@ class MPoly:
             for i, e in enumerate(mu):
                 key[perm[i] - 1] = e
             out[tuple(key)] = c
-        return MPoly(self.m, self.ring, out)
+        return self._like(out)
 
     def eval_at(self, values):
         """Evaluate at a point, values[i] an integer substituted for y_{i+1}."""
@@ -200,9 +266,6 @@ class MPoly:
                 v *= base ** e
             acc = R.add(acc, R.mul(c, R.embed(v)))
         return acc
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -318,10 +381,11 @@ class _NPolyItems(ItemsView):
         return zip(self._mapping, self._mapping._p._d.values())
 
 
-class NPoly:
+class NPoly(Sparse):
     """Sparse polynomial in the n*m variables x_i(j)."""
 
     __slots__ = ("n", "m", "ring", "_d", "_w")
+    _unit = 0
 
     def __init__(self, n: int, m: int, ring: Ring, terms=None):
         if n < 1 or m < 1:
@@ -353,13 +417,18 @@ class NPoly:
         p.n, p.m, p.ring, p._d, p._w = n, m, ring, d, w
         return p
 
-    @classmethod
-    def zero(cls, n: int, m: int, ring: Ring) -> "NPoly":
-        return cls(n, m, ring)
+    def _ambient(self) -> tuple:
+        return (self.n, self.m, self.ring)
 
-    @classmethod
-    def one(cls, n: int, m: int, ring: Ring) -> "NPoly":
-        return cls(n, m, ring, {(0,) * (n * m): ring.one})
+    @property
+    def _raw(self) -> dict:
+        return self._d
+
+    def _like(self, raw: dict) -> "NPoly":
+        return NPoly._packed(self.n, self.m, self.ring, raw, self._w)
+
+    def _degree(self, key: int) -> Mono:
+        return npoly_multidegree(unpack_key(key, self.n * self.m, self._w), self.m)
 
     @classmethod
     def monomial(cls, exps, n: int, m: int, ring: Ring, coeff=None) -> "NPoly":
@@ -388,24 +457,13 @@ class NPoly:
             return self._d
         return _repack(self._d, self.n * self.m, self._w, w)
 
-    def _compat(self, other: "NPoly") -> None:
-        if self.n != other.n or self.m != other.m or self.ring != other.ring:
-            raise ValueError("ambient mismatch between NPoly operands")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._d
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NPoly):
+        if other.__class__ is not NPoly:
             return NotImplemented
-        if (self.n, self.m, self.ring) != (other.n, other.m, other.ring) \
-                or len(self._d) != len(other._d):
+        if self._ambient() != other._ambient() or len(self._d) != len(other._d):
             return False
         w = max(self._w, other._w)
         return self._keys_at(w) == other._keys_at(w)
-
-    __hash__ = None
 
     def __add__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
@@ -415,18 +473,6 @@ class NPoly:
         for k, c in other._keys_at(w).items():
             out[k] = get(k, 0) + c
         return NPoly._packed(self.n, self.m, self.ring, self.ring.settle(out, 1), w)
-
-    def __neg__(self) -> "NPoly":
-        R = self.ring
-        return NPoly._packed(self.n, self.m, R,
-                             {k: R.neg(c) for k, c in self._d.items()}, self._w)
-
-    def __sub__(self, other: "NPoly") -> "NPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "NPoly":
-        out = {k: c * v for k, v in self._d.items()}
-        return NPoly._packed(self.n, self.m, self.ring, self.ring.settle(out, 1), self._w)
 
     def __mul__(self, other: "NPoly") -> "NPoly":
         self._compat(other)
@@ -452,26 +498,6 @@ class NPoly:
             d = _repack(d, size, w, 2 * w)
             w *= 2
         return NPoly._packed(self.n, self.m, self.ring, d, w)
-
-    def __pow__(self, k: int) -> "NPoly":
-        return binary_power(self, k, lambda: NPoly.one(self.n, self.m, self.ring))
-
-    def multidegree_component(self, a: Mono) -> "NPoly":
-        """Terms of multidegree exactly a; summing over all a recovers self."""
-        if len(a) != self.m:
-            raise ValueError("multidegree length must equal m")
-        a = tuple(a)
-        size, w, m = self.n * self.m, self._w, self.m
-        keep = {k: c for k, c in self._d.items()
-                if npoly_multidegree(unpack_key(k, size, w), m) == a}
-        return NPoly._packed(self.n, self.m, self.ring, keep, w)
-
-    def multidegrees(self):
-        """Set of multidegrees occurring in this polynomial."""
-        return {npoly_multidegree(mono, self.m) for mono in self.terms}
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def __repr__(self) -> str:
         return f"NPoly({npoly_text(self)})"

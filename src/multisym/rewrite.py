@@ -18,8 +18,10 @@ by the polynomial P_{i,k} evaluated at e_j -> E[j;nu], killing E[j;nu] with
 j > n first in a finite ambient.
 
 As in msf, the GenPoly constructor and genpoly_from_json validate every
-symbol; arithmetic and the pipeline build results through GenPoly._make,
-which only drops zero coefficients.
+symbol: a symbol monomial must list its symbols in the canonical order,
+each once, and a boolean is refused as an index or exponent.  Arithmetic
+and the pipeline build results through GenPoly._make, a direct slot store
+of terms that Ring.settle has already cleared of zeros.
 
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
@@ -43,8 +45,8 @@ from .coeffring import ZZ, Ring
 from .monomial import (Mono, deg_leq, deg_scale, grlex_key, is_primitive,
                        monomials_up_to, primitive_decompose)
 from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _check_slots,
-                  _json_int, _sorted_rows, alpha_weight, e_alpha)
-from .polyring import binary_power, signed_text
+                  _checked_int, _sorted_rows, alpha_weight, e_alpha)
+from .polyring import Sparse, signed_text
 from .symfun import plethysm_P
 
 __all__ = [
@@ -91,7 +93,7 @@ def _symmono_degree(symmono, m: int) -> Mono:
     return tuple(deg)
 
 
-class GenPoly:
+class GenPoly(Sparse):
     """Polynomial in the abstract symbols E[i;nu] over a Ring."""
 
     __slots__ = ("m", "ring", "terms")
@@ -107,35 +109,30 @@ class GenPoly:
                 if ring.is_zero(c):
                     continue
                 for (i, nu), e in symmono:
-                    if not isinstance(i, int) or i < 1:
-                        raise ValueError(f"bad symbol index {i!r}")
-                    if len(nu) != m or not any(nu) or any(x < 0 for x in nu):
+                    _checked_int(i, "symbol index", 1)
+                    _checked_int(e, "symbol exponent", 1)
+                    if not isinstance(nu, tuple) or len(nu) != m or not any(nu):
                         raise ValueError(f"bad symbol monomial {nu!r}")
-                    if e < 1:
-                        raise ValueError("nonpositive symbol exponent")
+                    for x in nu:
+                        _checked_int(x, "symbol monomial exponent", 0)
+                if _symmono_mul((), symmono) != symmono:
+                    raise ValueError(f"symbol monomial {symmono} is not canonical")
                 clean[symmono] = c
         self.terms = clean
 
     @classmethod
     def _make(cls, m: int, ring: Ring, terms: dict) -> "GenPoly":
-        """Trusted constructor: only drops zero coefficients.
-
-        The caller guarantees well-formed, canonically sorted symbol monomials.
-        """
+        """Trusted constructor: the caller guarantees well-formed, canonically
+        sorted symbol monomials and nonzero ring elements (Ring.settle)."""
         self = object.__new__(cls)
-        self.m = m
-        self.ring = ring
-        zero = ring.zero
-        self.terms = {k: c for k, c in terms.items() if c != zero}
+        self.m, self.ring, self.terms = m, ring, terms
         return self
 
-    @classmethod
-    def zero(cls, m: int, ring: Ring) -> "GenPoly":
-        return cls(m, ring)
+    def _ambient(self) -> tuple:
+        return (self.m, self.ring)
 
-    @classmethod
-    def one(cls, m: int, ring: Ring) -> "GenPoly":
-        return cls(m, ring, {(): ring.one})
+    def _degree(self, symmono) -> Mono:
+        return _symmono_degree(symmono, self.m)
 
     @classmethod
     def const(cls, c, m: int, ring: Ring) -> "GenPoly":
@@ -145,52 +142,15 @@ class GenPoly:
     def symbol(cls, i: int, nu: Mono, m: int, ring: Ring) -> "GenPoly":
         return cls(m, ring, {(((i, tuple(nu)), 1),): ring.one})
 
-    def _compat(self, other: "GenPoly") -> None:
-        if self.m != other.m or self.ring != other.ring:
-            raise ValueError("ambient mismatch between GenPoly operands")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return (self.m, self.ring) == (other.m, other.ring) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "GenPoly") -> "GenPoly":
-        self._compat(other)
-        R = self.ring
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = R.add(out.get(k, R.zero), c)
-        return GenPoly._make(self.m, R, out)
-
-    def __neg__(self) -> "GenPoly":
-        R = self.ring
-        return GenPoly._make(self.m, R, {k: R.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other: "GenPoly") -> "GenPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "GenPoly":
-        R = self.ring
-        return GenPoly._make(self.m, R, {k: R.mul(c, v) for k, v in self.terms.items()})
-
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         self._compat(other)
-        R = self.ring
         out = {}
+        get = out.get
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 key = _symmono_mul(ka, kb)
-                out[key] = R.add(out.get(key, R.zero), R.mul(ca, cb))
-        return GenPoly._make(self.m, R, out)
-
-    def __pow__(self, k: int) -> "GenPoly":
-        return binary_power(self, k, lambda: GenPoly.one(self.m, self.ring))
+                out[key] = get(key, 0) + ca * cb
+        return self._like(self.ring.settle(out, 1))
 
     def symbols(self):
         out = set()
@@ -208,15 +168,6 @@ class GenPoly:
         for i, nu in self.symbols():
             best = max(best, i * sum(nu))
         return best
-
-    def multidegrees(self):
-        return {_symmono_degree(k, self.m) for k in self.terms}
-
-    def multidegree_component(self, a: Mono) -> "GenPoly":
-        a = tuple(a)
-        keep = {k: c for k, c in self.terms.items()
-                if _symmono_degree(k, self.m) == a}
-        return GenPoly._make(self.m, self.ring, keep)
 
     def sorted_terms(self):
         return [(k, c) for _, _, k, c in _sorted_rows(self.terms, self.m, _factor_render)]
@@ -353,7 +304,7 @@ def evaluate(g: GenPoly, n) -> MsfElement:
             continue
         for a, v in _evaluate_image_z(symmono, n, m).terms.items():
             out[a] = get(a, 0) + c * v
-    return MsfElement._from_sums(n, m, g.ring, out, den)
+    return MsfElement._make(n, m, g.ring, g.ring.settle(out, den))
 
 
 def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
@@ -383,7 +334,7 @@ def genpoly_from_json(d) -> GenPoly:
     for key in ("m", "ring", "terms"):
         if key not in d:
             raise ValueError(f"missing the {key!r} field")
-    m = _json_int(d["m"], "variable count", 1)
+    m = _checked_int(d["m"], "variable count", 1)
     ring = Ring.from_string(d["ring"])
     if not isinstance(d["terms"], list):
         raise ValueError("terms must be a list")
@@ -400,9 +351,9 @@ def genpoly_from_json(d) -> GenPoly:
             if not isinstance(nu, list) or len(nu) != m:
                 raise ValueError(f"bad symbol monomial {nu!r}")
             for x in nu:
-                _json_int(x, "symbol monomial exponent", 0)
-            sym = (_json_int(s["i"], "symbol index", 1), tuple(nu))
-            syms[sym] = syms.get(sym, 0) + _json_int(s["exp"], "symbol exponent", 1)
+                _checked_int(x, "symbol monomial exponent", 0)
+            sym = (_checked_int(s["i"], "symbol index", 1), tuple(nu))
+            syms[sym] = syms.get(sym, 0) + _checked_int(s["exp"], "symbol exponent", 1)
         key = tuple(sorted(syms.items(), key=lambda t2: _symbol_key(t2[0])))
         c = ring.parse_coeff(t["coeff"])
         out[key] = ring.add(out.get(key, ring.zero), c)

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .coeffring import Ring, ZZ
-from .polyring import MPoly, binary_power, signed_text
+from .polyring import MPoly, Sparse, signed_text
 
 __all__ = [
     "EPoly",
@@ -46,11 +46,12 @@ def _trim(exps) -> tuple:
     return tuple(exps)
 
 
-class EPoly:
-    """Sparse polynomial in e_1, e_2, ...; keys are exponent tuples of
-    (e_1, ..., e_L) with trailing zeros trimmed."""
+class EPoly(Sparse):
+    """Sparse polynomial in e_1, e_2, ... over Z; keys are exponent tuples
+    of (e_1, ..., e_L) with trailing zeros trimmed."""
 
     __slots__ = ("terms",)
+    ring = ZZ
 
     def __init__(self, terms=None):
         clean = {}
@@ -65,8 +66,17 @@ class EPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> "EPoly":
-        return cls()
+    def _make(cls, terms: dict) -> "EPoly":
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    def _ambient(self) -> tuple:
+        return ()
+
+    def _degree(self, exps) -> tuple:
+        """Graded degree (deg e_i = i), as a multidegree of length 1."""
+        return (sum([(i + 1) * e for i, e in enumerate(exps)]),)
 
     @classmethod
     def const(cls, c) -> "EPoly":
@@ -79,32 +89,6 @@ class EPoly:
             raise ValueError("e_i needs i >= 1")
         return cls({(0,) * (i - 1) + (1,): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return EPoly(out)
-
-    def __neg__(self) -> "EPoly":
-        return EPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "EPoly") -> "EPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "EPoly":
-        return EPoly({k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "EPoly") -> "EPoly":
         out = {}
         for ka, ca in self.terms.items():
@@ -116,20 +100,14 @@ class EPoly:
                     kb2 = kb + (0,) * (len(ka) - len(kb))
                     key = tuple(x + y for x, y in zip(ka, kb2))
                 out[key] = out.get(key, 0) + ca * cb
-        return EPoly(out)
-
-    def __pow__(self, k: int) -> "EPoly":
-        return binary_power(self, k, lambda: EPoly.const(1))
+        return self._like(ZZ.settle(out, 1))
 
     def degree(self) -> int:
         """Graded degree with deg(e_i) = i; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(sum((i + 1) * e for i, e in enumerate(k)) for k in self.terms)
+        return max(self.multidegrees(), default=(-1,))[0]
 
     def is_homogeneous(self) -> bool:
-        degs = {sum((i + 1) * e for i, e in enumerate(k)) for k in self.terms}
-        return len(degs) <= 1
+        return len(self.multidegrees()) <= 1
 
     def max_index(self) -> int:
         """Largest i with e_i occurring; 0 for constants."""
@@ -137,10 +115,7 @@ class EPoly:
 
     def sorted_terms(self):
         # leading term first: highest weighted degree, then largest exponents
-        def key(item):
-            exps = item[0]
-            return (sum((i + 1) * e for i, e in enumerate(exps)), exps)
-        return sorted(self.terms.items(), key=key, reverse=True)
+        return sorted(self.terms.items(), key=lambda t: (self._degree(t[0]), t[0]), reverse=True)
 
     def text(self) -> str:
         return signed_text(
@@ -211,7 +186,7 @@ def plethysm_P(h: int, k: int) -> EPoly:
         if c.denominator != 1:
             raise AssertionError(f"non-integral coefficient {c} in P_{h},{k}")
         terms[exps] = int(c)
-    return EPoly(terms)
+    return EPoly._make(terms)
 
 
 def elementary_mpoly(i: int, N: int, ring: Ring) -> MPoly:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from multisym import cli
+from multisym import cli, msf
 from multisym.cli import main
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement, e_alpha, element_to_json
@@ -187,11 +187,11 @@ def _not_started(*args):
     raise AssertionError("an over-budget computation was started")
 
 
-def _element(tmp_path, n, m, pairs_by_term):
-    d = {"n": n, "m": m, "ring": "Z",
+def _element(tmp_path, n, m, pairs_by_term, name="x.json", ring="Z"):
+    d = {"n": n, "m": m, "ring": ring,
          "terms": [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in pairs], "coeff": "1"}
                    for pairs in pairs_by_term]}
-    path = tmp_path / "x.json"
+    path = tmp_path / name
     path.write_text(json.dumps(d))
     return str(path)
 
@@ -270,6 +270,73 @@ def test_plethysm_budget_bounds_what_peeling_reaches(tmp_path, capsys, monkeypat
 def test_plethysm_budget_takes_degree_16(tmp_path, capsys):
     x = _element(tmp_path, "inf", 2, [[((16, 0), 1)], [((0, 2), 8)], [((1, 1), 1)]])
     assert run(capsys, ["rewrite", x])[0] == 0
+
+
+PRODUCT = "error: multiplying needs over 2000000 words of margin tables\n"
+
+
+@pytest.mark.parametrize("x_pairs, y_pairs", [
+    ([[((1,), 2**70)]], [[((1,), 2**70)]]),          # 2^70 + 1 tables
+    ([[((1,), 2**60)]], [[((1,), 3000)]]),           # 3001 tables of 180,000-bit factors
+    ([[((1,), 25), ((2,), 25)]], [[((1,), 25), ((2,), 25)]]),
+    ([[((1,), 1)], [((1,), 2**70)]], [[((2,), 2**70)], [((1,), 1)]]),
+], ids=["e(y1:2^70)^2", "2^60-by-3000", "(25,25)^2", "second-terms"])
+def test_over_budget_products_exit_3_before_computing(tmp_path, capsys, monkeypatch,
+                                                      x_pairs, y_pairs):
+    monkeypatch.setattr(msf, "_margin_tables", _not_started)
+    x = _element(tmp_path, "inf", 1, x_pairs, "x.json")
+    y = _element(tmp_path, "inf", 1, y_pairs, "y.json")
+    for argv in (["product", x, y], ["product", x, y, "--text"]):
+        start = time.perf_counter()
+        assert run(capsys, argv) == (3, "", PRODUCT)
+        assert time.perf_counter() - start < 1
+
+
+def test_product_budget_counts_distinct_shape_pairs(tmp_path, capsys, monkeypatch):
+    """Each pair of multiplicity vectors counts once: prod (min + 1) tables,
+    times 1 + bits // 64 for the bound on its multinomial factors.  The
+    product runs exactly at the budget and is refused one word below."""
+    x_pairs = [[((0, 1), 2), ((1, 0), 1)], [((1, 1), 2), ((2, 0), 1)], [((0, 1), 3)]]
+    y_pairs = [[((1, 0), 1), ((0, 1), 1)], [((2, 1), 1), ((1, 2), 1)]]
+    # shapes (2,1), (2,1) again and (3,), by (1,1) twice:
+    # (2,1)x(1,1): 2*2*2*2 = 16 tables, bits (5-2)*3 = 9, one word each
+    # (3,)x(1,1): 2*2 = 4 tables, bits (5-3)*3 = 6
+    words = 16 + 4
+    for avec in ((2, 1), (3,)):
+        assert len(msf._margin_tables(avec, (1, 1), 0)) <= (16 if avec == (2, 1) else 4)
+    x = _element(tmp_path, "inf", 2, x_pairs, "x.json")
+    y = _element(tmp_path, "inf", 2, y_pairs, "y.json")
+    monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", words)
+    code, out, _ = run(capsys, ["product", x, y])
+    assert code == 0
+    assert out == canon(element_to_json(cli._load_element(x) * cli._load_element(y)))
+    monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", words - 1)
+    assert run(capsys, ["product", x, y]) == (
+        3, "", f"error: multiplying needs over {words - 1} words of margin tables\n")
+
+
+def test_product_budget_weighs_factor_size(tmp_path, capsys, monkeypatch):
+    # e(y1:40) e(y1:41): 41 tables; bits (81-41)*7 = 280, so 1 + 4 words each
+    x = _element(tmp_path, "inf", 1, [[((1,), 40)]], "x.json")
+    y = _element(tmp_path, "inf", 1, [[((1,), 41)]], "y.json")
+    monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", 41 * 5)
+    assert run(capsys, ["product", x, y])[0] == 0
+    monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", 41 * 5 - 1)
+    assert run(capsys, ["product", x, y])[0] == 3
+
+
+def test_product_mismatch_is_reported_before_the_budget(tmp_path, capsys):
+    x = _element(tmp_path, "inf", 1, [[((1,), 2**70)]], "x.json")
+    y = _element(tmp_path, "inf", 1, [[((1,), 2**70)]], "y.json", ring="Q")
+    assert run(capsys, ["product", x, y]) == (
+        2, "", "error: ambient mismatch: (inf,1,Z) vs (inf,1,Q)\n")
+
+
+def test_product_budget_takes_the_largest_bench_shapes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", 768)
+    pairs = [[((1, 0), 2), ((0, 1), 1), ((1, 1), 1)]]
+    x = _element(tmp_path, "inf", 2, pairs, "x.json")
+    assert run(capsys, ["product", x, x])[0] == 0
 
 
 def test_expand_golden(tmp_path, capsys):

@@ -4,10 +4,11 @@ exit code and one `error: ` line, never a traceback.
 Inputs are random bytes, JSON nested past the recursion limit, valid
 elements with one field replaced by a random or mistyped JSON value,
 integers over the interpreter's digit limit, and random flag lists.
-Replaced integers include slot counts and exponents up to 2^70: the
-expansion and plethysm budgets refuse those requests before computing,
-and the large values drawn (17 and up) are all over the budgets wherever
-they would make the computation large.
+Replaced integers include slot counts, exponents and multiplicities up to
+2^70, in both operands of a product: the expansion, plethysm and product
+budgets refuse those requests before computing, and the large values
+drawn (17 and up) are all over the budgets wherever they would make the
+computation large.
 """
 
 import json
@@ -27,9 +28,8 @@ VALID = {"n": 2, "m": 2, "ring": "Z",
 VALID_INF = dict(VALID, n="inf")
 
 # Huge slot counts and exponents: over the expansion budget as n, over the
-# plethysm budget as an exponent, over n as a multiplicity.  Only the first
-# operand of a product draws them: two huge multiplicities in the infinite
-# ambient would make a product with no budget.
+# plethysm budget as an exponent, over n as a multiplicity, and over the
+# product budget as multiplicities of both operands in the infinite ambient.
 HUGE = st.sampled_from([17, 40, 3000]) | st.integers(2**60, 2**70)
 
 
@@ -44,8 +44,7 @@ def json_values(ints):
         max_leaves=6)
 
 
-SMALL_VALUES = json_values(st.integers(-2, 3))
-HUGE_VALUES = json_values(st.integers(-2, 3) | HUGE)
+VALUES = json_values(st.integers(-2, 3) | HUGE)
 
 # Where in VALID a replacement value goes.
 PLACES = [("n",), ("m",), ("ring",), ("terms",), ("terms", 0), ("terms", 0, "alpha"),
@@ -58,9 +57,8 @@ MARK = "__REPLACED__"
 
 
 @st.composite
-def element_files(draw, huge: bool) -> bytes:
-    kind = draw(st.sampled_from(["bytes", "nested", "mutated", "literal"]
-                                + ["huge"] * (2 * huge)))
+def element_files(draw) -> bytes:
+    kind = draw(st.sampled_from(["bytes", "nested", "mutated", "literal", "huge", "huge"]))
     if kind == "bytes":
         return draw(st.binary(max_size=64))
     if kind == "nested":
@@ -72,7 +70,7 @@ def element_files(draw, huge: bool) -> bytes:
     for key in path:
         target = target[key]
     if kind != "literal":
-        target[last] = draw(HUGE if kind == "huge" else HUGE_VALUES if huge else SMALL_VALUES)
+        target[last] = draw(HUGE if kind == "huge" else VALUES)
         return json.dumps(d).encode()
     # an integer literal over the digit limit; without a limit it would be
     # a legitimately huge slot count or exponent, so fall back to a string
@@ -101,7 +99,7 @@ def _check(argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(element_files(huge=True), element_files(huge=False),
+@given(element_files(), element_files(),
        st.sampled_from([["product", "x", "y"], ["product", "x", "y", "--text"],
                         ["expand", "x"], ["expand", "x", "--text"],
                         ["rewrite", "x", "--check"], ["rewrite", "x", "--text"]]))
