@@ -20,7 +20,7 @@ import json
 import random
 import sys
 from itertools import groupby
-from math import factorial, perm, prod
+from math import comb, factorial, perm
 from operator import itemgetter
 
 from .coeffring import QQ, ZZ, Ring, Zmod
@@ -55,10 +55,10 @@ EXPAND_MAX_FIELDS = 2_000_000
 # which is what is checked; P_{i,k} has about as many terms as i*k has
 # partitions, and newton_p recurses i*k deep.
 REWRITE_MAX_PLETHYSM = 16
-# Margin-table work a product may do.  A pair of multiplicity vectors a, b
-# has at most prod (min(a_i, b_j) + 1) tables, and every multinomial factor
-# of one has at most (|a| + |b| - max) * log2(|a| + |b|) bits, max the
-# largest entry of a and b; a table counts once per 64-bit word of that.
+# Margin-table work a product may do.  Multiplicity vectors a, b of lengths
+# k, h have at most prod (min(a_i, b_j) + 1), prod C(a_i + h, h) and
+# prod C(b_j + k, k) tables, each counted once per 64-bit word of a bound on
+# its multinomial factors, (|a| + |b| - max entry) * log2(|a| + |b|) bits.
 PRODUCT_MAX_TABLE_WORDS = 2_000_000
 
 
@@ -143,17 +143,31 @@ def _check_expansion_size(x: MsfElement) -> None:
                             f"{EXPAND_MAX_FIELDS} packed exponent fields")
 
 
+def _capped_prod(factors, cap: int) -> int:
+    """The product of positive integers, or cap + 1 once it exceeds cap."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            return cap + 1
+    return out
+
+
 def _check_product_size(x: MsfElement, y: MsfElement) -> None:
     """Refuse x * y when its margin tables would exceed PRODUCT_MAX_TABLE_WORDS."""
+    cap = PRODUCT_MAX_TABLE_WORDS
     work = 0
     for avec in {tuple([k for _, k in a]) for a in x.terms}:
         for bvec in {tuple([k for _, k in b]) for b in y.terms}:
+            k, h = len(avec), len(bvec)
             total = sum(avec) + sum(bvec)
             bits = (total - max(avec + bvec, default=0)) * total.bit_length()
-            work += prod([min(a, b) + 1 for a in avec for b in bvec]) * (1 + bits // 64)
-            if work > PRODUCT_MAX_TABLE_WORDS:
-                raise _CliError(EXIT_PARSE, "multiplying needs over "
-                                f"{PRODUCT_MAX_TABLE_WORDS} words of margin tables")
+            tables = min(_capped_prod((min(a, b) + 1 for a in avec for b in bvec), cap),
+                         _capped_prod((comb(a + h, h) for a in avec), cap),
+                         _capped_prod((comb(b + k, k) for b in bvec), cap))
+            work += tables * (1 + bits // 64)
+            if work > cap:
+                raise _CliError(EXIT_PARSE, f"multiplying needs over {cap} words of margin tables")
 
 
 def _parse_ring(s: str) -> Ring:

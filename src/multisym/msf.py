@@ -90,6 +90,13 @@ class WeightExceedsAmbient(Exception):
 AlphaIndex = tuple  # tuple of (Mono, mult), sorted strictly by grlex
 
 
+def _checked_int(v, what: str, least: int) -> int:
+    """v must be an integer, not a boolean, of at least `least`."""
+    if type(v) is not int or v < least:
+        raise ValueError(f"bad {what} {v!r}")
+    return v
+
+
 def make_alpha(pairs) -> AlphaIndex:
     """Canonical AlphaIndex from (monomial, multiplicity) pairs."""
     seen = {}
@@ -100,14 +107,13 @@ def make_alpha(pairs) -> AlphaIndex:
             m = len(mu)
         elif len(mu) != m:
             raise ValueError("mixed variable counts in one index")
-        if any(type(e) is not int or e < 0 for e in mu) or not any(mu):
-            raise ValueError(f"support monomial {mu!r} needs natural exponents, not all 0")
-        if type(mult) is not int or mult < 1:
-            raise ValueError(f"bad multiplicity {mult!r}")
+        if not any([_checked_int(e, "exponent", 0) for e in mu]):
+            raise ValueError(f"support monomial {mu!r} is constant")
+        _checked_int(mult, "multiplicity", 1)
         if mu in seen:
             raise ValueError(f"repeated support monomial {mu}")
         seen[mu] = mult
-    return tuple(sorted(seen.items(), key=lambda t: grlex_key(t[0])))
+    return tuple([(mu, seen[mu]) for _, mu in sorted([(sum(mu), mu) for mu in seen])])
 
 
 def alpha_weight(alpha: AlphaIndex) -> int:
@@ -315,16 +321,9 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
             for pattern, c in skeleton.items()}
 
 
-def _checked_int(v, what: str, least: int) -> int:
-    """v must be an integer, not a boolean, of at least `least`."""
-    if not isinstance(v, int) or isinstance(v, bool) or v < least:
-        raise ValueError(f"bad {what} {v!r}")
-    return v
-
-
 def _check_slots(n) -> None:
-    if n is not INF and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
-        raise ValueError(f"ambient slot count must be a positive integer or INF, got {n!r}")
+    if n is not INF:
+        _checked_int(n, "ambient slot count", 1)
 
 
 class MsfElement(Sparse):
@@ -363,13 +362,8 @@ class MsfElement(Sparse):
         return alpha_multidegree(alpha, self.m)
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
-        prev = (1,)  # (0, mu) <= (1,) < (d, mu) for d >= 1: refuses a constant mu
-        for mu, mult in alpha:
-            if type(mu) is not tuple or len(mu) != self.m \
-                    or any(type(e) is not int or e < 0 for e in mu) \
-                    or type(mult) is not int or mult < 1 or (sum(mu), mu) <= prev:
-                raise ValueError(f"index {alpha!r} is not canonical in {self.m} variables")
-            prev = (sum(mu), mu)
+        if make_alpha(alpha) != alpha or any(len(mu) != self.m for mu, _ in alpha):
+            raise ValueError(f"index {alpha!r} is not canonical in {self.m} variables")
         w = alpha_weight(alpha)
         if self.n is not INF and w > self.n:
             raise ValueError(f"index of weight {w} cannot live in ambient n={self.n}")
@@ -482,7 +476,7 @@ def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfEle
             return MsfElement.zero(n, m, ring)
         raise WeightExceedsAmbient(
             f"weight {alpha_weight(alpha)} symbol vanishes for n={n}")
-    return MsfElement(n, m, ring, {alpha: ring.one})
+    return MsfElement._make(n, m, ring, {alpha: ring.one})
 
 
 def product(x: MsfElement, y: MsfElement) -> MsfElement:
@@ -614,7 +608,6 @@ def element_from_json(d) -> MsfElement:
     if not isinstance(d["terms"], list):
         raise ValueError("terms must be a list")
     out = {}
-    R = ring
     for t in d["terms"]:
         if not isinstance(t, dict) or "alpha" not in t or "coeff" not in t \
                 or not isinstance(t["alpha"], list) or not isinstance(t["coeff"], str):
@@ -628,6 +621,7 @@ def element_from_json(d) -> MsfElement:
                 raise ValueError(f"bad monomial {mono!r}")
             pairs.append((tuple(mono), entry["mult"]))
         alpha = make_alpha(pairs)
-        c = R.parse_coeff(t["coeff"])
-        out[alpha] = R.add(out.get(alpha, R.zero), c)
-    return MsfElement(n, m, ring, out)
+        if n is not INF and alpha_weight(alpha) > n:
+            raise ValueError(f"index of weight {alpha_weight(alpha)} cannot live in ambient n={n}")
+        out[alpha] = out.get(alpha, 0) + ring.parse_coeff(t["coeff"])
+    return MsfElement._make(n, m, ring, ring.settle(out, 1))

@@ -515,7 +515,8 @@ def npoly_sum(pairs, n: int, m: int, ring: Ring, den: int = 1) -> NPoly:
     w = BASE_WIDTH
     for c, p in pairs:
         if (p.n, p.m) != (n, m) or p.ring not in (ring, ZZ):
-            raise ValueError("ambient mismatch between NPoly operands")
+            raise AmbientMismatch(f"{_ambient_text((p.n, p.m, p.ring))} vs "
+                                  f"{_ambient_text((n, m, ring))}")
         if p._w > w:
             out = _repack(out, n * m, w, p._w)
             w = p._w

@@ -278,9 +278,11 @@ PRODUCT = "error: multiplying needs over 2000000 words of margin tables\n"
 @pytest.mark.parametrize("x_pairs, y_pairs", [
     ([[((1,), 2**70)]], [[((1,), 2**70)]]),          # 2^70 + 1 tables
     ([[((1,), 2**60)]], [[((1,), 3000)]]),           # 3001 tables of 180,000-bit factors
-    ([[((1,), 25), ((2,), 25)]], [[((1,), 25), ((2,), 25)]]),
+    ([[((1,), 30), ((2,), 30)]], [[((1,), 30), ((2,), 30)]]),  # 496^2 tables, 10 words
     ([[((1,), 1)], [((1,), 2**70)]], [[((2,), 2**70)], [((1,), 1)]]),
-], ids=["e(y1:2^70)^2", "2^60-by-3000", "(25,25)^2", "second-terms"])
+    # every bound is a product of 200 or 40,000 factors of 70 bits or more
+    ([[((d,), 2**70) for d in range(1, 201)]], [[((d,), 2**70) for d in range(1, 201)]]),
+], ids=["e(y1:2^70)^2", "2^60-by-3000", "(30,30)^2", "second-terms", "200-monomials"])
 def test_over_budget_products_exit_3_before_computing(tmp_path, capsys, monkeypatch,
                                                       x_pairs, y_pairs):
     monkeypatch.setattr(msf, "_margin_tables", _not_started)
@@ -293,17 +295,19 @@ def test_over_budget_products_exit_3_before_computing(tmp_path, capsys, monkeypa
 
 
 def test_product_budget_counts_distinct_shape_pairs(tmp_path, capsys, monkeypatch):
-    """Each pair of multiplicity vectors counts once: prod (min + 1) tables,
-    times 1 + bits // 64 for the bound on its multinomial factors.  The
-    product runs exactly at the budget and is refused one word below."""
+    """Each pair of multiplicity vectors counts once: the least of its three
+    table bounds, times 1 + bits // 64 for the bound on its multinomial
+    factors.  The product runs exactly at the budget and is refused one
+    word below."""
     x_pairs = [[((0, 1), 2), ((1, 0), 1)], [((1, 1), 2), ((2, 0), 1)], [((0, 1), 3)]]
     y_pairs = [[((1, 0), 1), ((0, 1), 1)], [((2, 1), 1), ((1, 2), 1)]]
     # shapes (2,1), (2,1) again and (3,), by (1,1) twice:
-    # (2,1)x(1,1): 2*2*2*2 = 16 tables, bits (5-2)*3 = 9, one word each
-    # (3,)x(1,1): 2*2 = 4 tables, bits (5-3)*3 = 6
-    words = 16 + 4
+    # (2,1)x(1,1): min(2*2*2*2, C(4,2)*C(3,2), C(3,2)*C(3,2)) = 9 tables,
+    #   bits (5-2)*3 = 9, one word each
+    # (3,)x(1,1): min(2*2, C(5,2), C(2,1)*C(2,1)) = 4 tables, bits (5-3)*3 = 6
+    words = 9 + 4
     for avec in ((2, 1), (3,)):
-        assert len(msf._margin_tables(avec, (1, 1), 0)) <= (16 if avec == (2, 1) else 4)
+        assert len(msf._margin_tables(avec, (1, 1), 0)) <= (9 if avec == (2, 1) else 4)
     x = _element(tmp_path, "inf", 2, x_pairs, "x.json")
     y = _element(tmp_path, "inf", 2, y_pairs, "y.json")
     monkeypatch.setattr(cli, "PRODUCT_MAX_TABLE_WORDS", words)
@@ -330,6 +334,19 @@ def test_product_mismatch_is_reported_before_the_budget(tmp_path, capsys):
     y = _element(tmp_path, "inf", 1, [[((1,), 2**70)]], "y.json", ring="Q")
     assert run(capsys, ["product", x, y]) == (
         2, "", "error: ambient mismatch: (inf,1,Z) vs (inf,1,Q)\n")
+
+
+@pytest.mark.parametrize("k, h", [(5, 5), (3, 12), (12, 3)],
+                         ids=["(1)^5-squared", "(1)^3-by-(1)^12", "(1)^12-by-(1)^3"])
+def test_product_budget_takes_many_simple_monomials(tmp_path, capsys, k, h):
+    """prod (min + 1) is 2^(k*h) here, but a table's k rows are each h
+    entries of sum at most 1, and its h columns k entries: at most
+    min((h + 1)^k, (k + 1)^h) tables, which the budget takes."""
+    x = _element(tmp_path, "inf", 1, [[((d,), 1) for d in range(1, k + 1)]], "x.json")
+    y = _element(tmp_path, "inf", 1, [[((d,), 1) for d in range(1, h + 1)]], "y.json")
+    code, out, _ = run(capsys, ["product", x, y])
+    assert code == 0
+    assert out == canon(element_to_json(cli._load_element(x) * cli._load_element(y)))
 
 
 def test_product_budget_takes_the_largest_bench_shapes(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from multisym import msf, polyring
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key
 from multisym.msf import INF, MsfElement, alpha_multidegree, e_alpha, make_alpha
-from multisym.polyring import AmbientMismatch, MPoly, NPoly, npoly_multidegree
+from multisym.polyring import AmbientMismatch, MPoly, NPoly, npoly_multidegree, npoly_sum
 from multisym.rewrite import GenPoly
 from multisym.symfun import EPoly
 
@@ -174,7 +174,10 @@ def test_npoly_width_does_not_change_results():
 ], ids=["MPoly-m", "MPoly-ring", "NPoly-n", "NPoly-ring", "Msf-n", "Msf-m",
         "GenPoly-m", "GenPoly-ring"])
 def test_mismatched_ambients_raise(x, y):
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+    ops = [lambda: x + y, lambda: x - y, lambda: x * y]
+    if isinstance(x, NPoly):
+        ops.append(lambda: npoly_sum([(1, x), (1, y)], x.n, x.m, x.ring))
+    for op in ops:
         with pytest.raises(AmbientMismatch):
             op()
     assert x != y
@@ -186,6 +189,9 @@ def test_ambient_mismatch_is_one_class():
     with pytest.raises(AmbientMismatch) as info:
         MsfElement.one(INF, 2, ZZ) * MsfElement.one(INF, 2, QQ)
     assert str(info.value) == "(inf,2,Z) vs (inf,2,Q)"
+    with pytest.raises(AmbientMismatch) as info:
+        npoly_sum([(1, NPoly.one(2, 1, ZZ))], 1, 2, ZZ)
+    assert str(info.value) == "(2,1,Z) vs (1,2,Z)"
 
 
 @pytest.mark.parametrize("x, y, line", [
