@@ -15,7 +15,7 @@ from .msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
                   alphas_of_multidegree, basis_alphas, e_alpha,
                   element_from_json, element_to_json, ek_of_f, expand,
                   make_alpha, merge_repeats, product, truncate)
-from .polyring import MPoly, NPoly, npoly_text, parse_npoly, sn_act, subst_slot
+from .polyring import NPoly, npoly_text, parse_npoly, sn_act, subst_slot
 from .relations import (char_zero_ideal_gens, coverage_rank, genpoly_expand,
                         kernel_basis, relation_polys, verify_relation)
 from .rewrite import (GenPoly, evaluate, free_monomial_count,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Ring", "ZZ", "QQ", "Zmod",
     "mono_mul", "mono_cmp", "grlex_key", "primitive_decompose",
-    "MPoly", "NPoly", "subst_slot", "sn_act", "npoly_text", "parse_npoly",
+    "NPoly", "subst_slot", "sn_act", "npoly_text", "parse_npoly",
     "INF", "MsfElement", "AmbientMismatch", "WeightExceedsAmbient",
     "make_alpha", "e_alpha", "product", "expand", "truncate", "merge_repeats",
     "ek_of_f", "alphas_of_multidegree", "basis_alphas",

@@ -6,8 +6,7 @@ total degree the sum of entries.  The canonical order is graded
 lexicographic: total degree first, then plain tuple comparison (so the
 first variable weighs heaviest on ties).
 
-Multidegrees use the same representation, so the small vector helpers at
-the bottom serve both.
+Multidegrees use the same representation, so the helpers here serve both.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "compositions",
     "monomials_of_total_degree",
     "monomials_up_to",
-    "deg_scale",
     "deg_leq",
 ]
 
@@ -120,12 +118,6 @@ def monomials_up_to(m: int, bound: Mono) -> list[Mono]:
     out = [mu for mu in _cartesian(*(range(b + 1) for b in bound)) if any(mu)]
     out.sort(key=grlex_key)
     return out
-
-
-# multidegree vector helpers
-
-def deg_scale(a: Mono, k: int) -> Mono:
-    return tuple(x * k for x in a)
 
 
 def deg_leq(a: Mono, b: Mono) -> bool:

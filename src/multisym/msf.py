@@ -54,7 +54,8 @@ from operator import add
 
 from .coeffring import Ring
 from .monomial import Mono, grlex_key, monomials_up_to
-from .polyring import AmbientMismatch, NPoly, Sparse, key_width, signed_text, slot_key
+from .polyring import (AmbientMismatch, NPoly, Sparse, _checked_int, key_width,
+                       signed_text, slot_key)
 
 INF = float("inf")
 
@@ -88,13 +89,6 @@ class WeightExceedsAmbient(Exception):
 
 
 AlphaIndex = tuple  # tuple of (Mono, mult), sorted strictly by grlex
-
-
-def _checked_int(v, what: str, least: int) -> int:
-    """v must be an integer, not a boolean, of at least `least`."""
-    if type(v) is not int or v < least:
-        raise ValueError(f"bad {what} {v!r}")
-    return v
 
 
 def make_alpha(pairs) -> AlphaIndex:
@@ -333,8 +327,7 @@ class MsfElement(Sparse):
 
     def __init__(self, n, m: int, ring: Ring, terms=None):
         _check_slots(n)
-        if m < 1:
-            raise ValueError("need m >= 1")
+        _checked_int(m, "variable count", 1)
         self.n = n
         self.m = m
         self.ring = ring
@@ -491,8 +484,9 @@ def truncate(x: MsfElement, target) -> MsfElement:
     return x.truncate(target)
 
 
-def ek_of_f(f, k: int, n) -> MsfElement:
-    """e_k evaluated at a polynomial argument f with zero constant term.
+def ek_of_f(f: NPoly, k: int, n) -> MsfElement:
+    """e_k evaluated at a one-slot polynomial f = f(x_1(1),...,x_m(1)) with
+    zero constant term.
 
     Writing f = sum_mu lambda_mu * mu, the result is the sum over indices
     alpha supported on the monomials of f with |alpha| = k of
@@ -503,9 +497,11 @@ def ek_of_f(f, k: int, n) -> MsfElement:
 
     R = f.ring
     m = f.m
+    if f.n != 1:
+        raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
     if k < 0:
         raise ValueError("negative k")
-    if not R.is_zero(f.constant_term()):
+    if not R.is_zero(f.terms.get((0,) * m, R.zero)):
         raise ValueError("argument must have zero constant term")
     if k == 0:
         return MsfElement.one(n, m, R)

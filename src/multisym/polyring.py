@@ -1,18 +1,21 @@
-"""Concrete polynomial rings, and the sparse base of every coefficient dict.
+"""The concrete polynomial ring, and the sparse base of every coefficient dict.
 
-``Sparse`` holds the ring arithmetic that all five coefficient-dict classes
-share (``MPoly`` and ``NPoly`` here, ``MsfElement``, ``GenPoly`` and
-``EPoly`` elsewhere): equality, sums, negation, scaling, powers and
-multidegree components.  A subclass supplies its ambient, one trusted
-constructor and the multidegree of a key; it keeps its own validating
-public constructor, product kernel and writers.  Two concrete
-representations over a coefficient ring R live here:
+``Sparse`` holds the ring arithmetic that all four coefficient-dict classes
+share (``NPoly`` here, ``MsfElement``, ``GenPoly`` and ``EPoly``
+elsewhere): equality, sums, negation, scaling, powers and multidegree
+components.  A subclass supplies its ambient, one trusted constructor and
+the multidegree of a key; it keeps its own validating public constructor,
+product kernel and writers.  Every public constructor takes its integers
+through ``_checked_int``, so booleans, floats and out-of-range values are
+refused with a ValueError.
 
-* ``MPoly``: R[y_1,...,y_m], keys are exponent tuples of length m.
-* ``NPoly``: R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring.  Monomials are
-  flat exponent tuples of length n*m in slot-major layout, x_i(j) living at
-  flat index (j-1)*m + (i-1).  Slot-major makes the slot permutation action
-  a block permutation of the key.
+``NPoly`` is R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring over a
+coefficient ring R.  Monomials are flat exponent tuples of length n*m in
+slot-major layout, x_i(j) living at flat index (j-1)*m + (i-1).
+Slot-major makes the slot permutation action a block permutation of the
+key.  Two shapes stand for the classical rings: ``NPoly(1, m)`` is
+R[y_1,...,y_m], one slot of m variables, and ``NPoly(N, 1)`` holds the
+polynomials in N variables that S_N permutes by ``sn_act``.
 
 Internally an NPoly stores each monomial as one packed integer: the
 variable at flat index k owns a bit field of fixed width w starting at bit
@@ -44,7 +47,6 @@ from .monomial import Mono, grlex_key
 __all__ = [
     "AmbientMismatch",
     "Sparse",
-    "MPoly",
     "NPoly",
     "npoly_sum",
     "subst_slot",
@@ -84,6 +86,13 @@ def signed_text(rows) -> str:
         t = cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}"
         out.append(t if not out else (" - " + t[1:] if t[0] == "-" else " + " + t))
     return "".join(out) or "0"
+
+
+def _checked_int(v, what: str, least: int) -> int:
+    """v must be an integer, not a boolean, of at least `least`."""
+    if type(v) is not int or v < least:
+        raise ValueError(f"bad {what} {v!r}")
+    return v
 
 
 class AmbientMismatch(ValueError):
@@ -172,112 +181,6 @@ class Sparse:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-
-class MPoly(Sparse):
-    """Sparse polynomial in m variables y_1..y_m over a Ring."""
-
-    __slots__ = ("m", "ring", "terms")
-
-    def __init__(self, m: int, ring: Ring, terms=None):
-        if m < 1:
-            raise ValueError("need at least one variable")
-        self.m = m
-        self.ring = ring
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if len(mono) != m:
-                    raise ValueError(f"exponent tuple {mono} not of length {m}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                if not ring.is_zero(c):
-                    clean[mono] = c
-        self.terms = clean
-
-    @classmethod
-    def _make(cls, m: int, ring: Ring, terms: dict) -> "MPoly":
-        self = object.__new__(cls)
-        self.m, self.ring, self.terms = m, ring, terms
-        return self
-
-    def _ambient(self) -> tuple:
-        return (self.m, self.ring)
-
-    @property
-    def _unit(self) -> Mono:
-        return (0,) * self.m
-
-    def _degree(self, mono) -> Mono:
-        return mono
-
-    @classmethod
-    def monomial(cls, mu: Mono, ring: Ring, coeff=None) -> "MPoly":
-        c = ring.one if coeff is None else coeff
-        return cls(len(mu), ring, {tuple(mu): c})
-
-    @classmethod
-    def variable(cls, i: int, m: int, ring: Ring) -> "MPoly":
-        """y_i, 1-based."""
-        if not 1 <= i <= m:
-            raise ValueError(f"variable index {i} outside 1..{m}")
-        mu = tuple(1 if t == i - 1 else 0 for t in range(m))
-        return cls(m, ring, {mu: ring.one})
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.m, self.ring.zero)
-
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(mu) for mu in self.terms)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        self._compat(other)
-        out = {}
-        get = out.get
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
-                out[key] = get(key, 0) + ca * cb
-        return self._like(self.ring.settle(out, 1))
-
-    def permute_vars(self, perm) -> "MPoly":
-        """Apply y_i -> y_perm(i); perm is a 1-based image tuple of length m."""
-        check_perm(perm, self.m)
-        out = {}
-        for mu, c in self.terms.items():
-            key = [0] * self.m
-            for i, e in enumerate(mu):
-                key[perm[i] - 1] = e
-            out[tuple(key)] = c
-        return self._like(out)
-
-    def eval_at(self, values):
-        """Evaluate at a point, values[i] an integer substituted for y_{i+1}."""
-        if len(values) != self.m:
-            raise ValueError("wrong number of values")
-        R = self.ring
-        acc = R.zero
-        for mu, c in self.terms.items():
-            v = 1
-            for base, e in zip(values, mu):
-                v *= base ** e
-            acc = R.add(acc, R.mul(c, R.embed(v)))
-        return acc
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MPoly(0)"
-        bits = []
-        for mu, c in self.sorted_terms():
-            vs = "*".join(
-                f"y{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mu) if e
-            )
-            bits.append(f"{self.ring.format_coeff(c)}*{vs}" if vs else self.ring.format_coeff(c))
-        return "MPoly(" + " + ".join(bits) + ")"
 
 
 def check_perm(sigma, n: int) -> None:
@@ -388,17 +291,15 @@ class NPoly(Sparse):
     _unit = 0
 
     def __init__(self, n: int, m: int, ring: Ring, terms=None):
-        if n < 1 or m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
-        size = n * m
+        size = _checked_int(n, "slot count", 1) * _checked_int(m, "variable count", 1)
         clean = {}
         top = 0
         if terms:
             for mono, c in terms.items():
                 if len(mono) != size:
                     raise ValueError(f"exponent tuple of length {len(mono)}, expected {size}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
+                for e in mono:
+                    _checked_int(e, "exponent", 0)
                 if not ring.is_zero(c):
                     clean[mono] = c
                     top = max(top, *mono)
@@ -535,19 +436,16 @@ def npoly_multidegree(mono, m: int) -> Mono:
     return tuple(deg)
 
 
-def subst_slot(f: MPoly, j: int, n: int) -> NPoly:
-    """The substitution y_i -> x_i(j), landing f in the n-slot ring."""
-    if not 1 <= j <= n:
+def subst_slot(f: NPoly, j: int, n: int) -> NPoly:
+    """The substitution x_i(1) -> x_i(j), landing the one-slot polynomial f
+    in the n-slot ring: each packed key moves up by j-1 slots."""
+    if f.n != 1:
+        raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
+    _checked_int(n, "slot count", 1)
+    if _checked_int(j, "slot index", 1) > n:
         raise ValueError(f"slot index {j} outside 1..{n}")
-    m = f.m
-    base = (j - 1) * m
-    out = {}
-    for mu, c in f.terms.items():
-        exps = [0] * (n * m)
-        for i, e in enumerate(mu):
-            exps[base + i] = e
-        out[tuple(exps)] = c
-    return NPoly(n, m, f.ring, out)
+    shift = (j - 1) * f.m * f._w
+    return NPoly._packed(n, f.m, f.ring, {k << shift: c for k, c in f._d.items()}, f._w)
 
 
 def sn_act(sigma, p: NPoly) -> NPoly:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import product as _cartesian
 
 from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker, rank_of
-from .monomial import Mono, grlex_key, mono_pow, monomials_of_total_degree, monomials_up_to
+from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import INF, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
-from .polyring import MPoly, NPoly, npoly_sum
+from .polyring import NPoly, npoly_sum
 from .rewrite import GenPoly, evaluate, rewrite
 
 __all__ = [
@@ -52,9 +51,7 @@ def kernel_basis(n: int, m: int, a: Mono) -> list:
 
 def multidegrees_upto(max_a: Mono) -> list:
     """Componentwise bounded multidegrees, ordered by total then entries."""
-    out = list(_cartesian(*(range(x + 1) for x in max_a)))
-    out.sort(key=grlex_key)
-    return out
+    return [(0,) * len(max_a)] + monomials_up_to(len(max_a), max_a)
 
 
 def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
@@ -127,7 +124,7 @@ def char_zero_ideal_gens(n: int, m: int, bound: int) -> list:
         for t in range(1, d + 1):
             for mu in monomials_of_total_degree(m, t):
                 terms[mu] = QQ.one
-        f = MPoly(m, QQ, terms)
+        f = NPoly(1, m, QQ, terms)
         el = ek_of_f(f, n + 1, INF).total_degree_cut(bound)
         if el.is_zero:
             continue

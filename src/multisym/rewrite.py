@@ -42,11 +42,11 @@ from __future__ import annotations
 from functools import cache
 
 from .coeffring import ZZ, Ring
-from .monomial import (Mono, deg_leq, deg_scale, grlex_key, is_primitive,
+from .monomial import (Mono, deg_leq, grlex_key, is_primitive, mono_pow,
                        monomials_up_to, primitive_decompose)
 from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _check_slots,
-                  _checked_int, _sorted_rows, alpha_weight, e_alpha)
-from .polyring import Sparse, signed_text
+                  _sorted_rows, alpha_weight, e_alpha)
+from .polyring import Sparse, _checked_int, signed_text
 from .symfun import plethysm_P
 
 __all__ = [
@@ -99,9 +99,7 @@ class GenPoly(Sparse):
     __slots__ = ("m", "ring", "terms")
 
     def __init__(self, m: int, ring: Ring, terms=None):
-        if m < 1:
-            raise ValueError("need m >= 1")
-        self.m = m
+        self.m = _checked_int(m, "variable count", 1)
         self.ring = ring
         clean = {}
         if terms:
@@ -368,7 +366,7 @@ def _free_symbols(m: int, a: Mono) -> tuple:
         if not is_primitive(nu):
             continue
         i = 1
-        while deg_leq(deg_scale(nu, i), a):
+        while deg_leq(mono_pow(nu, i), a):
             syms.append((i, nu))
             i += 1
     syms.sort(key=_symbol_key)
@@ -385,7 +383,7 @@ def free_monomial_count(m: int, a) -> int:
         raise ValueError("multidegree length must equal m")
     if not any(a):
         return 1
-    degs = [deg_scale(nu, i) for i, nu in _free_symbols(m, a)]
+    degs = [mono_pow(nu, i) for i, nu in _free_symbols(m, a)]
 
     @cache
     def rec(idx, remaining):

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import combinations
 
 from .coeffring import Ring, ZZ
-from .polyring import MPoly, Sparse, signed_text
+from .polyring import NPoly, Sparse, _checked_int, signed_text, sn_act
 
 __all__ = [
     "EPoly",
@@ -32,8 +32,8 @@ __all__ = [
     "plethysm_P",
     "plethysm_P_by_elimination",
     "to_e_basis",
-    "elementary_mpoly",
-    "epoly_to_mpoly",
+    "elementary_npoly",
+    "epoly_to_npoly",
     "epoly_substitute",
     "e_in_powersums",
 ]
@@ -57,12 +57,9 @@ class EPoly(Sparse):
         clean = {}
         if terms:
             for exps, c in terms.items():
-                if c == 0:
-                    continue
-                key = _trim(exps)
-                if any(e < 0 for e in key):
-                    raise ValueError(f"negative exponent in {key}")
-                clean[key] = c
+                key = _trim([_checked_int(e, "exponent", 0) for e in exps])
+                if c != 0:
+                    clean[key] = c
         self.terms = clean
 
     @classmethod
@@ -189,27 +186,27 @@ def plethysm_P(h: int, k: int) -> EPoly:
     return EPoly._make(terms)
 
 
-def elementary_mpoly(i: int, N: int, ring: Ring) -> MPoly:
-    """The i-th elementary symmetric polynomial in N concrete variables."""
+def elementary_npoly(i: int, N: int, ring: Ring) -> NPoly:
+    """The i-th elementary symmetric polynomial in the N variables x_1(1..N)."""
     if i < 0:
         raise ValueError("negative index")
     if i > N:
-        return MPoly.zero(N, ring)
+        return NPoly.zero(N, 1, ring)
     terms = {}
     for sel in combinations(range(N), i):
         mu = tuple(1 if t in sel else 0 for t in range(N))
         terms[mu] = ring.one
-    return MPoly(N, ring, terms)
+    return NPoly(N, 1, ring, terms)
 
 
-def epoly_to_mpoly(ep: EPoly, N: int, ring: Ring) -> MPoly:
+def epoly_to_npoly(ep: EPoly, N: int, ring: Ring) -> NPoly:
     """Substitute the concrete elementary polynomials in N variables."""
-    total = MPoly.zero(N, ring)
+    total = NPoly.zero(N, 1, ring)
     for exps, c in ep.terms.items():
-        term = MPoly.one(N, ring)
+        term = NPoly.one(N, 1, ring)
         for i0, e in enumerate(exps):
             if e:
-                term = term * (elementary_mpoly(i0 + 1, N, ring) ** e)
+                term = term * (elementary_npoly(i0 + 1, N, ring) ** e)
         total = total + term.scale(ring.embed(c))
     return total
 
@@ -233,26 +230,30 @@ def epoly_substitute(ep: EPoly, value_of, one, scalar):
     return total
 
 
-def _check_symmetric(f: MPoly) -> None:
-    N = f.m
+def _check_symmetric(f: NPoly) -> None:
+    N = f.n
     for t in range(1, N):
         perm = list(range(1, N + 1))
         perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        if f.permute_vars(tuple(perm)) != f:
+        if sn_act(tuple(perm), f) != f:
             raise ValueError("input polynomial is not symmetric")
 
 
-def to_e_basis(f: MPoly) -> EPoly:
+def to_e_basis(f: NPoly) -> EPoly:
     """Rewrite a symmetric polynomial in N variables into the e-basis.
 
+    f lives in N slots of one variable each, x_1(1..N), which S_N permutes.
     Classical elimination: repeatedly kill the lex-leading term lambda by
     subtracting c * prod_i e_i^(lambda_i - lambda_{i+1}).  Input degree must
     not exceed N, the range where the e-basis expression is stable.
     """
-    N = f.m
+    if f.m != 1:
+        raise ValueError(f"need one variable per slot, got {f.m}")
+    N = f.n
     ring = f.ring
-    if f.total_degree() > N:
-        raise ValueError(f"degree {f.total_degree()} exceeds the {N}-variable faithful range")
+    deg = max((sum(mu) for mu in f.terms), default=-1)
+    if deg > N:
+        raise ValueError(f"degree {deg} exceeds the {N}-variable faithful range")
     _check_symmetric(f)
     rest = f
     out = {}
@@ -267,10 +268,10 @@ def to_e_basis(f: MPoly) -> EPoly:
             exps[i] = lam[i] - nxt
         key = _trim(exps)
         out[key] = out.get(key, 0) + c
-        prod = MPoly.one(N, ring)
+        prod = NPoly.one(N, 1, ring)
         for i0, e in enumerate(key):
             if e:
-                prod = prod * (elementary_mpoly(i0 + 1, N, ring) ** e)
+                prod = prod * (elementary_npoly(i0 + 1, N, ring) ** e)
         rest = rest - prod.scale(c)
     return EPoly(out)
 
@@ -287,4 +288,4 @@ def plethysm_P_by_elimination(h: int, k: int) -> EPoly:
     for sel in combinations(range(N), h):
         mu = tuple(k if t in sel else 0 for t in range(N))
         terms[mu] = 1
-    return to_e_basis(MPoly(N, ZZ, terms))
+    return to_e_basis(NPoly(N, 1, ZZ, terms))

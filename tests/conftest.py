@@ -48,6 +48,19 @@ def random_element(rng: random.Random, n, m: int, ring: Ring,
     return MsfElement(n, m, ring, terms)
 
 
+def eval_at(p, values):
+    """The polynomial p at an integer point: values[k] replaces the variable
+    at flat index k."""
+    R = p.ring
+    acc = R.zero
+    for mono, c in p.terms.items():
+        v = 1
+        for base, e in zip(values, mono):
+            v *= base ** e
+        acc = R.add(acc, R.mul(c, R.embed(v)))
+    return acc
+
+
 def run_main(argv) -> tuple:
     """cli.main(argv) in process: (exit code, stdout, stderr), with a usage
     error's SystemExit taken as its exit code."""

@@ -15,7 +15,7 @@ from multisym.monomial import grlex_key, is_primitive, monomials_up_to
 from multisym.msf import (INF, MsfElement, alphas_of_multidegree,
                           basis_alphas, e_alpha, ek_of_f, expand, product)
 from multisym.oracle import count_orbits, monomials_of_multidegree
-from multisym.polyring import MPoly, NPoly, parse_npoly
+from multisym.polyring import NPoly, parse_npoly
 from multisym.relations import coverage_rank, kernel_basis, verify_relation
 from multisym.rewrite import GenPoly, evaluate, free_monomial_count, rewrite
 from multisym.symfun import epoly_substitute, plethysm_P
@@ -206,15 +206,15 @@ def test_7_powered_alphabet_consistency():
     for h, k in pairs:
         n = h * k
         for _ in range(2):
-            f = MPoly.zero(m, ZZ)
+            f = NPoly.zero(1, m, ZZ)
             for _ in range(3):  # at most three monomials
                 mu = (rng.randint(0, 2), rng.randint(0, 2))
                 if not any(mu):
                     continue
-                f = f + MPoly.monomial(
-                    mu, ZZ, ZZ.embed(rng.choice([-2, -1, 1, 2, 3])))
+                f = f + NPoly.monomial(
+                    mu, 1, m, ZZ, ZZ.embed(rng.choice([-2, -1, 1, 2, 3])))
             if f.is_zero:
-                f = MPoly.variable(1, m, ZZ)
+                f = NPoly.variable(1, 1, 1, m, ZZ)
             lhs = expand(ek_of_f(f ** k, h, n))
             ecache = {}
 

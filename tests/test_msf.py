@@ -16,7 +16,7 @@ from multisym.msf import (INF, AmbientMismatch, MsfElement,
                           ek_of_f, element_from_json, element_to_json, expand,
                           make_alpha, merge_repeats, product, truncate)
 from multisym.oracle import is_invariant, orbit_sum
-from multisym.polyring import MPoly, NPoly, parse_npoly
+from multisym.polyring import NPoly, parse_npoly, subst_slot
 
 F2 = Zmod(2)
 Y1, Y2 = (1, 0), (0, 1)
@@ -232,8 +232,8 @@ def test_truncate_rules():
 
 
 def test_ek_of_f_small_cases():
-    a = MPoly.variable(1, 2, ZZ)
-    b = MPoly.variable(2, 2, ZZ)
+    a = NPoly.variable(1, 1, 1, 2, ZZ)
+    b = NPoly.variable(2, 1, 1, 2, ZZ)
     assert ek_of_f(a + b, 0, 3) == MsfElement.one(3, 2, ZZ)
     got = ek_of_f(a + b, 2, 3)
     want = e_alpha([(Y1, 2)], 3, 2, ZZ) + e_alpha([(Y1, 1), (Y2, 1)], 3, 2, ZZ) \
@@ -242,23 +242,26 @@ def test_ek_of_f_small_cases():
     assert ek_of_f(a.scale(ZZ.embed(3)), 2, 3) == \
         e_alpha([(Y1, 2)], 3, 2, ZZ).scale(ZZ.embed(9))
     assert ek_of_f(a, 4, 3).is_zero  # k beyond a finite ambient
-    assert ek_of_f(MPoly.zero(2, ZZ), 2, 3).is_zero
+    assert ek_of_f(NPoly.zero(1, 2, ZZ), 2, 3).is_zero
     with pytest.raises(ValueError):
-        ek_of_f(a + MPoly.one(2, ZZ), 1, 3)  # nonzero constant term
+        ek_of_f(a + NPoly.one(1, 2, ZZ), 1, 3)  # nonzero constant term
+    # f is a polynomial in y_1..y_m: one slot of m variables
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            ek_of_f(NPoly.variable(1, 1, 2, 2, ZZ), k, 3)
 
 
 def test_ek_of_f_generating_function():
     # prod_j (1 + t f(j)) has t^k coefficient e_k(f)
     rng = seeded("genfun")
-    from multisym.polyring import subst_slot
     for _ in range(8):
         n, m = rng.choice([(2, 2), (3, 1), (3, 2)])
-        f = MPoly.zero(m, ZZ)
+        f = NPoly.zero(1, m, ZZ)
         for _ in range(rng.randint(1, 3)):
             mu = tuple(rng.randint(0, 2) for _ in range(m))
             if not any(mu):
                 continue
-            f = f + MPoly.monomial(mu, ZZ, ZZ.embed(rng.randint(-2, 3)))
+            f = f + NPoly.monomial(mu, 1, m, ZZ, ZZ.embed(rng.randint(-2, 3)))
         coeffs = [NPoly.one(n, m, ZZ)]  # coefficients in t
         for j in range(1, n + 1):
             fj = subst_slot(f, j, n)

@@ -1,11 +1,15 @@
-"""Polynomials in m variables, n*m slot variables, and the slot action."""
+"""Polynomials in n*m slot variables, one-slot polynomials, and the slot action."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import multisym
+from conftest import eval_at
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.polyring import (MPoly, NPoly, check_perm, flat_index,
+from multisym.polyring import (NPoly, check_perm, flat_index,
                                npoly_multidegree, npoly_text, parse_npoly,
                                sn_act, subst_slot)
 
@@ -15,7 +19,8 @@ def x(i, j, n, m, ring=ZZ):
 
 
 def y(i, m, ring=ZZ):
-    return MPoly.variable(i, m, ring)
+    """y_i of R[y_1..y_m], the one-slot ring: x_i(1) of NPoly(1, m)."""
+    return NPoly.variable(i, 1, 1, m, ring)
 
 
 def random_npoly(rng, n, m, ring, deg=2, terms=3):
@@ -35,24 +40,24 @@ def test_flat_layout():
     assert npoly_multidegree((1, 0, 2, 1), 2) == (3, 1)
 
 
-def test_mpoly_arithmetic():
+def test_one_slot_arithmetic():
     a, b = y(1, 2), y(2, 2)
     f = (a + b) ** 2
     g = a * a + a * b + a * b + b * b
     assert f == g
     assert (f - f).is_zero
-    assert f.eval_at([2, 3]) == 25
-    assert f.total_degree() == 2
-    assert MPoly.zero(2, ZZ).total_degree() == -1
-    assert f.constant_term() == 0
-    assert (f + MPoly.one(2, ZZ)).constant_term() == 1
+    assert eval_at(f, [2, 3]) == 25
+    assert f.multidegrees() == {(2, 0), (1, 1), (0, 2)}
+    assert f.terms.get((0, 0), ZZ.zero) == 0
+    assert (f + NPoly.one(1, 2, ZZ)).terms.get((0, 0), ZZ.zero) == 1
 
 
-def test_mpoly_permute_vars():
-    a, b, c = (y(i, 3) for i in (1, 2, 3))
+def test_sn_act_permutes_one_variable_slots():
+    # N variables are N slots of one variable; S_N acts by sn_act
+    a, b, c = (x(1, j, 3, 1) for j in (1, 2, 3))
     f = a * a * b + c
-    # the permutation sends variable i to variable perm[i-1]
-    g = f.permute_vars((2, 3, 1))
+    # the permutation sends variable j to variable sigma[j-1]
+    g = sn_act((2, 3, 1), f)
     assert g == b * b * c + a
 
 
@@ -69,21 +74,28 @@ def test_subst_slot_examples():
     assert g == x(1, 3, 3, 2) * x(2, 3, 3, 2)
     h = subst_slot(y(1, 2) + y(2, 2), 1, 2)
     assert h == x(1, 1, 2, 2) + x(2, 1, 2, 2)
-    const = MPoly.one(2, ZZ).scale(ZZ.embed(5))
+    const = NPoly.one(1, 2, ZZ).scale(ZZ.embed(5))
     assert subst_slot(const, 2, 2) == NPoly.one(2, 2, ZZ).scale(ZZ.embed(5))
+    # wide packed fields move with the slot
+    assert subst_slot(y(1, 2) ** 200, 2, 3) == x(1, 2, 3, 2) ** 200
+    with pytest.raises(ValueError):
+        subst_slot(x(1, 1, 2, 2), 1, 2)  # not a one-slot polynomial
+    for j in (0, 3, True, 1.0):
+        with pytest.raises(ValueError):
+            subst_slot(f, j, 2)
 
 
 def test_subst_slot_is_a_ring_map():
     rng = random.Random("subst")
     for _ in range(20):
         m, n = rng.choice([(1, 2), (2, 3), (3, 2)])
-        f = MPoly.zero(m, ZZ)
-        g = MPoly.zero(m, ZZ)
+        f = NPoly.zero(1, m, ZZ)
+        g = NPoly.zero(1, m, ZZ)
         for _ in range(3):
             mu = tuple(rng.randint(0, 2) for _ in range(m))
-            f = f + MPoly.monomial(mu, ZZ, ZZ.embed(rng.randint(-2, 2)))
+            f = f + NPoly.monomial(mu, 1, m, ZZ, ZZ.embed(rng.randint(-2, 2)))
             mu = tuple(rng.randint(0, 2) for _ in range(m))
-            g = g + MPoly.monomial(mu, ZZ, ZZ.embed(rng.randint(-2, 2)))
+            g = g + NPoly.monomial(mu, 1, m, ZZ, ZZ.embed(rng.randint(-2, 2)))
         j = rng.randint(1, n)
         assert subst_slot(f * g, j, n) == subst_slot(f, j, n) * subst_slot(g, j, n)
         assert subst_slot(f + g, j, n) == subst_slot(f, j, n) + subst_slot(g, j, n)
@@ -180,3 +192,11 @@ def test_parse_errors():
         parse_npoly("x1(3)", 2, 2, ZZ)  # slot out of range
     with pytest.raises(ValueError):
         parse_npoly("x1(1) +* x1(2)", 2, 2, ZZ)
+
+
+
+@pytest.mark.parametrize("module", ["multisym"] + [
+    f"multisym.{info.name}" for info in pkgutil.iter_modules(multisym.__path__)])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -6,7 +6,7 @@ from conftest import degrees_upto
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import (INF, alpha_weight, alphas_of_multidegree, e_alpha,
                           ek_of_f)
-from multisym.polyring import MPoly
+from multisym.polyring import NPoly
 from multisym.relations import (char_zero_ideal_gens, coverage_rank,
                                 genpoly_expand, genpoly_to_e1, kernel_basis,
                                 multidegrees_upto, relation_items,
@@ -148,7 +148,7 @@ def test_genpoly_to_e1():
 
 def test_ek_of_f_relations_route():
     # e_{n+1}(f) is a relation at ambient n for any constant-free f
-    f = MPoly.variable(1, 2, QQ) + MPoly.variable(2, 2, QQ)
+    f = NPoly.variable(1, 1, 1, 2, QQ) + NPoly.variable(2, 1, 1, 2, QQ)
     x = ek_of_f(f, 2, INF)
     g = rewrite(x)
     assert evaluate(g, 1).is_zero

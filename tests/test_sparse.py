@@ -1,10 +1,13 @@
-"""The shared arithmetic of the five coefficient-dict classes.
+"""The shared arithmetic of the four coefficient-dict classes.
 
-MPoly, NPoly, MsfElement, GenPoly and EPoly take + - == scale ** and the
+NPoly, MsfElement, GenPoly and EPoly take + - == scale ** and the
 multidegree filters from one base, polyring.Sparse.  Each operation is
 checked here against a naive reference on plain dicts: coefficients added,
 negated and multiplied one at a time with the Ring's own operations, keys
-compared as tuples.  EPoly lives over Z only, so it is drawn over Z.
+compared as tuples.  NPoly is drawn in two shapes: one slot of two
+variables, R[y1, y2], and two slots of two.  The one-slot cases keep the
+ids "MPoly-*" of the class that NPoly(1, m) replaced, and with them the
+same draws.  EPoly lives over Z only, so it is drawn over Z.
 """
 
 import json
@@ -18,7 +21,7 @@ from multisym import msf, polyring
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key
 from multisym.msf import INF, MsfElement, alpha_multidegree, e_alpha, make_alpha
-from multisym.polyring import AmbientMismatch, MPoly, NPoly, npoly_multidegree, npoly_sum
+from multisym.polyring import AmbientMismatch, NPoly, npoly_multidegree, npoly_sum
 from multisym.rewrite import GenPoly
 from multisym.symfun import EPoly
 
@@ -29,9 +32,9 @@ def _coeff(rng, ring):
     return ring.embed(rng.randint(-3, 3))
 
 
-def _mpoly(rng, ring):
-    return MPoly(2, ring, {(rng.randint(0, 2), rng.randint(0, 2)): _coeff(rng, ring)
-                           for _ in range(rng.randint(0, 5))})
+def _one_slot(rng, ring):
+    return NPoly(1, 2, ring, {(rng.randint(0, 2), rng.randint(0, 2)): _coeff(rng, ring)
+                              for _ in range(rng.randint(0, 5))})
 
 
 def _npoly(rng, ring):
@@ -72,9 +75,9 @@ def _genpoly_degree(symmono):
 
 
 # name: (draw, rings, naive multidegree of a key as .terms spells it, the
-# key of the constant monomial)
+# key of the constant monomial); one slot's multidegree is its key
 CLASSES = {
-    "MPoly": (_mpoly, RINGS, lambda k: k, (0, 0)),
+    "MPoly": (_one_slot, RINGS, lambda k: k, (0, 0)),
     "NPoly": (_npoly, RINGS, lambda k: npoly_multidegree(k, 2), (0, 0, 0, 0)),
     "MsfElement": (_msf, RINGS, lambda k: alpha_multidegree(k, 2), ()),
     "GenPoly": (_genpoly, RINGS, _genpoly_degree, ()),
@@ -162,9 +165,10 @@ def test_npoly_width_does_not_change_results():
     assert narrow.scale(3).multidegree_component((1, 1)) == NPoly(1, 2, ZZ, {(1, 1): 6})
 
 
+# the MPoly-* rows are one-slot NPoly pairs
 @pytest.mark.parametrize("x, y", [
-    (MPoly.one(2, ZZ), MPoly.one(3, ZZ)),
-    (MPoly.one(2, ZZ), MPoly.one(2, QQ)),
+    (NPoly.one(1, 2, ZZ), NPoly.one(1, 3, ZZ)),
+    (NPoly.one(1, 2, ZZ), NPoly.one(1, 2, QQ)),
     (NPoly.one(2, 2, ZZ), NPoly.one(3, 2, ZZ)),
     (NPoly.one(2, 2, Zmod(3)), NPoly.one(2, 2, Zmod(7))),
     (MsfElement.one(INF, 2, ZZ), MsfElement.one(2, 2, ZZ)),
@@ -243,3 +247,22 @@ def test_msf_constructors_reject_booleans(pairs):
         e_alpha(pairs, INF, 1, ZZ)
     with pytest.raises(ValueError):
         MsfElement(INF, 1, ZZ, {tuple(pairs): 1})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NPoly(1, 1, ZZ, {(1.5,): 1}),
+    lambda: NPoly(1, 1, ZZ, {(True,): 1}),
+    lambda: NPoly(1, 1, ZZ, {(-1,): 1}),
+    lambda: NPoly(True, 1, ZZ),
+    lambda: NPoly(1, 2.0, ZZ),
+    lambda: EPoly({(1.5,): 1}),
+    lambda: EPoly({(1, True): 1}),
+    lambda: EPoly({(-1,): 0}),
+    lambda: MsfElement(INF, True, ZZ),
+    lambda: GenPoly(True, ZZ),
+], ids=["NPoly-float-exponent", "NPoly-bool-exponent", "NPoly-negative-exponent",
+        "NPoly-bool-n", "NPoly-float-m", "EPoly-float-exponent", "EPoly-bool-exponent",
+        "EPoly-zero-term", "Msf-bool-m", "GenPoly-bool-m"])
+def test_constructors_take_integers_only(build):
+    with pytest.raises(ValueError):
+        build()

@@ -6,15 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import eval_at
 from multisym.coeffring import QQ, ZZ
-from multisym.polyring import MPoly
-from multisym.symfun import (EPoly, e_in_powersums, elementary_mpoly,
-                             epoly_substitute, epoly_to_mpoly, newton_p,
+from multisym.polyring import NPoly, sn_act
+from multisym.symfun import (EPoly, e_in_powersums, elementary_npoly,
+                             epoly_substitute, epoly_to_npoly, newton_p,
                              plethysm_P, plethysm_P_by_elimination, to_e_basis)
 
 
 def e(i):
     return EPoly.gen(i)
+
+
+def var(j, N, ring):
+    """The j-th of N variables: x_1(j) of NPoly(N, 1), where S_N permutes slots."""
+    return NPoly.variable(1, j, N, 1, ring)
 
 
 def test_epoly_arithmetic_and_text():
@@ -42,10 +48,10 @@ def test_newton_numeric():
     rng = random.Random("newton")
     for k in (1, 2, 3, 4, 5):
         N = k + 2
-        got = epoly_to_mpoly(newton_p(k), N, ZZ)
+        got = epoly_to_npoly(newton_p(k), N, ZZ)
         pts = [tuple(rng.randint(-4, 4) for _ in range(N)) for _ in range(6)]
         for pt in pts:
-            assert got.eval_at(pt) == sum(v ** k for v in pt)
+            assert eval_at(got, pt) == sum(v ** k for v in pt)
 
 
 def test_e_in_powersums():
@@ -59,7 +65,7 @@ def test_e_in_powersums():
         val = sum(
             c * _prod(Fraction(sum(v ** k for v in pt)) for k in lam)
             for lam, c in e_in_powersums(h).items())
-        eh = elementary_mpoly(h, N, ZZ).eval_at(pt)
+        eh = eval_at(elementary_npoly(h, N, ZZ), pt)
         assert val == eh
 
 
@@ -70,43 +76,47 @@ def _prod(it):
     return out
 
 
-def test_elementary_mpoly():
-    got = elementary_mpoly(2, 3, ZZ)
-    a, b, c = (MPoly.variable(i, 3, ZZ) for i in (1, 2, 3))
+def test_elementary_npoly():
+    got = elementary_npoly(2, 3, ZZ)
+    a, b, c = (var(j, 3, ZZ) for j in (1, 2, 3))
     assert got == a * b + a * c + b * c
-    assert elementary_mpoly(0, 3, ZZ) == MPoly.one(3, ZZ)
-    assert elementary_mpoly(4, 3, ZZ).is_zero
+    assert elementary_npoly(0, 3, ZZ) == NPoly.one(3, 1, ZZ)
+    assert elementary_npoly(4, 3, ZZ).is_zero
 
 
 def test_to_e_basis_examples():
-    a, b = (MPoly.variable(i, 2, QQ) for i in (1, 2))
+    a, b = (var(j, 2, QQ) for j in (1, 2))
     assert to_e_basis((a + b) ** 2) == e(1) * e(1)
     assert to_e_basis(a * a + b * b) == e(1) * e(1) - e(2).scale(2)
-    assert to_e_basis(elementary_mpoly(2, 3, QQ)) == e(2)
-    assert to_e_basis(MPoly.zero(3, QQ)).is_zero
+    assert to_e_basis(elementary_npoly(2, 3, QQ)) == e(2)
+    assert to_e_basis(NPoly.zero(3, 1, QQ)).is_zero
 
 
 def test_to_e_basis_rejections():
-    a, b = (MPoly.variable(i, 2, QQ) for i in (1, 2))
+    a, b = (var(j, 2, QQ) for j in (1, 2))
     with pytest.raises(ValueError):
         to_e_basis(a)  # not symmetric
     with pytest.raises(ValueError):
         to_e_basis((a + b) ** 3)  # degree exceeds the variable count
+    # S_N permutes the slots of NPoly(N, 1); with m > 1 a slot is no variable
+    for f in (NPoly.zero(2, 2, QQ), NPoly.one(1, 2, QQ)):
+        with pytest.raises(ValueError):
+            to_e_basis(f)
 
 
 def test_to_e_basis_round_trip():
     rng = random.Random("ebasis")
     for _ in range(10):
         N = rng.choice([2, 3, 4])
-        f = MPoly.zero(N, QQ)
+        f = NPoly.zero(N, 1, QQ)
         for _ in range(3):
             mu = tuple(rng.randint(0, 1) for _ in range(N))
-            f = f + MPoly.monomial(mu, QQ, QQ.embed(rng.randint(-2, 3)))
-        sym = MPoly.zero(N, QQ)
+            f = f + NPoly.monomial(mu, N, 1, QQ, QQ.embed(rng.randint(-2, 3)))
+        sym = NPoly.zero(N, 1, QQ)
         for perm in itertools.permutations(range(1, N + 1)):
-            sym = sym + f.permute_vars(perm)
+            sym = sym + sn_act(perm, f)
         ep = to_e_basis(sym)
-        assert epoly_to_mpoly(ep, N, QQ) == sym
+        assert epoly_to_npoly(ep, N, QQ) == sym
 
 
 def test_powered_alphabet_small():
@@ -134,11 +144,11 @@ def test_powered_alphabet_numeric():
     for h, k in [(2, 2), (2, 3), (3, 2)]:
         N = h * k
         P = plethysm_P(h, k)
-        direct = MPoly.zero(N, ZZ)
+        direct = NPoly.zero(N, 1, ZZ)
         for sub in itertools.combinations(range(N), h):
             mu = tuple(k if i in sub else 0 for i in range(N))
-            direct = direct + MPoly.monomial(mu, ZZ, ZZ.one)
-        via = epoly_to_mpoly(P, N, ZZ)
+            direct = direct + NPoly.monomial(mu, N, 1, ZZ, ZZ.one)
+        via = epoly_to_npoly(P, N, ZZ)
         assert via == direct
 
 
