@@ -239,8 +239,7 @@ class Ring:
             return Fraction(int(num), int(den))
         return self.embed(int(num))
 
-    def format_coeff(self, a) -> str:
-        return str(a)
+    format_coeff = staticmethod(str)  # the text of an element, in every ring
 
 
 ZZ = Ring("Z")

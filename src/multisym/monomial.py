@@ -37,7 +37,7 @@ __all__ = [
 def check_mono(mu: Mono) -> None:
     if not isinstance(mu, tuple) or not mu:
         raise ValueError(f"monomial must be a nonempty tuple, got {mu!r}")
-    if any(not isinstance(e, int) or e < 0 for e in mu):
+    if any(type(e) is not int or e < 0 for e in mu):
         raise ValueError(f"monomial exponents must be naturals, got {mu!r}")
 
 

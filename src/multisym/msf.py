@@ -37,6 +37,10 @@ beta, so the rule is split in three cached steps:
 
 None of these keys holds a ring.
 
+The writers sort terms by one integer key each (_sorted_rows): a term's
+packed multidegree, in fields too wide for its sum to carry, above the
+ranks of its parts by key part, one digit per position.
+
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index, and refuse a
 boolean as an exponent or multiplicity.  Arithmetic builds its results
@@ -49,13 +53,14 @@ guarantee canonical indices of weight at most n.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, repeat
 from math import comb, factorial
-from operator import add
+from operator import add, getitem, lshift
 
 from .coeffring import Ring
 from .monomial import Mono, grlex_key, monomials_up_to
-from .polyring import (AmbientMismatch, NPoly, Sparse, _checked_int, key_width,
-                       signed_text, slot_key)
+from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, _checked_int,
+                       key_width, signed_text, slot_key)
 
 INF = float("inf")
 
@@ -132,57 +137,67 @@ def mono_text(mu: Mono) -> str:
 
 
 def alpha_text(alpha: AlphaIndex) -> str:
-    return "e(%s)" % ", ".join([_pair_render(p)[2] for p in alpha]) if alpha else "1"
+    return "e(%s)" % ", ".join([_pair_render(p)[_TEXT] for p in alpha]) if alpha else "1"
 
 
 # Render records: everything the writers need of one support pair (here) or
-# one symbol factor (rewrite._factor_render), as a tuple (key part, scaled
-# multidegree, text fragment, JSON fragment).  They hold no ring or ambient,
-# so only the coefficient is formatted per call.
+# one symbol factor (rewrite._factor_render).  A record is a flat tuple: the
+# fields of the part's key part come first, so records sort by key part; the
+# rest is read from the end: the part's total degree, its multidegree, that
+# multidegree packed at BASE_WIDTH, its text and JSON fragments, and the
+# part itself.  Records hold no ring or ambient, so only the coefficient is
+# formatted per call.
+_TOTAL, _DEGREE, _PACKED, _TEXT, _JSON, _PART = range(-6, 0)
+
 
 @cache
 def _pair_render(pair) -> tuple:
-    """Render record of a support pair (mu, mult)."""
+    """Render record of a support pair (mu, mult); key part (deg mu, mu, mult)."""
     mu, mult = pair
-    return ((sum(mu), mu, mult), tuple([e * mult for e in mu]),
+    deg = tuple([e * mult for e in mu])
+    return (sum(mu), *mu, mult, sum(deg), deg, _packed_degree(deg, BASE_WIDTH),
             f"{mono_text(mu)}:{mult}",
-            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult))
+            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult), pair)
 
 
-def _records_key(recs: list, m: int) -> tuple:
-    """Canonical sort key of a term from the render records of its parts.
+def _packed_degree(deg: tuple, w: int) -> int:
+    """A multidegree as one int: its total above one w-bit field per entry,
+    the first entry highest, so integer order is grlex order."""
+    key = sum(deg)
+    for d in deg:
+        key = key << w | d
+    return key
 
-    Orders by total degree, then multidegree, then the parts compared by
-    their key parts; the key parts are flattened into the key, which orders
-    the same as nesting them.
+
+def _sorted_rows(terms: dict, render, field: int) -> tuple:
+    """The (index, coefficient) items of terms in canonical order, and the
+    map from each part of an index to field `field` of its render record.
+
+    Canonical order: by total degree, then multidegree, then the parts by
+    key part, a prefix first.  The distinct parts are ranked once; a part at
+    position i of an index stands for its packed multidegree (key_width
+    fields: no term's sum carries) above its rank in digit i, so a term's
+    key is one sum of table entries.  Every part has positive degree, so a
+    prefix never ties its extension, and keys are unique.
     """
-    if not recs:
-        return (0, (0,) * m)
-    deg = tuple(map(sum, zip(*[r[1] for r in recs])))
-    key = [sum(deg), deg]
-    for r in recs:
-        key += r[0]
-    return tuple(key)
-
-
-def _alpha_key(alpha: AlphaIndex, m: int) -> tuple:
-    """Canonical sort key of an index: by total degree, multidegree, then
-    the support pairs compared as (grlex key of mu, mult)."""
-    return _records_key([*map(_pair_render, alpha)], m)
-
-
-def _sorted_rows(terms: dict, m: int, render) -> list:
-    """(key, records, index, coefficient) of every term, in canonical order.
-
-    render is the cached record of one part of an index; keys are unique,
-    so the sort never compares beyond them.
-    """
-    rows = []
-    for idx, c in terms.items():
-        recs = [*map(render, idx)]
-        rows.append((_records_key(recs, m), recs, idx, c))
-    rows.sort()
-    return rows
+    recs = sorted(map(render, {*chain.from_iterable(terms)}))
+    if not recs:  # at most the constant term
+        return [*terms.items()], {}.__getitem__
+    cols = [*zip(*recs)]
+    parts, n = cols[_PART], len(recs)
+    depth = max(map(len, terms))
+    w = key_width(depth * max(cols[_TOTAL]))
+    b = n.bit_length()
+    packed = cols[_PACKED] if w == BASE_WIDTH else map(_packed_degree, cols[_DEGREE], repeat(w))
+    base = [*map(lshift, packed, repeat(depth * b))]
+    tables = []
+    for s in range(depth * b - b, -1, -b):
+        tables.append([*map(add, base, range(0, n << s, 1 << s))])
+    rank = dict(zip(parts, range(n))).__getitem__
+    # sum(map(getitem, tables, map(rank, idx))) for each index, in C loops
+    keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), terms)))
+    keyed = dict(zip(keys, terms.items()))
+    return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__
 
 
 # integer core of the merge rule: equal argument monomials collapse and pick
@@ -301,16 +316,13 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
     cap is None for the no-cutoff product (inverse limit) or the slot count
     n; keys of the result are the indices gamma with |gamma| <= cap.
     """
-    fs = [mu for mu, _ in alpha]
-    gs = [mu for mu, _ in beta]
-    avec = tuple(mult for _, mult in alpha)
-    bvec = tuple(mult for _, mult in beta)
+    fs, avec = zip(*alpha) if alpha else ((), ())
+    gs, bvec = zip(*beta) if beta else ((), ())
     min_inner = 0 if cap is None else max(0, sum(avec) + sum(bvec) - cap)
-    slots = fs + gs + [tuple(map(add, f, g)) for f in fs for g in gs]
-    monos = [mu for _, mu in sorted([(sum(mu), mu) for mu in set(slots)])]
-    rank = {mu: r for r, mu in enumerate(monos)}
-    skeleton = _product_skeleton(avec, bvec, min_inner,
-                                 tuple(map(rank.__getitem__, slots)))
+    slots = [*fs, *gs, *[tuple(map(add, f, g)) for f in fs for g in gs]]
+    monos = sorted(set(slots), key=grlex_key)
+    rank = dict(zip(monos, range(len(monos))))
+    skeleton = _product_skeleton(avec, bvec, min_inner, tuple(map(rank.__getitem__, slots)))
     return {tuple([(monos[r], t) for r, t in pattern]): c
             for pattern, c in skeleton.items()}
 
@@ -371,15 +383,15 @@ class MsfElement(Sparse):
         cap = None if self.n is INF else self.n
         xs, dx = R.lift(self.terms)
         ys, dy = R.lift(other.terms)
-        ys = ys.items()
+        ys = [(ay, cy, alpha_weight(ay)) for ay, cy in ys.items()]
         out: dict[AlphaIndex, int] = {}
         get = out.get
         for ax, cx in xs.items():
-            for ay, cy in ys:
+            wx = alpha_weight(ax)
+            for ay, cy, wy in ys:
                 cxy = cx * cy
-                ck = cap
-                if ck is not None and ck >= alpha_weight(ax) + alpha_weight(ay):
-                    ck = None
+                # the cap prunes only when the weights can exceed it
+                ck = None if cap is None or cap >= wx + wy else cap
                 for gamma, mult in _alpha_product_z(ax, ay, ck).items():
                     out[gamma] = get(gamma, 0) + (cxy if mult == 1 else cxy * mult)
         return MsfElement._make(self.n, self.m, R, R.settle(out, dx * dy))
@@ -414,12 +426,13 @@ class MsfElement(Sparse):
         return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
-        return [(alpha, c) for _, _, alpha, c in _sorted_rows(self.terms, self.m, _pair_render)]
+        return _sorted_rows(self.terms, _pair_render, _TEXT)[0]
 
     def text(self) -> str:
         fmt = self.ring.format_coeff
-        return signed_text((fmt(c), "e(%s)" % ", ".join([r[2] for r in recs]) if recs else "")
-                           for _, recs, _, c in _sorted_rows(self.terms, self.m, _pair_render))
+        rows, frag = _sorted_rows(self.terms, _pair_render, _TEXT)
+        return signed_text((fmt(c), "e(%s)" % ", ".join(map(frag, alpha)) if alpha else "")
+                           for alpha, c in rows)
 
     def __repr__(self) -> str:
         n = "inf" if self.n is INF else self.n
@@ -550,7 +563,8 @@ def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
                 acc + [(mu, mult)])
 
     rec(0, a, max_weight, [])
-    found.sort(key=lambda al: (alpha_weight(al), _alpha_key(al, m)))
+    found = [alpha for alpha, _ in _sorted_rows(dict.fromkeys(found), _pair_render, _TEXT)[0]]
+    found.sort(key=alpha_weight)
     return tuple(found)
 
 
@@ -579,8 +593,9 @@ def element_json_text(x: MsfElement) -> str:
     separators=(",", ":")); ring strings and coefficients need no escapes.
     """
     fmt = x.ring.format_coeff
-    terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join([r[3] for r in recs]), fmt(c))
-                      for _, recs, _, c in _sorted_rows(x.terms, x.m, _pair_render)])
+    rows, frag = _sorted_rows(x.terms, _pair_render, _JSON)
+    terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join(map(frag, alpha)), fmt(c))
+                      for alpha, c in rows])
     n = '"inf"' if x.n is INF else x.n
     return f'{{"m":{x.m},"n":{n},"ring":"{x.ring.to_string()}","terms":[{terms}]}}'
 

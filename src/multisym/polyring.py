@@ -79,13 +79,11 @@ def signed_text(rows) -> str:
     """A sum as text from ordered (coefficient text, monomial text) rows.
 
     A coefficient of 1 or -1 is left out, an empty monomial is a constant,
-    a leading minus joins as " - "; no rows is "0".
+    a leading minus joins as " - " (no fragment contains " + "); no rows
+    is "0".
     """
-    out = []
-    for cs, body in rows:
-        t = cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}"
-        out.append(t if not out else (" - " + t[1:] if t[0] == "-" else " + " + t))
-    return "".join(out) or "0"
+    return " + ".join([cs if not body else body if cs == "1" else "-" + body if cs == "-1"
+                       else f"{cs}*{body}" for cs, body in rows]).replace(" + -", " - ") or "0"
 
 
 def _checked_int(v, what: str, least: int) -> int:
@@ -263,7 +261,7 @@ class NPolyTerms(Mapping):
         top = 1 << (p._w - 1)
         try:
             ok = len(mono) == p.n * p.m and all(
-                isinstance(e, int) and 0 <= e < top for e in mono)
+                type(e) is int and 0 <= e < top for e in mono)
         except TypeError:
             ok = False
         if not ok:

@@ -44,9 +44,9 @@ from functools import cache
 from .coeffring import ZZ, Ring
 from .monomial import (Mono, deg_leq, grlex_key, is_primitive, mono_pow,
                        monomials_up_to, primitive_decompose)
-from .msf import (INF, AlphaIndex, MsfElement, _alpha_product_z, _check_slots,
-                  _sorted_rows, alpha_weight, e_alpha)
-from .polyring import Sparse, _checked_int, signed_text
+from .msf import (_JSON, _TEXT, INF, AlphaIndex, MsfElement, _alpha_product_z,
+                  _check_slots, _packed_degree, _sorted_rows, alpha_weight, e_alpha)
+from .polyring import BASE_WIDTH, Sparse, _checked_int, signed_text
 from .symfun import plethysm_P
 
 __all__ = [
@@ -77,12 +77,14 @@ def _symmono_mul(a, b) -> tuple:
 
 @cache
 def _factor_render(factor) -> tuple:
-    """Render record (as in msf) of a symbol factor ((i, nu), e)."""
+    """Render record (as in msf) of a symbol factor ((i, nu), e); key part
+    (deg nu, nu, i, e)."""
     (i, nu), e = factor
     nus = ",".join(map(str, nu))
-    return ((sum(nu), nu, i, e), tuple([x * i * e for x in nu]),
+    deg = tuple([x * i * e for x in nu])
+    return (sum(nu), *nu, i, e, sum(deg), deg, _packed_degree(deg, BASE_WIDTH),
             f"E[{i};({nus})]" + (f"^{e}" if e > 1 else ""),
-            '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus))
+            '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus), factor)
 
 
 def _symmono_degree(symmono, m: int) -> Mono:
@@ -168,12 +170,12 @@ class GenPoly(Sparse):
         return best
 
     def sorted_terms(self):
-        return [(k, c) for _, _, k, c in _sorted_rows(self.terms, self.m, _factor_render)]
+        return _sorted_rows(self.terms, _factor_render, _TEXT)[0]
 
     def text(self) -> str:
         fmt = self.ring.format_coeff
-        return signed_text((fmt(c), "*".join([r[2] for r in recs]))
-                           for _, recs, _, c in _sorted_rows(self.terms, self.m, _factor_render))
+        rows, frag = _sorted_rows(self.terms, _factor_render, _TEXT)
+        return signed_text((fmt(c), "*".join(map(frag, symmono))) for symmono, c in rows)
 
     def __repr__(self) -> str:
         return f"GenPoly({self.text()})"
@@ -313,8 +315,9 @@ def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
     with sort_keys=True and separators=(",", ":").
     """
     fmt = g.ring.format_coeff
-    terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join([r[3] for r in recs]))
-                      for _, recs, _, c in _sorted_rows(g.terms, g.m, _factor_render)])
+    rows, frag = _sorted_rows(g.terms, _factor_render, _JSON)
+    terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join(map(frag, symmono)))
+                      for symmono, c in rows])
     head = "" if check is None else f'"check":"{check}",'
     return f'{{{head}"m":{g.m},"ring":"{g.ring.to_string()}","terms":[{terms}]}}'
 

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from multisym.monomial import (compositions, grlex_key, is_primitive,
-                               mono_cmp, mono_mul, mono_one, mono_pow,
+from multisym.monomial import (check_mono, compositions, grlex_key,
+                               is_primitive, mono_cmp, mono_mul, mono_one, mono_pow,
                                monomials_of_total_degree, monomials_up_to,
                                primitive_decompose, total_degree)
 
@@ -59,6 +59,17 @@ def test_primitive_decompose_examples():
     assert is_primitive((2, 3)) and not is_primitive((2, 2))
     with pytest.raises(ValueError):
         primitive_decompose((0, 0))
+
+
+def test_check_mono_refuses_booleans_and_floats():
+    """A boolean is an int subclass but never an exponent, as in the
+    constructors."""
+    for mu in [(True, 2), (1, False), (True,), (1.0, 2)]:
+        with pytest.raises(ValueError):
+            check_mono(mu)
+        with pytest.raises(ValueError):
+            primitive_decompose(mu)
+    check_mono((1, 2))
 
 
 def test_primitive_decompose_exhaustive():

@@ -188,6 +188,15 @@ def test_terms_view_speaks_tuples():
     assert len(NPoly.zero(3, 3, ring).terms) == 0
 
 
+def test_terms_view_refuses_boolean_keys():
+    """A boolean exponent is no key, though True == 1 and hash(True) == 1."""
+    q = NPoly(1, 1, ZZ, {(1,): 5})
+    assert q.terms[(1,)] == 5
+    assert (True,) not in q.terms and q.terms.get((True,)) is None
+    with pytest.raises(KeyError):
+        q.terms[(True,)]
+
+
 def test_sn_act_and_text_unchanged():
     q = parse_npoly("3*x1(1)^200*x2(2) - x2(1)^3 + 5", 2, 2, ZZ)
     assert npoly_text(q * q) == (

@@ -1,17 +1,18 @@
 """The writers built on cached render records give the bytes and the order
 of the per-term writers they replaced.
 
-MsfElement.text, GenPoly.text, element_json_text, genpoly_json_text, both
-sorted_terms, npoly_text and EPoly.text now sort (key, fragments,
-coefficient) rows whose keys and fragments come from ring-free caches of
-one support pair (msf._pair_render) or one symbol factor
-(rewrite._factor_render).  The reference below is the earlier code, kept
+MsfElement.text, GenPoly.text, element_json_text, genpoly_json_text and
+both sorted_terms sort by one integer key per term and write fragments
+taken from ring-free caches of one support pair (msf._pair_render) or one
+symbol factor (rewrite._factor_render); npoly_text and EPoly.text keep
+their own writers.  The reference below is the earlier code, kept
 verbatim apart from taking the object as an argument: each writer must
 give the same text over Z, Q and Z/p, for m = 1..3, n = inf and 1..3,
 coefficients +-1, constant terms and empty elements, and the records
 filled by one ring must not change what another ring writes.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from conftest import alpha_pool
 from multisym import msf
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key
-from multisym.msf import (INF, MsfElement, _alpha_key, alpha_text,
-                          alphas_of_multidegree, element_json_text)
+from multisym.msf import (INF, MsfElement, alpha_text, alphas_of_multidegree,
+                          element_json_text, make_alpha)
 from multisym.polyring import npoly_text
 from multisym.rewrite import GenPoly, genpoly_json_text, rewrite
 from multisym.symfun import EPoly, newton_p, plethysm_P
@@ -240,8 +241,9 @@ def assert_element_written_as_before(x):
     assert x.sorted_terms() == ref_msf_sorted_terms(x)
     assert x.text() == ref_msf_text(x)
     assert element_json_text(x) == ref_element_json_text(x)
+    keys = [ref_alpha_key(alpha, x.m) for alpha, _ in x.sorted_terms()]
+    assert keys == sorted(set(keys))  # strictly rising under the reference key
     for alpha in x.terms:
-        assert _alpha_key(alpha, x.m) == ref_alpha_key(alpha, x.m)
         assert alpha_text(alpha) == ref_alpha_text(alpha)
 
 
@@ -348,3 +350,87 @@ def test_records_are_keyed_by_pair_or_factor_alone():
         now = [c.cache_info().currsize for c in caches]
         assert sizes in (None, now) and all(now)
         sizes = now
+
+
+# ---- edges of the integer sort keys ---------------------------------------
+
+BIG = 1 << 40
+Y1, Y2, Y1Y2 = (1, 0), (0, 1), (1, 1)
+
+
+def test_wide_fields_product_matches_reference():
+    """A multiplicity of 2^40 makes the key fields far wider than the base
+    width; the product is the one the CLI writes with digest 3cff8ce2..."""
+    x = MsfElement(INF, 2, ZZ, {((Y1, BIG),): 1, ((Y2, 3),): 2})
+    y = MsfElement(INF, 2, ZZ, {((Y2, 1),): 1, ((Y1Y2, 2),): -1})
+    z = x * y
+    for w in (x, y, z):
+        assert_element_written_as_before(w)
+    digest = hashlib.sha256((element_json_text(z) + "\n").encode()).hexdigest()
+    assert digest == "3cff8ce267d7738289bf8711168ce5272a1268bcc9c46cfceba5bba91c2a21d8"
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)])
+def test_prefix_indices_and_equal_multidegrees(ring):
+    """An index that is a prefix of another, and indices of one multidegree
+    with different numbers of parts, keep the reference order."""
+    c = ring.embed(3)
+    supports = [[(Y2, 1)], [(Y2, 1), (Y1, 1)], [(Y1Y2, 1)], [(Y2, 1), (Y1Y2, 1)],
+                [(Y2, 1), (Y1, 2)], [(Y1, 1), (Y2, 2)], [(Y2, 1), (Y1Y2, 1), ((2, 1), 1)],
+                [(Y1, 2)], [(Y2, 2), (Y1, 1), (Y1Y2, 1)]]
+    x = MsfElement(INF, 2, ring, {make_alpha(sup): c for sup in supports})
+    assert ((Y2, 1),) in x.terms and ((Y2, 1), (Y1, 1)) in x.terms
+    assert_element_written_as_before(x)
+    s1, s2 = (1, Y1), (1, Y2)
+    g = GenPoly(2, ring, {((s2, 1),): c, ((s2, 1), (s1, 1)): c,
+                          (((1, Y1Y2), 1),): c, ((s1, 2),): c, (((2, Y1), 1),): c})
+    assert_genpoly_written_as_before(g)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_constant_first_single_term_and_zero(ring):
+    five = ring.embed(5)
+    x = MsfElement(INF, 2, ring, {((Y1Y2, 2),): five, (): five, ((Y1, 1),): five})
+    assert x.sorted_terms()[0][0] == ()
+    assert x.text().startswith(ring.format_coeff(five) + " + ")
+    assert_element_written_as_before(x)
+    one = MsfElement(INF, 2, ring, {((Y2, 4),): five})
+    assert_element_written_as_before(one)
+    zero = MsfElement.zero(INF, 2, ring)
+    assert zero.text() == "0" and zero.sorted_terms() == []
+    assert_element_written_as_before(zero)
+    g = GenPoly(2, ring, {(((3, Y2), 1),): five, (): five})
+    assert g.sorted_terms()[0][0] == ()
+    assert_genpoly_written_as_before(g)
+    assert_genpoly_written_as_before(GenPoly.zero(2, ring))
+
+
+def test_genpoly_factor_exponent_two_to_the_forty():
+    for ring in (ZZ, QQ, Zmod(5)):
+        g = GenPoly(2, ring, {(((1, Y1), BIG),): ring.one, (((1, Y2), 1),): ring.embed(-1),
+                              (((1, Y1), 1), ((2, Y1Y2), BIG)): ring.embed(2), (): ring.embed(3)})
+        assert_genpoly_written_as_before(g)
+        assert_genpoly_written_as_before(g * g)
+
+
+@st.composite
+def wide_elements(draw):
+    """Elements whose multiplicities are small or beyond 2^32."""
+    ring = draw(st.sampled_from(RINGS))
+    m = draw(st.integers(1, 3))
+    monos = [mu for mu in itertools.product(range(3), repeat=m) if any(mu)]
+    mults = st.sampled_from([1, 2, 3]) | st.integers(2**32 - 2, 2**34)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        terms[make_alpha([(mu, draw(mults)) for mu in support])] = draw(coeffs(ring))
+    return MsfElement(INF, m, ring, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_elements())
+def test_multiplicities_above_two_to_the_32_match_reference(x):
+    assert_element_written_as_before(x)
+    g = GenPoly(x.m, x.ring, {tuple([((1, mu), mult) for mu, mult in alpha]): c
+                              for alpha, c in x.terms.items()})
+    assert_genpoly_written_as_before(g)
