@@ -18,9 +18,10 @@ from .msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
 from .polyring import NPoly, npoly_text, parse_npoly, sn_act, subst_slot
 from .relations import (char_zero_ideal_gens, coverage_rank, genpoly_expand,
                         kernel_basis, relation_polys, verify_relation)
-from .rewrite import (GenPoly, evaluate, free_monomial_count,
-                      primitive_reduce, reduce_to_monomial_es, rewrite)
-from .symfun import EPoly, newton_p, plethysm_P, to_e_basis
+from .rewrite import (GenPoly, evaluate, free_monomial_count, newton_p,
+                      plethysm_P, primitive_reduce, reduce_to_monomial_es,
+                      rewrite)
+from .symfun import to_e_basis
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,7 @@ __all__ = [
     "make_alpha", "e_alpha", "product", "expand", "truncate", "merge_repeats",
     "ek_of_f", "alphas_of_multidegree", "basis_alphas",
     "element_to_json", "element_from_json",
-    "EPoly", "newton_p", "plethysm_P", "to_e_basis",
+    "newton_p", "plethysm_P", "to_e_basis",
     "GenPoly", "reduce_to_monomial_es", "primitive_reduce", "rewrite", "evaluate",
     "free_monomial_count",
     "kernel_basis", "relation_polys", "verify_relation", "genpoly_expand",

@@ -346,10 +346,9 @@ class MsfElement(Sparse):
         clean = {}
         if terms:
             for alpha, c in terms.items():
-                if ring.is_zero(c):
-                    continue
                 self._check_alpha(alpha)
-                clean[alpha] = c
+                if not ring.is_zero(c):
+                    clean[alpha] = c
         self.terms = clean
 
     @classmethod

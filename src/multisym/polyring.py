@@ -1,13 +1,14 @@
 """The concrete polynomial ring, and the sparse base of every coefficient dict.
 
-``Sparse`` holds the ring arithmetic that all four coefficient-dict classes
-share (``NPoly`` here, ``MsfElement``, ``GenPoly`` and ``EPoly``
-elsewhere): equality, sums, negation, scaling, powers and multidegree
-components.  A subclass supplies its ambient, one trusted constructor and
-the multidegree of a key; it keeps its own validating public constructor,
-product kernel and writers.  Every public constructor takes its integers
-through ``_checked_int``, so booleans, floats and out-of-range values are
-refused with a ValueError.
+``Sparse`` holds the ring arithmetic that all three coefficient-dict
+classes share (``NPoly`` here, ``MsfElement`` and ``GenPoly`` elsewhere):
+equality, sums, negation, scaling, powers and multidegree components.  A
+subclass supplies its ambient, one trusted constructor and the
+multidegree of a key; it keeps its own validating public constructor,
+product kernel and writers.  Every public constructor checks every key,
+zero coefficient or not, and takes its integers through ``_checked_int``,
+so booleans, floats and out-of-range values are refused with a
+ValueError.
 
 ``NPoly`` is R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring over a
 coefficient ring R.  Monomials are flat exponent tuples of length n*m in

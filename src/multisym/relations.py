@@ -29,7 +29,7 @@ from .linalg import RankTracker, rank_of
 from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import INF, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
 from .polyring import NPoly, npoly_sum
-from .rewrite import GenPoly, evaluate, rewrite
+from .rewrite import GenPoly, e_in_powersums, evaluate, rewrite
 
 __all__ = [
     "kernel_basis",
@@ -134,18 +134,18 @@ def char_zero_ideal_gens(n: int, m: int, bound: int) -> list:
     return out
 
 
-def _e1_expr(k: int, nu: Mono, m: int, ring: Ring) -> GenPoly:
-    # k*e_k = sum_i (-1)^(i-1) p_i e_(k-i) on the alphabet of nu-values,
-    # where p_i of that alphabet is the symbol E[1;nu^i]
-    if k == 0:
-        return GenPoly.one(m, ring)
-    acc = GenPoly.zero(m, ring)
-    inv_k = ring.inv(ring.embed(k))
-    for i in range(1, k + 1):
-        t = GenPoly.symbol(1, mono_pow(nu, i), m, ring) * _e1_expr(k - i, nu, m, ring)
-        t = t.scale(inv_k)
-        acc = acc + t if i % 2 == 1 else acc - t
-    return acc
+def _e1_image(i: int, nu: Mono, m: int, R: Ring) -> GenPoly:
+    """e_i on the alphabet of nu-values in the E[1;nu^r]: e_in_powersums(i)
+    with p_r -> E[1;nu^r], each Fraction embedded as numerator times the
+    inverse of the denominator (ZeroDivisionError over Z/p with p <= i)."""
+    terms = {}
+    for part, c in e_in_powersums(i).items():
+        # part descends, and E[1;nu^r] ascends with r in the symbol order
+        symmono = tuple([((1, mono_pow(nu, r)), part.count(r)) for r in sorted(set(part))])
+        v = R.mul(R.embed(c.numerator), R.inv(R.embed(c.denominator)))
+        if not R.is_zero(v):
+            terms[symmono] = v
+    return GenPoly._make(m, R, terms)
 
 
 def genpoly_to_e1(g: GenPoly) -> GenPoly:
@@ -160,7 +160,7 @@ def genpoly_to_e1(g: GenPoly) -> GenPoly:
         term = GenPoly.const(c, m, R)
         for (i, nu), e in symmono:
             if (i, nu) not in memo:
-                memo[(i, nu)] = _e1_expr(i, nu, m, R)
+                memo[(i, nu)] = _e1_image(i, nu, m, R)
             term = term * (memo[(i, nu)] ** e)
         total = total + term
     return total

@@ -1,12 +1,14 @@
 """Rewriting orbit-sum symbols into polynomials in the generators e_i(nu).
 
 GenPoly is a polynomial in abstract symbols E[i;nu] = e_i(nu) over a
-coefficient ring, graded by giving E[i;nu] multidegree i*deg(nu).  Two
+coefficient ring, graded by giving E[i;nu] multidegree i*deg(nu).  Three
 alphabets share the type:
 
 * the free-generator alphabet, nu primitive: what rewrite produces;
 * the e_1 alphabet over the rationals, symbols E[1;mu] with mu arbitrary,
-  used for the characteristic-zero relation generators.
+  used for the characteristic-zero relation generators;
+* the classical e_i = E[i;(1)] of GenPoly(1, ZZ): newton_p (p_k in the
+  e_i), e_in_powersums (e_h in the p_r) and plethysm_P (P_{h,k}).
 
 The pipeline has two stages.  reduce_to_monomial_es applies the peeling
 recursion: for an index with several support monomials, split off the
@@ -14,40 +16,40 @@ largest one as e_a(mu) times the rest and subtract the lower-weight
 correction terms coming from the product formula; iterate.  The recursion
 is ambient-independent because every index involved keeps weight at most
 the input's.  primitive_reduce then replaces each symbol e_i(nu^k), k >= 2,
-by the polynomial P_{i,k} evaluated at e_j -> E[j;nu], killing E[j;nu] with
-j > n first in a finite ambient.
+by P_{i,k} with E[j;(1)] renamed E[j;nu], dropping E[j;nu] with j > n
+in a finite ambient.
 
 As in msf, the GenPoly constructor and genpoly_from_json validate every
-symbol: a symbol monomial must list its symbols in the canonical order,
-each once, and a boolean is refused as an index or exponent.  Arithmetic
-and the pipeline build results through GenPoly._make, a direct slot store
-of terms that Ring.settle has already cleared of zeros.
+symbol of every term, zero coefficients included: a symbol monomial must
+list its symbols in the canonical order, each once, and a boolean is
+refused as an index or exponent.  Arithmetic and the pipeline build
+results through GenPoly._make, a direct slot store of terms that
+Ring.settle has already cleared of zeros.
 
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
 structure constants are integers, so one image serves Z, Q and every Z/p:
 _reduce_alpha gives e_alpha in the symbols e_i(mu), _primitive_image_z a
 symbol monomial's primitive form in ambient n, and _evaluate_image_z the
-orbit-sum expansion of a generator monomial in ambient n.  The ring enters
-last.  reduce_to_monomial_es, primitive_reduce and evaluate lift the input's
-coefficients to integer numerators over one denominator (Ring.lift: the
-coefficients themselves over Z and Z/p, over Q the numerators scaled to the
-lcm of the denominators), add numerator times image into one dict of ints,
-and settle each surviving sum into the ring once (Ring.settle: mod p over
-Z/p, one Fraction per term over Q).
+orbit-sum expansion of a generator monomial in ambient n; each maps the
+empty key to the unit.  The ring enters last, in _accumulate, shared by
+reduce_to_monomial_es, primitive_reduce and evaluate: it lifts the
+coefficients to integer numerators over one denominator (Ring.lift), adds
+numerator times image into one dict of ints, and settles each sum into
+the ring once (Ring.settle).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 
-from .coeffring import ZZ, Ring
+from .coeffring import QQ, ZZ, Ring
 from .monomial import (Mono, deg_leq, grlex_key, is_primitive, mono_pow,
                        monomials_up_to, primitive_decompose)
 from .msf import (_JSON, _TEXT, INF, AlphaIndex, MsfElement, _alpha_product_z,
                   _check_slots, _packed_degree, _sorted_rows, alpha_weight, e_alpha)
 from .polyring import BASE_WIDTH, Sparse, _checked_int, signed_text
-from .symfun import plethysm_P
 
 __all__ = [
     "GenPoly",
@@ -56,6 +58,9 @@ __all__ = [
     "rewrite",
     "evaluate",
     "free_monomial_count",
+    "newton_p",
+    "e_in_powersums",
+    "plethysm_P",
     "genpoly_json_text",
     "genpoly_to_json",
     "genpoly_from_json",
@@ -68,11 +73,17 @@ def _symbol_key(sym):
 
 
 def _symmono_mul(a, b) -> tuple:
-    """Product of two symbol monomials, each a sorted tuple of (symbol, exp)."""
+    """Product of two symbol monomials, each a sorted tuple of (symbol, exp);
+    a's order stands unless b brings a new symbol (sort by _symbol_key)."""
+    if not a or not b:
+        return a or b
     d = dict(a)
+    size = len(d)
     for sym, e in b:
         d[sym] = d.get(sym, 0) + e
-    return tuple(sorted(d.items(), key=lambda t: _symbol_key(t[0])))
+    if len(d) == size:
+        return tuple(d.items())
+    return tuple(sorted(d.items(), key=lambda t: (sum(t[0][1]), t[0][1], t[0][0])))
 
 
 @cache
@@ -106,8 +117,7 @@ class GenPoly(Sparse):
         clean = {}
         if terms:
             for symmono, c in terms.items():
-                if ring.is_zero(c):
-                    continue
+                spelled = []
                 for (i, nu), e in symmono:
                     _checked_int(i, "symbol index", 1)
                     _checked_int(e, "symbol exponent", 1)
@@ -115,9 +125,13 @@ class GenPoly(Sparse):
                         raise ValueError(f"bad symbol monomial {nu!r}")
                     for x in nu:
                         _checked_int(x, "symbol monomial exponent", 0)
-                if _symmono_mul((), symmono) != symmono:
+                    spelled.append(((i, nu), e))
+                # canonical: a tuple of factors, strictly ascending by _symbol_key
+                keys = [_symbol_key(sym) for sym, _ in spelled]
+                if tuple(spelled) != symmono or any(k >= k2 for k, k2 in zip(keys, keys[1:])):
                     raise ValueError(f"symbol monomial {symmono} is not canonical")
-                clean[symmono] = c
+                if not ring.is_zero(c):
+                    clean[symmono] = c
         self.terms = clean
 
     @classmethod
@@ -181,6 +195,73 @@ class GenPoly(Sparse):
         return f"GenPoly({self.text()})"
 
 
+# one alphabet: the classical e_i are the symbols E[i;(1)] of GenPoly(1, ZZ)
+
+@cache
+def newton_p(k: int) -> GenPoly:
+    """The power sum p_k in the E[i;(1)] via the Newton recurrence
+    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
+    if k < 1:
+        raise ValueError("p_k needs k >= 1; p_0 depends on the variable count")
+    if k == 1:
+        return GenPoly.symbol(1, (1,), 1, ZZ)
+    acc = GenPoly.zero(1, ZZ)
+    for i in range(1, k):
+        t = GenPoly.symbol(i, (1,), 1, ZZ) * newton_p(k - i)
+        acc = acc + (t if i % 2 == 1 else -t)
+    ek = GenPoly.symbol(k, (1,), 1, ZZ).scale(k)
+    return acc + (ek if (k - 1) % 2 == 0 else -ek)
+
+
+@cache
+def e_in_powersums(h: int) -> dict:
+    """e_h as a rational combination of power-sum products.
+
+    Keys are partitions (descending tuples of the p-indices), values are
+    Fractions; from h * e_h = sum_{i=1..h} (-1)^{i-1} p_i e_{h-i}.
+    """
+    if h == 0:
+        return {(): Fraction(1)}
+    out: dict[tuple, Fraction] = {}
+    for i in range(1, h + 1):
+        sign = 1 if i % 2 == 1 else -1
+        for part, c in e_in_powersums(h - i).items():
+            key = tuple(sorted(part + (i,), reverse=True))
+            out[key] = out.get(key, Fraction(0)) + sign * c / h
+    return {k: c for k, c in out.items() if c}
+
+
+@cache
+def plethysm_P(h: int, k: int) -> GenPoly:
+    """The polynomial P_{h,k} with e_h(x_1^k, x_2^k, ...) = P_{h,k}(e_1, e_2, ...),
+    e_i spelled E[i;(1)].
+
+    Computed through the power sums: e_h is a rational combination of
+    products of p_r, the substitution x -> x^k sends p_r to p_{rk}, and
+    newton_p writes those back in the e_i.  Homogeneous of degree h*k,
+    with integer coefficients although the detour is rational: the sums
+    are kept as integer numerators over one denominator.
+    """
+    if h < 0 or k < 1:
+        raise ValueError("need h >= 0 and k >= 1")
+    prods = {(): GenPoly.one(1, ZZ)}
+
+    def prod(part):  # prod newton_p(r*k) over part, sharing prefixes
+        if part not in prods:
+            prods[part] = prod(part[:-1]) * newton_p(part[-1] * k)
+        return prods[part]
+
+    cs, den = QQ.lift(e_in_powersums(h))
+    out: dict[tuple, int] = {}
+    get = out.get
+    for part, c in cs.items():
+        for symmono, v in prod(part).terms.items():
+            out[symmono] = get(symmono, 0) + c * v
+    if any(v % den for v in out.values()):
+        raise AssertionError(f"non-integral coefficient in P_{h},{k}")
+    return GenPoly._make(1, ZZ, {symmono: v // den for symmono, v in out.items() if v})
+
+
 # integer core of the peeling recursion, shared across coefficient rings
 
 @cache
@@ -215,16 +296,22 @@ def _reduce_alpha(alpha: AlphaIndex) -> tuple:
     return tuple((k, v) for k, v in acc.items() if v)
 
 
-def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
-    """First stage: x as a polynomial in symbols e_i(mu), mu any monomial."""
+def _accumulate(x: Sparse, image) -> dict:
+    """The terms of sum c * image(key) over x's terms, in x's ring;
+    image(key) gives the (key, int) pairs of a cached integer image."""
     R = x.ring
     cs, den = R.lift(x.terms)
-    out: dict[tuple, int] = {}
+    out: dict = {}
     get = out.get
-    for alpha, c in cs.items():
-        for symmono, k in _reduce_alpha(alpha):
-            out[symmono] = get(symmono, 0) + c * k
-    return GenPoly._make(x.m, R, R.settle(out, den))
+    for key, c in cs.items():
+        for k, v in image(key):
+            out[k] = get(k, 0) + c * v
+    return R.settle(out, den)
+
+
+def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
+    """First stage: x as a polynomial in symbols e_i(mu), mu any monomial."""
+    return GenPoly._make(x.m, x.ring, _accumulate(x, _reduce_alpha))
 
 
 @cache
@@ -241,18 +328,21 @@ def _primitive_symbol_z(sym, n) -> GenPoly:
         if k == 1:
             terms[(((i, nu), 1),)] = 1
         else:
-            # one nu throughout, so ascending j is the canonical symbol order
-            for exps, c in plethysm_P(i, k).terms.items():
-                if n is INF or len(exps) <= n:
-                    terms[tuple(((j + 1, nu), e) for j, e in enumerate(exps) if e)] = c
+            # E[j;(1)] -> E[j;nu]: one nu throughout, so ascending j stays
+            # canonical, and the last factor has the largest j
+            for symmono, c in plethysm_P(i, k).terms.items():
+                if n is INF or symmono[-1][0][0] <= n:
+                    terms[tuple([((j, nu), e) for (j, _), e in symmono])] = c
     return GenPoly._make(len(mu), ZZ, terms)
 
 
 @cache
-def _primitive_image_z(symmono, n) -> GenPoly:
-    """The primitive form over Z of a nonempty symbol monomial in ambient n."""
+def _primitive_image_z(symmono, n, m: int) -> GenPoly:
+    """The primitive form over Z of a symbol monomial in ambient n."""
+    if not symmono:
+        return GenPoly.one(m, ZZ)
     if len(symmono) > 1:
-        return _primitive_image_z(symmono[:-1], n) * _primitive_image_z(symmono[-1:], n)
+        return _primitive_image_z(symmono[:-1], n, m) * _primitive_image_z(symmono[-1:], n, m)
     (sym, e), = symmono
     return _primitive_symbol_z(sym, n) ** e
 
@@ -264,17 +354,9 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
     finite ambient all symbols with index above n are zero and are dropped
     before substituting.
     """
-    R = p.ring
-    cs, den = R.lift(p.terms)
-    out: dict[tuple, int] = {}
-    get = out.get
-    for symmono, c in cs.items():
-        if not symmono:
-            out[()] = get((), 0) + c
-            continue
-        for k, v in _primitive_image_z(symmono, n).terms.items():
-            out[k] = get(k, 0) + c * v
-    return GenPoly._make(p.m, R, R.settle(out, den))
+    m = p.m
+    return GenPoly._make(m, p.ring, _accumulate(
+        p, lambda symmono: _primitive_image_z(symmono, n, m).terms.items()))
 
 
 def rewrite(x: MsfElement) -> GenPoly:
@@ -284,7 +366,9 @@ def rewrite(x: MsfElement) -> GenPoly:
 
 @cache
 def _evaluate_image_z(symmono, n, m: int) -> MsfElement:
-    """prod e_i(nu)**e over a nonempty symbol monomial, over Z in ambient n."""
+    """prod e_i(nu)**e over a symbol monomial, over Z in ambient n."""
+    if not symmono:
+        return MsfElement.one(n, m, ZZ)
     if len(symmono) > 1:
         return _evaluate_image_z(symmono[:-1], n, m) * _evaluate_image_z(symmono[-1:], n, m)
     ((i, nu), e), = symmono
@@ -295,16 +379,8 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     """Substitute E[i;nu] -> e_i(nu) and multiply out in ambient n."""
     _check_slots(n)
     m = g.m
-    cs, den = g.ring.lift(g.terms)
-    out: dict[AlphaIndex, int] = {}
-    get = out.get
-    for symmono, c in cs.items():
-        if not symmono:
-            out[()] = get((), 0) + c
-            continue
-        for a, v in _evaluate_image_z(symmono, n, m).terms.items():
-            out[a] = get(a, 0) + c * v
-    return MsfElement._make(n, m, g.ring, g.ring.settle(out, den))
+    return MsfElement._make(n, m, g.ring, _accumulate(
+        g, lambda symmono: _evaluate_image_z(symmono, n, m).terms.items()))
 
 
 def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:

@@ -17,8 +17,9 @@ from multisym.msf import (INF, MsfElement, alphas_of_multidegree,
 from multisym.oracle import count_orbits, monomials_of_multidegree
 from multisym.polyring import NPoly, parse_npoly
 from multisym.relations import coverage_rank, kernel_basis, verify_relation
-from multisym.rewrite import GenPoly, evaluate, free_monomial_count, rewrite
-from multisym.symfun import epoly_substitute, plethysm_P
+from multisym.rewrite import (GenPoly, evaluate, free_monomial_count, plethysm_P,
+                              rewrite)
+from multisym.symfun import epoly_substitute
 
 F2 = Zmod(2)
 

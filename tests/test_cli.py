@@ -1,5 +1,6 @@
 """Command line front end: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 import time
@@ -270,6 +271,30 @@ def test_plethysm_budget_bounds_what_peeling_reaches(tmp_path, capsys, monkeypat
 def test_plethysm_budget_takes_degree_16(tmp_path, capsys):
     x = _element(tmp_path, "inf", 2, [[((16, 0), 1)], [((0, 2), 8)], [((1, 1), 1)]])
     assert run(capsys, ["rewrite", x])[0] == 0
+
+
+# sha256 of stdout of rewrite --check and of rewrite --check --text.  The
+# first input reaches P_{1,16} and P_{8,2}; the second cuts P_{i,k} to its
+# terms in E[j;(1)] with j <= n = 4, over Z/7.
+@pytest.mark.parametrize("head, terms, digests", [
+    ({"n": "inf", "m": 2, "ring": "Z"},
+     [("1", [((16, 0), 1)]), ("1", [((0, 2), 8)]), ("1", [((1, 1), 1)])],
+     ("ad035e1bb0984d9363007bdff3c711a7aa10936d287a54a55c7eb974a21e5b56",
+      "0830279b723aae58a3b96c017cdf8dec973d13076782c0d7f0c9f6b431699219")),
+    ({"n": 4, "m": 1, "ring": "Zmod:7"},
+     [("1", [((4,), 4)]), ("3", [((8,), 2)]), ("2", [((2,), 3), ((5,), 1)])],
+     ("0e2e133a69edb22ea8c8da859ecd362ed3ac596fbdd293c5d21f5a7d9686b0c4",
+      "e796ee1599736ec798973af68e28a6ca8aab69588563198f24fa0ceb668b6915")),
+], ids=["inf-Z-plethysm-16", "n=4-Zmod7"])
+def test_rewrite_check_bytes_are_pinned(tmp_path, capsys, head, terms, digests):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(dict(head, terms=[
+        {"alpha": [{"mono": list(mu), "mult": k} for mu, k in pairs], "coeff": c}
+        for c, pairs in terms])))
+    for flags, digest in zip(([], ["--text"]), digests):
+        code, out, _ = run(capsys, ["rewrite", "--check", str(path)] + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 PRODUCT = "error: multiplying needs over 2000000 words of margin tables\n"

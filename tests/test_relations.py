@@ -146,6 +146,18 @@ def test_genpoly_to_e1():
         assert evaluate(h1, n) == evaluate(h, n)
 
 
+def test_genpoly_to_e1_over_zmod():
+    # the e_1 image keeps the value; Z/p with p <= i cannot divide by i!
+    F13 = Zmod(13)
+    for i in range(1, 6):
+        g = GenPoly.symbol(i, (1, 0), 2, F13)
+        h = genpoly_to_e1(g)
+        assert all(j == 1 for j, nu in h.symbols())
+        assert evaluate(h, INF) == evaluate(g, INF)
+    with pytest.raises(ZeroDivisionError):
+        genpoly_to_e1(GenPoly.symbol(3, (1,), 1, Zmod(3)))
+
+
 def test_ek_of_f_relations_route():
     # e_{n+1}(f) is a relation at ambient n for any constant-free f
     f = NPoly.variable(1, 1, 1, 2, QQ) + NPoly.variable(2, 1, 1, 2, QQ)

@@ -6,10 +6,10 @@ from conftest import degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import (INF, MsfElement, alphas_of_multidegree, e_alpha,
                           expand, product)
-from multisym.rewrite import (GenPoly, evaluate, free_monomial_count,
-                              genpoly_from_json, genpoly_to_json,
-                              primitive_reduce, reduce_to_monomial_es,
-                              rewrite)
+from multisym.rewrite import (GenPoly, _symbol_key, _symmono_mul, evaluate,
+                              free_monomial_count, genpoly_from_json,
+                              genpoly_to_json, plethysm_P, primitive_reduce,
+                              reduce_to_monomial_es, rewrite)
 
 F2 = Zmod(2)
 A, B = (1, 0), (0, 1)
@@ -118,6 +118,32 @@ def test_evaluate_symbols():
     assert x == product(e_alpha([(A, 1)], 2, 2, ZZ),
                         e_alpha([(B, 1)], 2, 2, ZZ))
     assert evaluate(GenPoly.one(2, ZZ), 2) == MsfElement.one(2, 2, ZZ)
+
+
+def test_plethysm_evaluates_to_its_orbit_sum():
+    # e_h(y^k) = P_{h,k}(e_1(y), e_2(y), ...), through the orbit-sum product
+    # rather than the power sums that built P_{h,k}
+    for h in range(1, 13):
+        for k in range(1, 12 // h + 1):
+            assert evaluate(plethysm_P(h, k), INF) == e_alpha([((k,), h)], INF, 1, ZZ)
+
+
+def test_symbol_monomial_product_matches_a_sorted_merge():
+    rng = seeded("symmono")
+    syms = [(i, nu) for i in (1, 2) for nu in [(1, 0), (0, 1), (1, 1), (2, 0)]]
+
+    def draw():
+        picked = rng.sample(syms, rng.randint(0, 3))
+        return tuple(sorted([(s, rng.randint(1, 3)) for s in picked],
+                            key=lambda t: _symbol_key(t[0])))
+
+    for _ in range(200):
+        a, b = draw(), draw()
+        merged = dict(a)
+        for s, e in b:
+            merged[s] = merged.get(s, 0) + e
+        want = tuple(sorted(merged.items(), key=lambda t: _symbol_key(t[0])))
+        assert _symmono_mul(a, b) == want == _symmono_mul(b, a)
 
 
 def test_round_trip_systematic_small():

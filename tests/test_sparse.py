@@ -1,13 +1,16 @@
-"""The shared arithmetic of the four coefficient-dict classes.
+"""The shared arithmetic of the three coefficient-dict classes.
 
-NPoly, MsfElement, GenPoly and EPoly take + - == scale ** and the
-multidegree filters from one base, polyring.Sparse.  Each operation is
-checked here against a naive reference on plain dicts: coefficients added,
-negated and multiplied one at a time with the Ring's own operations, keys
-compared as tuples.  NPoly is drawn in two shapes: one slot of two
-variables, R[y1, y2], and two slots of two.  The one-slot cases keep the
-ids "MPoly-*" of the class that NPoly(1, m) replaced, and with them the
-same draws.  EPoly lives over Z only, so it is drawn over Z.
+NPoly, MsfElement and GenPoly take + - == scale ** and the multidegree
+filters from one base, polyring.Sparse.  Each operation is checked here
+against a naive reference on plain dicts: coefficients added, negated and
+multiplied one at a time with the Ring's own operations, keys compared as
+tuples.  NPoly is drawn in two shapes: one slot of two variables,
+R[y1, y2], and two slots of two.  The one-slot cases keep the ids
+"MPoly-*" of the class that NPoly(1, m) replaced, and with them the same
+draws.  GenPoly is drawn in two alphabets: symbols E[i;nu] in two
+variables over every ring, and the classical e_i, the symbols E[i;(1)]
+of GenPoly(1, ZZ), over Z.  The one-alphabet cases keep the ids "EPoly-*"
+of the class that GenPoly(1, ZZ) replaced.
 """
 
 import json
@@ -23,7 +26,6 @@ from multisym.monomial import grlex_key
 from multisym.msf import INF, MsfElement, alpha_multidegree, e_alpha, make_alpha
 from multisym.polyring import AmbientMismatch, NPoly, npoly_multidegree, npoly_sum
 from multisym.rewrite import GenPoly
-from multisym.symfun import EPoly
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(3), Zmod(7)]
 
@@ -61,9 +63,12 @@ def _genpoly(rng, ring):
     return GenPoly(2, ring, terms)
 
 
-def _epoly(rng, ring):
-    return EPoly({tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))): rng.randint(-3, 3)
-                  for _ in range(rng.randint(0, 5))})
+def _one_alphabet(rng, ring):
+    # exponents of e_1, e_2, e_3; GenPoly drops the coefficient 0
+    exps = [[rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 5))]
+    return GenPoly(1, ring, {tuple([((i, (1,)), e) for i, e in enumerate(x, 1) if e]):
+                             rng.randint(-3, 3) for x in exps})
 
 
 def _genpoly_degree(symmono):
@@ -81,7 +86,7 @@ CLASSES = {
     "NPoly": (_npoly, RINGS, lambda k: npoly_multidegree(k, 2), (0, 0, 0, 0)),
     "MsfElement": (_msf, RINGS, lambda k: alpha_multidegree(k, 2), ()),
     "GenPoly": (_genpoly, RINGS, _genpoly_degree, ()),
-    "EPoly": (_epoly, [ZZ], lambda k: (sum((i + 1) * e for i, e in enumerate(k)),), ()),
+    "EPoly": (_one_alphabet, [ZZ], lambda k: (sum(i * e for (i, _), e in k),), ()),
 }
 
 
@@ -224,8 +229,9 @@ def test_cli_ambient_mismatch_line(tmp_path, x, y, line):
     (((1, (True,)), 1),),                  # boolean monomial exponent
 ])
 def test_genpoly_constructor_rejects_noncanonical_keys(symmono):
-    with pytest.raises(ValueError):
-        GenPoly(1, ZZ, {symmono: 1})
+    for c in (1, 0):  # a zero coefficient does not excuse its key
+        with pytest.raises(ValueError):
+            GenPoly(1, ZZ, {symmono: c})
 
 
 def test_genpoly_spellings_cannot_differ():
@@ -255,14 +261,16 @@ def test_msf_constructors_reject_booleans(pairs):
     lambda: NPoly(1, 1, ZZ, {(-1,): 1}),
     lambda: NPoly(True, 1, ZZ),
     lambda: NPoly(1, 2.0, ZZ),
-    lambda: EPoly({(1.5,): 1}),
-    lambda: EPoly({(1, True): 1}),
-    lambda: EPoly({(-1,): 0}),
+    # the classical e_i, E[i;(1)] in GenPoly(1, ZZ), keep the ids of EPoly
+    lambda: GenPoly(1, ZZ, {(((1, (1,)), 1.5),): 1}),
+    lambda: GenPoly(1, ZZ, {(((1, (1,)), 1), ((2, (1,)), True)): 1}),
+    lambda: GenPoly(1, ZZ, {(((1, (-1,)), 1),): 0}),
     lambda: MsfElement(INF, True, ZZ),
+    lambda: MsfElement(2, 1, ZZ, {(((1,), 5),): 0}),  # weight 5 in n = 2
     lambda: GenPoly(True, ZZ),
 ], ids=["NPoly-float-exponent", "NPoly-bool-exponent", "NPoly-negative-exponent",
         "NPoly-bool-n", "NPoly-float-m", "EPoly-float-exponent", "EPoly-bool-exponent",
-        "EPoly-zero-term", "Msf-bool-m", "GenPoly-bool-m"])
+        "EPoly-zero-term", "Msf-bool-m", "Msf-zero-term", "GenPoly-bool-m"])
 def test_constructors_take_integers_only(build):
     with pytest.raises(ValueError):
         build()

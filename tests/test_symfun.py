@@ -1,4 +1,7 @@
-"""Classical symmetric functions in one alphabet: Newton, e-basis, powering."""
+"""Classical symmetric functions in one alphabet: Newton, e-basis, powering.
+
+A polynomial in e_1, e_2, ... is a GenPoly(1, R) in the symbols E[i;(1)].
+"""
 
 import itertools
 import random
@@ -7,15 +10,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import eval_at
-from multisym.coeffring import QQ, ZZ
+from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.polyring import NPoly, sn_act
-from multisym.symfun import (EPoly, e_in_powersums, elementary_npoly,
-                             epoly_substitute, epoly_to_npoly, newton_p,
-                             plethysm_P, plethysm_P_by_elimination, to_e_basis)
+from multisym.rewrite import GenPoly, e_in_powersums, newton_p, plethysm_P
+from multisym.symfun import (elementary_npoly, epoly_substitute, epoly_to_npoly,
+                             plethysm_P_by_elimination, to_e_basis)
 
 
-def e(i):
-    return EPoly.gen(i)
+def e(i, ring=ZZ):
+    return GenPoly.symbol(i, (1,), 1, ring)
 
 
 def var(j, N, ring):
@@ -24,15 +27,15 @@ def var(j, N, ring):
 
 
 def test_epoly_arithmetic_and_text():
+    # E[i;(1)] has degree i
     f = e(1) * e(1) - e(2).scale(3)
-    assert f.text() == "e1^2 - 3*e2"
-    assert f.degree() == 2
-    assert f.is_homogeneous()
-    assert not (f + EPoly.const(1)).is_homogeneous()
+    assert f.text() == "E[1;(1)]^2 - 3*E[2;(1)]"
+    assert f.multidegrees() == {(2,)}
+    assert (f + GenPoly.one(1, ZZ)).multidegrees() == {(0,), (2,)}
     assert (f - f).is_zero
-    assert f.max_index() == 2
-    assert (e(2) ** 3).degree() == 6
-    assert EPoly.zero().degree() == -1
+    assert f.max_symbol_degree() == 2
+    assert (e(2) ** 3).multidegrees() == {(6,)}
+    assert GenPoly.zero(1, ZZ).multidegrees() == set()
 
 
 def test_newton_small():
@@ -86,10 +89,21 @@ def test_elementary_npoly():
 
 def test_to_e_basis_examples():
     a, b = (var(j, 2, QQ) for j in (1, 2))
-    assert to_e_basis((a + b) ** 2) == e(1) * e(1)
-    assert to_e_basis(a * a + b * b) == e(1) * e(1) - e(2).scale(2)
-    assert to_e_basis(elementary_npoly(2, 3, QQ)) == e(2)
+    assert to_e_basis((a + b) ** 2) == e(1, QQ) * e(1, QQ)
+    assert to_e_basis(a * a + b * b) == e(1, QQ) * e(1, QQ) - e(2, QQ).scale(QQ.embed(2))
+    assert to_e_basis(elementary_npoly(2, 3, QQ)) == e(2, QQ)
     assert to_e_basis(NPoly.zero(3, 1, QQ)).is_zero
+
+
+def test_to_e_basis_keeps_the_ring():
+    a, b = (var(j, 2, QQ) for j in (1, 2))
+    got = to_e_basis((a + b).scale(Fraction(1, 2)))
+    assert got.ring == QQ
+    assert dict(got.terms) == {(((1, (1,)), 1),): Fraction(1, 2)}
+    F7 = Zmod(7)
+    c, d = (var(j, 2, F7) for j in (1, 2))
+    got = to_e_basis((c * d).scale(3))
+    assert got.ring == F7 and got == e(2, F7).scale(3)
 
 
 def test_to_e_basis_rejections():
@@ -133,8 +147,8 @@ def test_powered_alphabet_is_homogeneous():
     cases = [(h, k) for h in range(1, 5) for k in range(1, 5)] + [(1, 5)]
     for h, k in cases:
         P = plethysm_P(h, k)
-        assert P.is_homogeneous() and P.degree() == h * k
-        assert P.max_index() <= h * k
+        assert P.ring == ZZ and P.multidegrees() == {(h * k,)}
+        assert P.max_symbol_degree() <= h * k
         assert all(isinstance(c, int) for c in P.terms.values())
 
 
@@ -158,7 +172,7 @@ def test_powered_alphabet_matches_elimination():
 
 
 def test_epoly_substitute_generic():
-    f = e(1) * e(2) - e(3).scale(4) + EPoly.const(7)
+    f = e(1) * e(2) - e(3).scale(4) + GenPoly.const(7, 1, ZZ)
     vals = {1: Fraction(2), 2: Fraction(-1, 2), 3: Fraction(3)}
     got = epoly_substitute(f, lambda i: vals[i], Fraction(1),
                            lambda c, x: Fraction(c) * x)
