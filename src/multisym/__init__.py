@@ -21,7 +21,6 @@ from .relations import (char_zero_ideal_gens, coverage_rank, genpoly_expand,
 from .rewrite import (GenPoly, evaluate, free_monomial_count, newton_p,
                       plethysm_P, primitive_reduce, reduce_to_monomial_es,
                       rewrite)
-from .symfun import to_e_basis
 
 __version__ = "0.1.0"
 
@@ -40,6 +39,15 @@ __all__ = [
     "char_zero_ideal_gens", "coverage_rank",
     "clear_caches",
 ]
+
+
+def __getattr__(name: str):
+    # symfun (reference routines on the classical e_i) loads on first use,
+    # so importing the command line front end does not compile it
+    if name == "to_e_basis":
+        from .symfun import to_e_basis
+        return to_e_basis
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_caches() -> None:

@@ -30,7 +30,7 @@ from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
                   alpha_weight, basis_alphas, e_alpha, element_from_json,
                   element_json_text)
 from .polyring import NPoly, npoly_text
-from .rewrite import GenPoly, evaluate, genpoly_json_text, rewrite
+from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
 from . import oracle
 
@@ -255,15 +255,13 @@ def _cmd_relations(args) -> int:
     entries = []
     all_ok = True
     for a, items in groupby(relation_items(n, m, max_a, ring), key=itemgetter(0)):
-        rels = []
+        items = list(items)
         verified = True
-        for _, alpha, g in items:
-            ok = verify_relation(g, n)
-            verified = verified and ok
-            rels.append({
-                "alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
-                "genpoly": g.text(),
-            })
+        for _, _, g in items:
+            verified = verify_relation(g, n) and verified
+        rels = [{"alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
+                 "genpoly": text}
+                for (_, alpha, _), text in zip(items, genpoly_texts([g for _, _, g in items]))]
         all_ok = all_ok and verified
         entries.append({
             "multidegree": list(a),

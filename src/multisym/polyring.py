@@ -42,14 +42,13 @@ from collections.abc import ItemsView, Mapping
 from functools import cache, reduce
 from operator import or_
 
-from .coeffring import ZZ, Ring
+from .coeffring import Ring
 from .monomial import Mono, grlex_key
 
 __all__ = [
     "AmbientMismatch",
     "Sparse",
     "NPoly",
-    "npoly_sum",
     "subst_slot",
     "sn_act",
     "check_perm",
@@ -401,29 +400,6 @@ class NPoly(Sparse):
 
     def __repr__(self) -> str:
         return f"NPoly({npoly_text(self)})"
-
-
-def npoly_sum(pairs, n: int, m: int, ring: Ring, den: int = 1) -> NPoly:
-    """The sum of c*p/den over (c, p) pairs, accumulated in one dict.
-
-    Each p is over ring or over the integers, whose image in ring it then
-    stands for.  With den = 1 each c may be any element of ring; with the
-    denominator of Ring.lift the c are its integer numerators, and the sums
-    stay ints until Ring.settle.
-    """
-    out = {}
-    w = BASE_WIDTH
-    for c, p in pairs:
-        if (p.n, p.m) != (n, m) or p.ring not in (ring, ZZ):
-            raise AmbientMismatch(f"{_ambient_text((p.n, p.m, p.ring))} vs "
-                                  f"{_ambient_text((n, m, ring))}")
-        if p._w > w:
-            out = _repack(out, n * m, w, p._w)
-            w = p._w
-        get = out.get
-        for k, v in p._keys_at(w).items():
-            out[k] = get(k, 0) + c * v
-    return NPoly._packed(n, m, ring, ring.settle(out, den), w)
 
 
 def npoly_multidegree(mono, m: int) -> Mono:

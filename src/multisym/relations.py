@@ -11,24 +11,45 @@ explicit.
 Vanishing is checked along two independent routes: evaluate (the abstract
 product, through rewrite) and genpoly_expand, which multiplies concrete
 orbit-sum polynomials in the n-slot ring and shares no code with rewrite
-or the orbit-sum product.  genpoly_expand keeps its own cache of integer
-images: the full expansion over Z of each generator monomial, keyed by the
-monomial and the ambient (n, m) but never by a coefficient ring.  The ring
-enters last: the coefficients are lifted to integer numerators over one
-denominator (Ring.lift), npoly_sum adds numerator times image into one dict
-of ints and settles each sum into the ring once (Ring.settle).
+or the orbit-sum product.  genpoly_expand keeps its own caches of integer
+images, keyed by a generator monomial and the ambient (n, m) but never by
+a coefficient ring: the full expansion over Z of each factor and prefix
+(_expansion_z), and of each generator monomial packed (_packed_image).
+
+The sum over those images runs on Kronecker-packed integers (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symb. Comp. 2009).  Every monomial of one
+multidegree a has a position in an append-only coordinate index of
+(n, m, a), and an image is packed once into one int with a w-bit field
+per position, holding its nonnegative integer coefficient there.  The
+ring enters last: the coefficients are lifted to integer numerators over
+one denominator (Ring.lift, in [0, p) over Z/p), and the sum of numerator
+times packed image is a few big-int multiply-adds.  The width w is the
+least rung of 32, 64, 128, ... bits with sum |c| * (largest image
+coefficient) < 2^(w-1), so every field sum lies strictly inside
++-2^(w-1) and, balanced digits being unique, the total T is 0 exactly
+when every field sum is.  Over Z/p, where the sums are nonnegative, every
+field sum is divisible by p exactly when p divides T and T/p has no bit
+in the top p.bit_length() bits of any field.  Otherwise the fields are
+unpacked once (shifted up by 2^(w-1) on Z and Q, where sums may be
+negative), mapped back to monomials and settled into the ring once
+(Ring.settle).  Images of different multidegrees share no monomial, so an
+inhomogeneous polynomial is summed one multidegree at a time.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from functools import cache
+from itertools import repeat
+from operator import mul
 
 from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker, rank_of
 from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import INF, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
-from .polyring import NPoly, npoly_sum
+from .polyring import NPoly, _repack, key_width
 from .rewrite import GenPoly, e_in_powersums, evaluate, rewrite
 
 __all__ = [
@@ -88,19 +109,130 @@ def _expansion_z(symmono, n: int, m: int) -> NPoly:
     return e_alpha([(nu, i)], n, m, ZZ).expand() ** e
 
 
+FIELD_BITS = 32  # the first rung of the doubling ladder of field widths
+_WORDS = {32: "I", 64: "Q"}  # struct codes of the widths that are machine words
+
+
+def _pack_fields(fields: list, w: int) -> int:
+    """The int with fields[i] in its i-th w-bit field; every entry in [0, 2^w)."""
+    if w in _WORDS:
+        return int.from_bytes(struct.pack(f"<{len(fields)}{_WORDS[w]}", *fields), "little")
+    return int.from_bytes(b"".join(map(int.to_bytes, fields, repeat(w // 8),
+                                       repeat("little"))), "little")
+
+
+def _unpack_fields(total: int, size: int, w: int):
+    """The first size w-bit fields of a nonnegative int."""
+    b = w // 8
+    buf = total.to_bytes(size * b, "little")
+    if w in _WORDS:
+        return struct.unpack(f"<{size}{_WORDS[w]}", buf)
+    return [int.from_bytes(buf[i:i + b], "little") for i in range(0, size * b, b)]
+
+
+@cache
+def _coords(n: int, m: int, a: Mono) -> dict:
+    """The append-only coordinate index of multidegree a in ambient (n, m):
+    the position of each of its monomials, by packed NPoly key at field
+    width key_width(max(a)), which no exponent exceeds.  Positions count up
+    in order of first appearance, which is the dict's order, and never
+    move, so an image packed while the index was smaller stays valid."""
+    return {}
+
+
+@cache
+def _packed_image(symmono, n: int, m: int, w: int):
+    """(packed, top, a) for the integer image of a symbol monomial, or None
+    when the image is zero.
+
+    a is the image's multidegree, top its largest coefficient, and packed
+    the int with the image's coefficient in the w-bit field at each of its
+    monomials' positions in a's index; packed is None when top does not
+    fit below the top bit of a field.  Image coefficients are nonnegative
+    (products of orbit sums).
+    """
+    # a product's image is only packed, so the last product stays uncached
+    p = (_expansion_z.__wrapped__ if len(symmono) > 1 else _expansion_z)(symmono, n, m)
+    if p.is_zero:
+        return None
+    a = p._degree(next(iter(p._d)))
+    kw = key_width(max(a))
+    d = p._d if p._w == kw else _repack(p._d, n * m, p._w, kw)
+    top = max(d.values())
+    if top >> (w - 1):
+        return None, top, a
+    pos = _coords(n, m, a)
+    at = [pos.setdefault(k, len(pos)) for k in d]
+    fields = [0] * (max(at) + 1)
+    for i, v in zip(at, d.values()):
+        fields[i] = v
+    return _pack_fields(fields, w), top, a
+
+
+def _packed_sum(terms, a: Mono, n: int, m: int, R: Ring, den: int) -> dict:
+    """The terms, keyed at width key_width(max(a)), of sum c * image / den
+    over the (symmono, c, image at FIELD_BITS) triples of multidegree a."""
+    w = FIELD_BITS
+    bound = sum([abs(c) * img[1] for _, c, img in terms])
+    while bound >> (w - 1):
+        w *= 2
+    packs = [img[0] if w == FIELD_BITS else _packed_image(s, n, m, w)[0]
+             for s, _, img in terms]
+    total = sum(map(mul, [c for _, c, _ in terms], packs))
+    if not total:
+        return {}
+    pos = _coords(n, m, a)
+    size = len(pos)
+    if R.p is not None:  # lifts in [0, p): field sums in [0, 2^(w-1))
+        if _fields_divisible(total, R.p, size, w):
+            return {}
+        half = 0
+    else:
+        half = 1 << (w - 1)
+        total += _pack_fields([half] * size, w)
+    return R.settle(dict(zip(pos, [v - half for v in _unpack_fields(total, size, w)])), den)
+
+
+def _fields_divisible(total: int, p: int, size: int, w: int) -> bool:
+    """Whether p divides each of the size w-bit fields of total, all below
+    2^(w-1), without unpacking them.
+
+    If it does, total/p has the fields' quotients as its fields, each below
+    2^(w-1)/p <= 2^t for t = w - p.bit_length(); conversely, if p divides
+    total and no field of total/p has a bit at or above t, then p times
+    each field is below 2^w, so those products, carry-free, are total's
+    fields.
+    """
+    if total % p:
+        return False
+    high = (1 << w) - (1 << max(w - p.bit_length(), 0))
+    return not total // p & _pack_fields([high] * size, w)
+
+
 def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     """Expand a generator polynomial in the concrete n-slot ring.
 
     Goes straight from symbols to orbit-sum polynomials and multiplies
     there, bypassing the abstract product: an independent route used to
-    double-check vanishing.
+    double-check vanishing.  The sum runs on packed images (module
+    docstring).
     """
     m = g.m
     if n < 1:
         raise ValueError("need n >= 1")
-    cs, den = g.ring.lift(g.terms)
-    return npoly_sum(((c, _expansion_z(symmono, n, m)) for symmono, c in cs.items()),
-                     n, m, g.ring, den)
+    R = g.ring
+    cs, den = R.lift(g.terms)
+    groups: dict = {}
+    for symmono, c in cs.items():
+        img = _packed_image(symmono, n, m, FIELD_BITS)
+        if img is not None:
+            groups.setdefault(img[2], []).append((symmono, c, img))
+    out = NPoly.zero(n, m, R)
+    for a, terms in groups.items():
+        d = _packed_sum(terms, a, n, m, R, den)
+        if d:
+            out = out + NPoly._packed(n, m, R, d, key_width(max(a)))
+    return out
 
 
 def verify_relation(g: GenPoly, n: int) -> bool:

@@ -62,6 +62,7 @@ __all__ = [
     "e_in_powersums",
     "plethysm_P",
     "genpoly_json_text",
+    "genpoly_texts",
     "genpoly_to_json",
     "genpoly_from_json",
 ]
@@ -187,12 +188,32 @@ class GenPoly(Sparse):
         return _sorted_rows(self.terms, _factor_render, _TEXT)[0]
 
     def text(self) -> str:
-        fmt = self.ring.format_coeff
-        rows, frag = _sorted_rows(self.terms, _factor_render, _TEXT)
-        return signed_text((fmt(c), "*".join(map(frag, symmono))) for symmono, c in rows)
+        return genpoly_texts([self])[0]
 
     def __repr__(self) -> str:
         return f"GenPoly({self.text()})"
+
+
+def genpoly_texts(gs) -> list:
+    """The text of each generator polynomial in gs, all in one variable count.
+
+    The union of their symbol monomials is put in canonical order and
+    written once, and each polynomial's terms are then sorted by position
+    in that order: one sorter setup for many small polynomials.
+    """
+    if len({g.m for g in gs}) > 1:
+        raise ValueError("batched texts need one variable count")
+    union = dict.fromkeys([s for g in gs for s in g.terms])
+    rows, frag = _sorted_rows(union, _factor_render, _TEXT)
+    keys = [s for s, _ in rows]
+    order = dict(zip(keys, range(len(keys)))).__getitem__
+    bodies = ["*".join(map(frag, s)) for s in keys]
+    out = []
+    for g in gs:
+        fmt, terms = g.ring.format_coeff, g.terms
+        out.append(signed_text([(fmt(terms[keys[i]]), bodies[i])
+                                for i in sorted(map(order, terms))]))
+    return out
 
 
 # one alphabet: the classical e_i are the symbols E[i;(1)] of GenPoly(1, ZZ)

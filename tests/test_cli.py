@@ -297,6 +297,20 @@ def test_rewrite_check_bytes_are_pinned(tmp_path, capsys, head, terms, digests):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of relations --n 2 --m 2 --max-degree 4,4: every relation
+# text is written in one batch per multidegree
+@pytest.mark.parametrize("ring, digest", [
+    ("Q", "56b56b84a7b8a8ffc7f3a7394d142684fd56851f9da98d0d6009b06dc6135ef7"),
+    ("Zmod:2", "f940d938b7003d3f367cb92ab466b6403989f23fb81ed40d6577416d3c72cbaf"),
+    ("Zmod:7", "d7991332e2a8526de028afa88fd83648d4942d34b670e57edd9ebe894d892460"),
+])
+def test_relations_bytes_are_pinned(capsys, ring, digest):
+    code, out, _ = run(capsys, ["relations", "--n", "2", "--m", "2", "--max-degree", "4,4",
+                                "--ring", ring])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 PRODUCT = "error: multiplying needs over 2000000 words of margin tables\n"
 
 

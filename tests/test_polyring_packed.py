@@ -11,7 +11,7 @@ import random
 import pytest
 
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.polyring import (BASE_WIDTH, NPoly, npoly_sum, npoly_text,
+from multisym.polyring import (BASE_WIDTH, NPoly, npoly_text,
                                parse_npoly, sn_act)
 
 RINGS = (ZZ, QQ, Zmod(5))
@@ -120,11 +120,8 @@ def test_linear_combination_matches_reference():
         ca, cb = ring.embed(3), ring.embed(-2)
         want = ref_add(ring, ref_mul(ring, {(0,) * (n * m): ca}, a),
                        ref_mul(ring, {(0,) * (n * m): cb}, b))
-        got = npoly_sum([(ca, NPoly(n, m, ring, a)), (cb, NPoly(n, m, ring, b))],
-                        n, m, ring)
+        got = NPoly(n, m, ring, a).scale(ca) + NPoly(n, m, ring, b).scale(cb)
         assert as_dict(got) == want
-    with pytest.raises(ValueError):
-        npoly_sum([(1, NPoly.one(2, 1, ZZ))], 1, 2, ZZ)
 
 
 def test_widening_square_keeps_every_exponent():
@@ -160,8 +157,7 @@ def test_mixed_widths_compare_and_add():
     assert wide * small == small * small
     assert wide - small == NPoly.zero(n, m, ring)
     assert npoly_text(wide) == npoly_text(small) == "x1(1)"
-    assert npoly_sum([(1, wide), (1, small), (-1, big)], n, m, ring) \
-        == small.scale(2) - big
+    assert wide + small + big.scale(-1) == small.scale(2) - big
 
 
 def test_terms_view_speaks_tuples():

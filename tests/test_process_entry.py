@@ -129,6 +129,22 @@ def test_main_leaves_the_collector_alone(tmp_path, monkeypatch, argv):
     assert after == (True, frozen)
 
 
+def test_cli_import_leaves_symfun_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "import multisym.cli\n"
+        "print('multisym.symfun' in sys.modules)\n"
+        "from multisym import to_e_basis\n"
+        "from multisym.symfun import to_e_basis as direct\n"
+        "from multisym import *\n"
+        "print(to_e_basis is direct, 'to_e_basis' in dir())\n")
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, timeout=120)
+    assert (res.returncode, res.stdout.decode()) == (0, "False\nTrue True\n")
+    with pytest.raises(AttributeError):
+        multisym.no_such_name
+
+
 def _warm_pass():
     for ring in (ZZ, QQ):
         for n in (3, INF):

@@ -28,7 +28,8 @@ from multisym.monomial import grlex_key
 from multisym.msf import (INF, MsfElement, alpha_text, alphas_of_multidegree,
                           element_json_text, make_alpha)
 from multisym.polyring import npoly_text
-from multisym.rewrite import GenPoly, genpoly_json_text, newton_p, plethysm_P, rewrite
+from multisym.rewrite import (GenPoly, genpoly_json_text, genpoly_texts, newton_p, plethysm_P,
+                              rewrite)
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(7), Zmod(1000003)]
 
@@ -201,9 +202,9 @@ def elements(draw, ring=None):
 
 
 @st.composite
-def genpolys(draw):
+def genpolys(draw, m=None):
     ring = draw(st.sampled_from(RINGS))
-    m = draw(st.integers(1, 3))
+    m = m or draw(st.integers(1, 3))
     nus = [nu for nu in itertools.product(range(3), repeat=m) if 0 < sum(nu) <= 2]
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
@@ -246,6 +247,20 @@ def test_element_writers_match_reference(x):
 @given(genpolys())
 def test_genpoly_writers_match_reference(g):
     assert_genpoly_written_as_before(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(genpolys(m), max_size=6)))
+def test_batched_texts_match_reference(gs):
+    # mixed sizes and rings, empty and constant ones included
+    m = gs[0].m if gs else 2
+    gs += [GenPoly.zero(m, ZZ), GenPoly.const(Fraction(-1, 2), m, QQ)]
+    want = [ref_genpoly_text(g) for g in gs]
+    assert genpoly_texts(gs) == want
+    assert [g.text() for g in gs] == want
+    assert genpoly_texts([]) == []
+    with pytest.raises(ValueError):
+        genpoly_texts([GenPoly.one(1, ZZ), GenPoly.one(2, ZZ)])
 
 
 @settings(max_examples=60, deadline=None)
