@@ -23,24 +23,24 @@ multidegree a has a position in an append-only coordinate index of
 (n, m, a), and an image is packed once into one int with a w-bit field
 per position, holding its nonnegative integer coefficient there.  The
 ring enters last: the coefficients are lifted to integer numerators over
-one denominator (Ring.lift, in [0, p) over Z/p), and the sum of numerator
-times packed image is a few big-int multiply-adds.  The width w is the
-least rung of 32, 64, 128, ... bits with sum |c| * (largest image
-coefficient) < 2^(w-1), so every field sum lies strictly inside
-+-2^(w-1) and, balanced digits being unique, the total T is 0 exactly
-when every field sum is.  Over Z/p, where the sums are nonnegative, every
-field sum is divisible by p exactly when p divides T and T/p has no bit
-in the top p.bit_length() bits of any field.  Otherwise the fields are
-unpacked once (shifted up by 2^(w-1) on Z and Q, where sums may be
-negative), mapped back to monomials and settled into the ring once
-(Ring.settle).  Images of different multidegrees share no monomial, so an
-inhomogeneous polynomial is summed one multidegree at a time.
+one denominator (Ring.lift), reduced into [0, p) over Z/p, and the sum
+of numerator times packed image is a few big-int multiply-adds.  The
+width w is the least rung of 32, 64, 128, ... bits with
+sum |c| * (largest image coefficient) < 2^(w-1), so every field sum lies
+strictly inside +-2^(w-1) and, balanced digits being unique, the total T
+is 0 exactly when every field sum is.  Over Z/p, where the sums are
+nonnegative, every field sum is divisible by p exactly when p divides T
+and T/p has no bit in the top p.bit_length() bits of any field.
+Otherwise the fields are unpacked once (shifted up by 2^(w-1) on Z and
+Q, where sums may be negative), mapped back to monomials and settled
+into the ring once (Ring.settle).  Images of different multidegrees
+share no monomial, so an inhomogeneous polynomial is summed one
+multidegree at a time.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from functools import cache
 from itertools import repeat
 from operator import mul
@@ -96,9 +96,9 @@ def relation_polys(n: int, m: int, max_a: Mono, ring: Ring) -> list:
     return [g for _, _, g in relation_items(n, m, max_a, ring)]
 
 
-@cache
-def _expansion_z(symmono, n: int, m: int) -> NPoly:
-    """prod e_i(nu)**e over a symbol monomial, expanded over Z in n slots."""
+def _image_z(symmono, n: int, m: int) -> NPoly:
+    """prod e_i(nu)**e over a symbol monomial, expanded over Z in n slots;
+    its prefix and last factor come from the cache _expansion_z."""
     if not symmono:
         return NPoly.one(n, m, ZZ)
     if len(symmono) > 1:
@@ -109,25 +109,31 @@ def _expansion_z(symmono, n: int, m: int) -> NPoly:
     return e_alpha([(nu, i)], n, m, ZZ).expand() ** e
 
 
+@cache
+def _expansion_z(symmono, n: int, m: int) -> NPoly:
+    """_image_z, cached."""
+    return _image_z(symmono, n, m)
+
+
 FIELD_BITS = 32  # the first rung of the doubling ladder of field widths
-_WORDS = {32: "I", 64: "Q"}  # struct codes of the widths that are machine words
 
 
 def _pack_fields(fields: list, w: int) -> int:
     """The int with fields[i] in its i-th w-bit field; every entry in [0, 2^w)."""
-    if w in _WORDS:
-        return int.from_bytes(struct.pack(f"<{len(fields)}{_WORDS[w]}", *fields), "little")
     return int.from_bytes(b"".join(map(int.to_bytes, fields, repeat(w // 8),
                                        repeat("little"))), "little")
 
 
-def _unpack_fields(total: int, size: int, w: int):
+def _unpack_fields(total: int, size: int, w: int) -> list:
     """The first size w-bit fields of a nonnegative int."""
     b = w // 8
     buf = total.to_bytes(size * b, "little")
-    if w in _WORDS:
-        return struct.unpack(f"<{size}{_WORDS[w]}", buf)
     return [int.from_bytes(buf[i:i + b], "little") for i in range(0, size * b, b)]
+
+
+def _repeated(v: int, size: int, w: int) -> int:
+    """The int with v in each of its first size w-bit fields."""
+    return int.from_bytes(v.to_bytes(w // 8, "little") * size, "little")
 
 
 @cache
@@ -152,7 +158,7 @@ def _packed_image(symmono, n: int, m: int, w: int):
     (products of orbit sums).
     """
     # a product's image is only packed, so the last product stays uncached
-    p = (_expansion_z.__wrapped__ if len(symmono) > 1 else _expansion_z)(symmono, n, m)
+    p = (_image_z if len(symmono) > 1 else _expansion_z)(symmono, n, m)
     if p.is_zero:
         return None
     a = p._degree(next(iter(p._d)))
@@ -189,7 +195,7 @@ def _packed_sum(terms, a: Mono, n: int, m: int, R: Ring, den: int) -> dict:
         half = 0
     else:
         half = 1 << (w - 1)
-        total += _pack_fields([half] * size, w)
+        total += _repeated(half, size, w)
     return R.settle(dict(zip(pos, [v - half for v in _unpack_fields(total, size, w)])), den)
 
 
@@ -206,7 +212,7 @@ def _fields_divisible(total: int, p: int, size: int, w: int) -> bool:
     if total % p:
         return False
     high = (1 << w) - (1 << max(w - p.bit_length(), 0))
-    return not total // p & _pack_fields([high] * size, w)
+    return not total // p & _repeated(high, size, w)
 
 
 def genpoly_expand(g: GenPoly, n: int) -> NPoly:
@@ -222,11 +228,12 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
         raise ValueError("need n >= 1")
     R = g.ring
     cs, den = R.lift(g.terms)
+    p = R.p  # Z/p coefficients are reduced into [0, p) here, as _packed_sum needs
     groups: dict = {}
     for symmono, c in cs.items():
         img = _packed_image(symmono, n, m, FIELD_BITS)
         if img is not None:
-            groups.setdefault(img[2], []).append((symmono, c, img))
+            groups.setdefault(img[2], []).append((symmono, c % p if p else c, img))
     out = NPoly.zero(n, m, R)
     for a, terms in groups.items():
         d = _packed_sum(terms, a, n, m, R, den)

@@ -98,6 +98,32 @@ def test_identity_vanishes_with_large_lifts():
                 assert verify_relation(g, n)
 
 
+@pytest.mark.parametrize("p", [2, 7])
+def test_unreduced_coefficients_mod_p(p):
+    # the public constructor keeps Z/p coefficients as given, so they may
+    # be negative or at least p: each must count as its residue
+    ring = Zmod(p)
+    g = GenPoly(2, ring, {(sym(1, (1, 0)),): -1})
+    assert expands_as_reference(g, 2) == {(1, 0, 0, 0): p - 1, (0, 0, 1, 0): p - 1}
+    assert genpoly_expand(GenPoly(2, ring, {(sym(1, (1, 0)),): p}), 2).is_zero
+    bumped = 0
+    for k, (_, _, rel) in enumerate(relation_items(2, 2, (3, 3), ring)):
+        # mixed signs: every coefficient moved by -p, 0 or +p
+        terms = {s: c + p * (j % 3 - 1) for j, (s, c) in enumerate(rel.terms.items())}
+        shifted = GenPoly(2, ring, terms)
+        assert min(terms.values()) < 0 < max(terms.values()) or len(terms) < 3
+        assert not expands_as_reference(shifted, 2)
+        assert verify_relation(shifted, 2)
+        # a unit change, either way, on a symbol monomial of nonzero image
+        s = next((s for s in terms if ref_expand(GenPoly(2, ring, {s: 1}), 2)), None)
+        if s is not None:
+            terms[s] += 1 if k % 2 else 1 - 2 * p
+            assert expands_as_reference(GenPoly(2, ring, terms), 2)
+            assert not verify_relation(GenPoly(2, ring, terms), 2)
+            bumped += 1
+    assert bumped > 10
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_ladder_edge(ring, sign, widths):
