@@ -19,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from itertools import groupby
 from math import comb, factorial, perm
 from operator import itemgetter
@@ -27,8 +28,7 @@ from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
-                  alpha_weight, basis_alphas, e_alpha, element_from_json,
-                  element_json_text)
+                  alpha_weight, basis_alphas, element_from_json, element_json_text)
 from .polyring import NPoly, npoly_text
 from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
@@ -310,10 +310,7 @@ def _full_rank(rows, ncols: int, field: Ring) -> bool:
     over the field."""
     tracker = RankTracker(ncols, field)
     for row in rows:
-        dense = [field.zero] * ncols
-        for col, c in row.items():
-            dense[col] = field.embed(c)
-        tracker.add(dense)
+        tracker.add(row)
     return tracker.rank == len(rows)
 
 
@@ -330,7 +327,8 @@ def _verify_basis_rank(n, m, deg, ring):
             failures += 1
             continue
         cols = {mono: i for i, mono in enumerate(oracle.monomials_of_multidegree(n, m, a))}
-        rows = [{cols[mono]: c for mono, c in e_alpha(alpha, n, m, ZZ).expand().terms.items()}
+        rows = [{cols[mono]: c for mono, c in
+                 MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand().terms.items()}
                 for alpha in alphas]
         if not any(_full_rank(rows, len(cols), field) for field in fields):
             failures += 1
@@ -353,8 +351,8 @@ def _verify_homomorphism(n, m, deg, ring, pairs=40):
         db = sum(alpha_multidegree(ay, m))
         if da + db > deg + 2:
             continue
-        x = e_alpha(ax, n, m, ring)
-        y = e_alpha(ay, n, m, ring)
+        x = MsfElement._make(n, m, ring, {ax: ring.one})
+        y = MsfElement._make(n, m, ring, {ay: ring.one})
         checked += 1
         if (x * y).expand() != x.expand() * y.expand():
             failures += 1
@@ -365,7 +363,7 @@ def _verify_round_trip(n, m, deg, ring):
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         for alpha in basis_alphas(n, m, a):
-            x = e_alpha(alpha, n, m, ring)
+            x = MsfElement._make(n, m, ring, {alpha: ring.one})
             checked += 1
             if evaluate(rewrite(x), n) != x:
                 failures += 1
@@ -376,7 +374,7 @@ def _verify_relations(n, m, deg, ring):
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         for alpha in kernel_basis(n, m, a):
-            g = rewrite(e_alpha(alpha, INF, m, ring))
+            g = rewrite(MsfElement._make(INF, m, ring, {alpha: ring.one}))
             checked += 1
             if g.is_zero or not verify_relation(g, n):
                 failures += 1
@@ -427,6 +425,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, _error_line(f"{self.prog}: {message}"))
 
 
+@cache  # parse_args keeps no state, so one parser serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="multisym",

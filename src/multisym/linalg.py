@@ -1,8 +1,10 @@
 """Small exact linear algebra over a field.
 
 Only what the rank certificates need: incremental row reduction over Q or a
-prime field.  Rows are lists of ring elements; the ring must support
-division.
+prime field.  Rows are sparse, maps {column: value}; a dense sequence is
+read as the map of its positions.  Values are ring elements or integers,
+settled into the ring on entry (Ring.settle), so zeros are never stored.
+The ring must support division.
 """
 
 from __future__ import annotations
@@ -13,37 +15,53 @@ __all__ = ["RankTracker", "rank_of"]
 
 
 class RankTracker:
-    """Feed rows one at a time; keeps a reduced row per pivot column."""
+    """Feed rows one at a time; keeps a sparse reduced row per pivot column.
+
+    Each pivot row is normalized to 1 at its pivot column, its lowest
+    column.
+    """
 
     def __init__(self, ncols: int, ring: Ring):
         if not ring.has_division:
             raise ValueError("rank computation needs a field")
         self.ncols = ncols
         self.ring = ring
-        self.pivots: dict[int, list] = {}  # pivot column -> normalized row
+        self.pivots: dict[int, dict] = {}  # pivot column -> normalized row
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, row) -> bool:
-        """Reduce a row against the current space; True if it was new."""
+        """Reduce a row against the current space; True if it was new.
+
+        Only the nonzero entries are reduced, lowest column first.
+        """
         R = self.ring
-        if len(row) != self.ncols:
-            raise ValueError("row length mismatch")
-        row = list(row)
-        for col in sorted(self.pivots):
-            c = row[col]
-            if R.is_zero(c):
-                continue
-            prow = self.pivots[col]
-            for t in range(col, self.ncols):
-                row[t] = R.sub(row[t], R.mul(c, prow[t]))
-        for col, c in enumerate(row):
-            if not R.is_zero(c):
-                inv = R.inv(c)
-                self.pivots[col] = [R.mul(inv, v) for v in row]
+        if not isinstance(row, dict):
+            if len(row) != self.ncols:
+                raise ValueError("row length mismatch")
+            row = dict(enumerate(row))
+        row = R.settle(row, 1)
+        if row and not 0 <= min(row) <= max(row) < self.ncols:
+            raise ValueError("row column out of range")
+        sub, mul, zero = R.sub, R.mul, R.zero
+        get, pop = row.get, row.pop
+        pivots = self.pivots
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = R.inv(row[col])
+                pivots[col] = {t: mul(inv, v) for t, v in row.items()}
                 return True
+            c = row[col]
+            for t, v in prow.items():
+                r = sub(get(t, zero), mul(c, v))
+                if R.is_zero(r):
+                    pop(t, None)
+                else:
+                    row[t] = r
         return False
 
 

@@ -344,9 +344,12 @@ class MsfElement(Sparse):
         self.m = m
         self.ring = ring
         clean = {}
+        p = ring.p
         if terms:
             for alpha, c in terms.items():
                 self._check_alpha(alpha)
+                if p is not None:
+                    c %= p
                 if not ring.is_zero(c):
                     clean[alpha] = c
         self.terms = clean

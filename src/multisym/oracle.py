@@ -4,11 +4,14 @@ Everything here works directly with the slot permutation action on the
 concrete polynomial ring: enumerate monomials of a multidegree, group them
 into orbits, sum the orbits.  Deliberately naive (n! loops) and deliberately
 independent: none of the abstract basis or rewriting machinery is used, so
-differential tests against this module mean something.
+differential tests against this module mean something.  The enumeration of
+a multidegree's monomials is cached per (n, m, a), so orbit counts and rank
+columns share it; it depends on no coefficient ring.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 from .coeffring import Ring
@@ -42,11 +45,17 @@ def orbit_sum(mono, n: int, m: int, ring: Ring) -> NPoly:
     return NPoly(n, m, ring, {img: ring.one for img in images})
 
 
-def monomials_of_multidegree(n: int, m: int, a: Mono) -> list:
+def monomials_of_multidegree(n: int, m: int, a: Mono) -> tuple:
     """All flat monomials of the n-slot ring with the given multidegree,
     sorted; the column index for rank checks."""
+    a = tuple(a)
     if len(a) != m:
         raise ValueError("multidegree length must equal m")
+    return _monomials_cached(n, m, a)
+
+
+@cache
+def _monomials_cached(n: int, m: int, a: Mono) -> tuple:
     per_family = [list(compositions(ai, n)) for ai in a]
     out = []
     for combo in product(*per_family):
@@ -56,7 +65,7 @@ def monomials_of_multidegree(n: int, m: int, a: Mono) -> list:
                 exps[j * m + i] = combo[i][j]
         out.append(tuple(exps))
     out.sort()
-    return out
+    return tuple(out)
 
 
 def _orbit_reps(n: int, m: int, a: Mono) -> list:

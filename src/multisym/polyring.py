@@ -8,7 +8,8 @@ multidegree of a key; it keeps its own validating public constructor,
 product kernel and writers.  Every public constructor checks every key,
 zero coefficient or not, and takes its integers through ``_checked_int``,
 so booleans, floats and out-of-range values are refused with a
-ValueError.
+ValueError; over Z/p it reduces each coefficient into [0, p) and drops
+those that are 0 mod p.
 
 ``NPoly`` is R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring over a
 coefficient ring R.  Monomials are flat exponent tuples of length n*m in
@@ -292,12 +293,15 @@ class NPoly(Sparse):
         size = _checked_int(n, "slot count", 1) * _checked_int(m, "variable count", 1)
         clean = {}
         top = 0
+        p = ring.p
         if terms:
             for mono, c in terms.items():
                 if len(mono) != size:
                     raise ValueError(f"exponent tuple of length {len(mono)}, expected {size}")
                 for e in mono:
                     _checked_int(e, "exponent", 0)
+                if p is not None:
+                    c %= p
                 if not ring.is_zero(c):
                     clean[mono] = c
                     top = max(top, *mono)

@@ -23,7 +23,7 @@ multidegree a has a position in an append-only coordinate index of
 (n, m, a), and an image is packed once into one int with a w-bit field
 per position, holding its nonnegative integer coefficient there.  The
 ring enters last: the coefficients are lifted to integer numerators over
-one denominator (Ring.lift), reduced into [0, p) over Z/p, and the sum
+one denominator (Ring.lift), already in [0, p) over Z/p, and the sum
 of numerator times packed image is a few big-int multiply-adds.  The
 width w is the least rung of 32, 64, 128, ... bits with
 sum |c| * (largest image coefficient) < 2^(w-1), so every field sum lies
@@ -48,7 +48,7 @@ from operator import mul
 from .coeffring import QQ, ZZ, Ring, Zmod
 from .linalg import RankTracker, rank_of
 from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
-from .msf import INF, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
+from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
 from .polyring import NPoly, _repack, key_width
 from .rewrite import GenPoly, e_in_powersums, evaluate, rewrite
 
@@ -87,7 +87,7 @@ def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
     items = []
     for a in multidegrees_upto(max_a):
         for alpha in kernel_basis(n, m, a):
-            x = e_alpha(alpha, INF, m, ring)
+            x = MsfElement._make(INF, m, ring, {alpha: ring.one})
             items.append((a, alpha, rewrite(x)))
     return items
 
@@ -227,13 +227,12 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     if n < 1:
         raise ValueError("need n >= 1")
     R = g.ring
-    cs, den = R.lift(g.terms)
-    p = R.p  # Z/p coefficients are reduced into [0, p) here, as _packed_sum needs
+    cs, den = R.lift(g.terms)  # Z/p coefficients lie in [0, p), as _packed_sum needs
     groups: dict = {}
     for symmono, c in cs.items():
         img = _packed_image(symmono, n, m, FIELD_BITS)
         if img is not None:
-            groups.setdefault(img[2], []).append((symmono, c % p if p else c, img))
+            groups.setdefault(img[2], []).append((symmono, c, img))
     out = NPoly.zero(n, m, R)
     for a, terms in groups.items():
         d = _packed_sum(terms, a, n, m, R, den)
@@ -343,12 +342,11 @@ def coverage_rank(n: int, m: int, a: Mono):
             samples.append(row)
         tr = RankTracker(d, Fp)
         for row in samples:
-            tr.add([Fp.embed(v) for v in row])
+            tr.add(row)
             if tr.rank == d:
                 break
         got = tr.rank
         if got < d:
-            got = rank_of(([QQ.embed(v) for v in row] for row in samples),
-                          d, QQ)
+            got = rank_of(samples, d, QQ)
         achieved += got
     return achieved, dim

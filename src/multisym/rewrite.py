@@ -116,6 +116,7 @@ class GenPoly(Sparse):
         self.m = _checked_int(m, "variable count", 1)
         self.ring = ring
         clean = {}
+        p = ring.p
         if terms:
             for symmono, c in terms.items():
                 spelled = []
@@ -131,6 +132,8 @@ class GenPoly(Sparse):
                 keys = [_symbol_key(sym) for sym, _ in spelled]
                 if tuple(spelled) != symmono or any(k >= k2 for k, k2 in zip(keys, keys[1:])):
                     raise ValueError(f"symbol monomial {symmono} is not canonical")
+                if p is not None:
+                    c %= p
                 if not ring.is_zero(c):
                     clean[symmono] = c
         self.terms = clean

@@ -12,7 +12,7 @@ import pytest
 
 import multisym
 from conftest import random_element, seeded
-from multisym import msf
+from multisym import msf, oracle
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
@@ -63,6 +63,8 @@ def test_clear_caches_empties_every_module_cache():
     x, g, _, _ = pipeline(QQ, 3)
     pipeline(Zmod(3), INF)
     x.text(), g.text()
+    oracle.count_orbits(3, 2, (2, 1))
+    assert oracle._monomials_cached.cache_info().currsize > 0
     assert msf._margin_tables.cache_info().currsize > 0
     assert msf._product_skeleton.cache_info().currsize > 0
     assert msf._pair_render.cache_info().currsize > 0
@@ -76,7 +78,7 @@ def test_clear_caches_empties_every_module_cache():
             "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
-            "_pair_render", "_factor_render"} <= names
+            "_pair_render", "_factor_render", "_monomials_cached"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import run_main
 from multisym import cli, msf
 from multisym.cli import main
 from multisym.coeffring import QQ, ZZ, Zmod
@@ -536,3 +537,28 @@ def test_help_exits_0(capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: multisym basis") and err == ""
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    """main() reuses one parser; no flag or default carries over a call."""
+    x = write_element(tmp_path, "x.json", e_alpha([(A3, 1), (B3, 1)], 2, 3, ZZ))
+    y = write_element(tmp_path, "y.json", e_alpha([(C3, 2)], 2, 3, ZZ))
+    calls = [
+        ["product", "--text", x, y],
+        ["product", x, y],
+        ["basis", "--n", "2", "--m", "2", "--max-degree", "1,1", "--bogus"],
+        ["basis", "--n", "2", "--m", "2", "--max-degree", "1,1"],
+        ["basis", "--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_main(argv))
+    cli._build_parser.cache_clear()
+    reused = [run_main(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert [(code, out) for code, out, _ in reused] == [(code, out) for code, out, _ in fresh]
+    assert [code for code, _, _ in reused] == [0, 0, 3, 0, 0]
+    assert reused[0][1].startswith("e(") and reused[1][1].startswith("{")
+    assert reused[2][2].count("\n") == 1 and reused[2][1] == ""
+    assert reused[4][1].startswith("usage: multisym basis")

@@ -3,6 +3,9 @@
 import math
 import random
 
+import pytest
+
+from multisym import oracle
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.oracle import (count_orbits, invariant_basis, is_invariant,
                              monomials_of_multidegree, orbit_sum)
@@ -107,3 +110,19 @@ def test_random_symmetrization_is_invariant():
         for perm in itertools.permutations(range(1, n + 1)):
             total = total + sn_act(perm, p)
         assert is_invariant(total, n)
+
+
+def test_monomial_enumeration_is_cached_and_immutable():
+    oracle._monomials_cached.cache_clear()
+    got = monomials_of_multidegree(2, 2, (2, 1))
+    assert isinstance(got, tuple) and all(isinstance(mono, tuple) for mono in got)
+    # a list multidegree reaches the same cache entry, the tuple itself
+    assert monomials_of_multidegree(2, 2, [2, 1]) is got
+    assert oracle._monomials_cached.cache_info().currsize == 1
+    for bad in ((2,), [2, 1, 0], ()):
+        with pytest.raises(ValueError):
+            monomials_of_multidegree(2, 2, bad)
+    assert oracle._monomials_cached.cache_info().currsize == 1
+    # orbit counts read the same enumeration
+    assert count_orbits(2, 2, (2, 1)) == 3
+    assert oracle._monomials_cached.cache_info().hits >= 2

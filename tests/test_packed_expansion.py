@@ -100,8 +100,8 @@ def test_identity_vanishes_with_large_lifts():
 
 @pytest.mark.parametrize("p", [2, 7])
 def test_unreduced_coefficients_mod_p(p):
-    # the public constructor keeps Z/p coefficients as given, so they may
-    # be negative or at least p: each must count as its residue
+    # coefficients given to the public constructor negative or at least p
+    # must each count as their residue
     ring = Zmod(p)
     g = GenPoly(2, ring, {(sym(1, (1, 0)),): -1})
     assert expands_as_reference(g, 2) == {(1, 0, 0, 0): p - 1, (0, 0, 1, 0): p - 1}

@@ -24,7 +24,7 @@ from multisym import msf, polyring
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key
 from multisym.msf import INF, MsfElement, alpha_multidegree, e_alpha, make_alpha
-from multisym.polyring import AmbientMismatch, NPoly, npoly_multidegree
+from multisym.polyring import AmbientMismatch, NPoly, npoly_multidegree, npoly_text
 from multisym.rewrite import GenPoly
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(3), Zmod(7)]
@@ -271,3 +271,19 @@ def test_msf_constructors_reject_booleans(pairs):
 def test_constructors_take_integers_only(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, text, expected", [
+    (lambda c: NPoly(1, 2, Zmod(7), {(1, 0): c}), npoly_text, "6*x1(1)"),
+    (lambda c: MsfElement(INF, 2, Zmod(7), {(((1, 0), 1),): c}), MsfElement.text,
+     "6*e(y1:1)"),
+    (lambda c: GenPoly(2, Zmod(7), {(((1, (1, 0)), 1),): c}), GenPoly.text, "6*E[1;(1,0)]"),
+], ids=["NPoly", "MsfElement", "GenPoly"])
+def test_public_constructors_reduce_mod_p(build, text, expected):
+    # -1, 6 and 13 are one residue mod 7, and 7 is zero
+    x, y, z, zero = build(-1), build(6), build(13), build(7)
+    assert x == y == z
+    assert text(x) == text(y) == text(z) == expected
+    assert list(x.terms.values()) == [6]
+    assert not x.is_zero and (x - y).is_zero
+    assert zero.is_zero and zero == build(0) and text(zero) == "0"
