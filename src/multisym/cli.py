@@ -29,7 +29,7 @@ from .linalg import RankTracker
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
                   alpha_weight, basis_alphas, element_from_json, element_json_text)
-from .polyring import NPoly, npoly_text
+from .polyring import NPoly, key_width, npoly_text, pack_key
 from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
 from .relations import kernel_basis, relation_items, verify_relation
 from . import oracle
@@ -326,9 +326,12 @@ def _verify_basis_rank(n, m, deg, ring):
         if len(alphas) != oracle.count_orbits(n, m, a):
             failures += 1
             continue
-        cols = {mono: i for i, mono in enumerate(oracle.monomials_of_multidegree(n, m, a))}
-        rows = [{cols[mono]: c for mono, c in
-                 MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand().terms.items()}
+        # columns keyed by packed monomial, at a width every exponent fits
+        w = key_width(max(a))
+        cols = {pack_key(mono, w): i
+                for i, mono in enumerate(oracle.monomials_of_multidegree(n, m, a))}
+        rows = [{cols[k]: c for k, c in
+                 MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand()._keys_at(w).items()}
                 for alpha in alphas]
         if not any(_full_rank(rows, len(cols), field) for field in fields):
             failures += 1

@@ -6,7 +6,9 @@ into orbits, sum the orbits.  Deliberately naive (n! loops) and deliberately
 independent: none of the abstract basis or rewriting machinery is used, so
 differential tests against this module mean something.  The enumeration of
 a multidegree's monomials is cached per (n, m, a), so orbit counts and rank
-columns share it; it depends on no coefficient ring.
+columns share it; the orbit representatives read off it are cached the
+same way, for orbit counts and invariant bases.  Neither depends on a
+coefficient ring.
 """
 
 from __future__ import annotations
@@ -68,11 +70,20 @@ def _monomials_cached(n: int, m: int, a: Mono) -> tuple:
     return tuple(out)
 
 
-def _orbit_reps(n: int, m: int, a: Mono) -> list:
+def _orbit_reps(n: int, m: int, a: Mono) -> tuple:
+    """One sorted block tuple per orbit of monomials of multidegree a."""
+    a = tuple(a)
+    if len(a) != m:
+        raise ValueError("multidegree length must equal m")
+    return _orbit_reps_cached(n, m, a)
+
+
+@cache
+def _orbit_reps_cached(n: int, m: int, a: Mono) -> tuple:
     reps = set()
     for mono in monomials_of_multidegree(n, m, a):
         reps.add(tuple(sorted(_blocks(mono, n, m))))
-    return sorted(reps)
+    return tuple(sorted(reps))
 
 
 def count_orbits(n: int, m: int, a: Mono) -> int:

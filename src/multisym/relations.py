@@ -8,13 +8,16 @@ relation.  Over the rationals the single symbol family e_{n+1}(f) generates
 the relation ideal, and the free e_1 alphabet makes those generators
 explicit.
 
-Vanishing is checked along two independent routes: evaluate (the abstract
-product, through rewrite) and genpoly_expand, which multiplies concrete
-orbit-sum polynomials in the n-slot ring and shares no code with rewrite
-or the orbit-sum product.  genpoly_expand keeps its own caches of integer
-images, keyed by a generator monomial and the ambient (n, m) but never by
-a coefficient ring: the full expansion over Z of each factor and prefix
-(_expansion_z), and of each generator monomial packed (_packed_image).
+Vanishing is checked along two independent routes.  Route 1 is the
+abstract product, through rewrite: evaluates_to_zero decides whether
+evaluate(g, n) is zero on its own packed orbit-sum images (see rewrite),
+sharing none of the packing code below.  Route 2 is genpoly_expand, which
+multiplies concrete orbit-sum polynomials in the n-slot ring and shares
+no code with rewrite or the orbit-sum product.  genpoly_expand keeps its
+own caches of integer images, keyed by a generator monomial and the
+ambient (n, m) but never by a coefficient ring: the full expansion over Z
+of each factor and prefix (_expansion_z), and of each generator monomial
+packed (_packed_image).
 
 The sum over those images runs on Kronecker-packed integers (Kronecker
 substitution; Harvey, "Faster polynomial multiplication via multipoint
@@ -50,7 +53,7 @@ from .linalg import RankTracker, rank_of
 from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
 from .polyring import NPoly, _repack, key_width
-from .rewrite import GenPoly, e_in_powersums, evaluate, rewrite
+from .rewrite import GenPoly, e_in_powersums, evaluates_to_zero, rewrite
 
 __all__ = [
     "kernel_basis",
@@ -243,7 +246,7 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
 
 def verify_relation(g: GenPoly, n: int) -> bool:
     """Vanishing along both routes: abstract evaluation and full expansion."""
-    if not evaluate(g, n).is_zero:
+    if not evaluates_to_zero(g, n):
         return False
     return genpoly_expand(g, n).is_zero
 

@@ -11,13 +11,14 @@ import sys
 import pytest
 
 import multisym
-from conftest import random_element, seeded
+from conftest import random_element, run_main, seeded
 from multisym import msf, oracle
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.relations import genpoly_expand
-from multisym.rewrite import GenPoly, _factor_render, evaluate, rewrite
+from multisym.rewrite import (GenPoly, _factor_render, _orbit_coords, _packed_evaluation,
+                              evaluate, evaluates_to_zero, rewrite)
 
 RINGS = [ZZ, Zmod(2), Zmod(3), QQ]
 AMBIENTS = [2, 3, INF]
@@ -64,7 +65,11 @@ def test_clear_caches_empties_every_module_cache():
     pipeline(Zmod(3), INF)
     x.text(), g.text()
     oracle.count_orbits(3, 2, (2, 1))
+    evaluates_to_zero(g, 3)
     assert oracle._monomials_cached.cache_info().currsize > 0
+    assert oracle._orbit_reps_cached.cache_info().currsize > 0
+    assert _packed_evaluation.cache_info().currsize > 0
+    assert _orbit_coords.cache_info().currsize > 0
     assert msf._margin_tables.cache_info().currsize > 0
     assert msf._product_skeleton.cache_info().currsize > 0
     assert msf._pair_render.cache_info().currsize > 0
@@ -78,8 +83,24 @@ def test_clear_caches_empties_every_module_cache():
             "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
-            "_pair_render", "_factor_render", "_monomials_cached"} <= names
+            "_pair_render", "_factor_render", "_monomials_cached",
+            "_orbit_reps_cached", "_orbit_coords", "_packed_evaluation"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+def test_relations_bytes_survive_clear_caches():
+    # packed images and the coordinate indices they point into are emptied
+    # together; one left filled would put fields in the wrong places
+    runs = []
+    for rings in (("Z", "Zmod:7"), ("Zmod:7", "Z")):
+        out = {}
+        for ring in rings:
+            code, out[ring], _ = run_main(["relations", "--n", "3", "--m", "2",
+                                           "--max-degree", "3,3", "--ring", ring])
+            assert code == 0
+        runs.append(out)
+        multisym.clear_caches()
+    assert runs[0] == runs[1]
 
 
 def repeated(x, k: int, one):

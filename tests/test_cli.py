@@ -312,6 +312,24 @@ def test_relations_bytes_are_pinned(capsys, ring, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of verify; the first three also run in CI, the last is
+# the benchmark's largest verify shape
+@pytest.mark.parametrize("argv, digest", [
+    ("--n 3 --m 2 --max-total-degree 4 --ring Z",
+     "b16799feafecd0f2c7d8be68282b14ade9b639fff7508fb6b767ce3d7478cc53"),
+    ("--n 3 --m 2 --max-total-degree 4 --ring Q",
+     "8c578737a0083e9d74f3859e920da6714986c742ffaab412955c7fa3596014a1"),
+    ("--n 3 --m 2 --max-total-degree 4 --ring Zmod:5",
+     "0bcf9b024ae4bb0fe3d1219940c08e21833dde4a592f95d551336cc7984b1742"),
+    ("--n 4 --m 3 --max-total-degree 4 --ring Z",
+     "8d220121ab4789799506c419587c978266d2d1848d3159cfa535adeaa9570994"),
+])
+def test_verify_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, ["verify"] + argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 PRODUCT = "error: multiplying needs over 2000000 words of margin tables\n"
 
 

@@ -113,6 +113,9 @@ def test_random_symmetrization_is_invariant():
 
 
 def test_monomial_enumeration_is_cached_and_immutable():
+    # orbit representatives are cached too; a filled entry would skip the
+    # enumeration that count_orbits is expected to hit below
+    oracle._orbit_reps_cached.cache_clear()
     oracle._monomials_cached.cache_clear()
     got = monomials_of_multidegree(2, 2, (2, 1))
     assert isinstance(got, tuple) and all(isinstance(mono, tuple) for mono in got)
