@@ -201,3 +201,16 @@ def test_unreduced_coefficients_mod_p(p):
         assert agrees(GenPoly(2, ring, {(sym(1, (1, 0)),): c}), 2) is vanishes
     identity = {(sym(1, (1, 0), 2),): 1 - p, (sym(1, (2, 0)),): p - 1, (sym(2, (1, 0)),): 2 * p - 2}
     assert agrees(GenPoly(2, ring, identity), 2) is True
+
+
+def test_wide_fields_mod_p_are_read_back(widths):
+    # lifts near 2^64 need 128-bit fields, read back without a native format
+    p = 2**64 - 59  # prime
+    ring = Zmod(p)
+    c = p - 1
+    zero = genpoly(ring, 2, [(c, [sym(1, (1, 0), 2)]), (-c, [sym(1, (2, 0))]),
+                             (-2 * c, [sym(2, (1, 0))])])
+    widths.clear()
+    assert agrees(zero, 2) is True
+    assert 4 * ZERO_TEST_BITS in widths
+    assert agrees(zero + genpoly(ring, 2, [(1, [sym(2, (1, 0))])]), 2) is False
