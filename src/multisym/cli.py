@@ -20,18 +20,16 @@ import json
 import random
 import sys
 from functools import cache
-from itertools import groupby
 from math import comb, factorial, perm
-from operator import itemgetter
 
-from .coeffring import QQ, ZZ, Ring, Zmod
-from .linalg import RankTracker
+from .coeffring import ZZ, Ring
+from .linalg import rank_of, rank_over_q
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
                   alpha_weight, basis_alphas, element_from_json, element_json_text)
 from .polyring import NPoly, key_width, npoly_text, pack_key
 from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
-from .relations import kernel_basis, relation_items, verify_relation
+from .relations import multidegrees_upto, relations_of, verify_relation
 from . import oracle
 
 __all__ = ["main", "run"]
@@ -177,6 +175,13 @@ def _parse_ring(s: str) -> Ring:
         raise _CliError(EXIT_PARSE, str(exc))
 
 
+def _check_ambient(n: int, m: int, deg: int | None = None) -> None:
+    """Refuse n < 1 or m < 1, and a negative deg when verify gives one."""
+    if n < 1 or m < 1 or (deg is not None and deg < 0):
+        raise _CliError(EXIT_PARSE, "need n >= 1 and m >= 1" if deg is None
+                        else "need n >= 1, m >= 1 and a nonnegative degree")
+
+
 def _parse_degrees(s: str, m: int) -> tuple:
     try:
         parts = tuple(int(t) for t in s.split(","))
@@ -249,26 +254,23 @@ def _cmd_rewrite(args) -> int:
 def _cmd_relations(args) -> int:
     ring = _parse_ring(args.ring)
     n, m = args.n, args.m
-    if n < 1 or m < 1:
-        raise _CliError(EXIT_PARSE, "need n >= 1 and m >= 1")
+    _check_ambient(n, m)
     max_a = _parse_degrees(args.max_degree, m)
     entries = []
-    all_ok = True
-    for a, items in groupby(relation_items(n, m, max_a, ring), key=itemgetter(0)):
-        items = list(items)
-        verified = True
-        for _, _, g in items:
-            verified = verify_relation(g, n) and verified
-        rels = [{"alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
-                 "genpoly": text}
-                for (_, alpha, _), text in zip(items, genpoly_texts([g for _, _, g in items]))]
-        all_ok = all_ok and verified
+    for a in multidegrees_upto(max_a):
+        items = relations_of(n, m, a, ring)
+        if not items:
+            continue
+        gs = [g for _, g in items]
         entries.append({
             "multidegree": list(a),
-            "count": len(rels),
-            "verified": verified,
-            "relations": rels,
+            "count": len(items),
+            "verified": all([verify_relation(g, n) for g in gs]),  # every relation checked
+            "relations": [{"alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
+                           "genpoly": text}
+                          for (alpha, _), text in zip(items, genpoly_texts(gs))],
         })
+    all_ok = all(e["verified"] for e in entries)
     _print_json({
         "n": n,
         "m": m,
@@ -282,11 +284,8 @@ def _cmd_relations(args) -> int:
 
 def _cmd_basis(args) -> int:
     n, m = args.n, args.m
-    if n < 1 or m < 1:
-        raise _CliError(EXIT_PARSE, "need n >= 1 and m >= 1")
+    _check_ambient(n, m)
     max_a = _parse_degrees(args.max_degree, m)
-    from .relations import multidegrees_upto
-
     entries = []
     for a in multidegrees_upto(max_a):
         alphas = basis_alphas(n, m, a)
@@ -305,20 +304,13 @@ def _multidegrees_total_upto(m: int, bound: int):
         yield from monomials_of_total_degree(m, total)
 
 
-def _full_rank(rows, ncols: int, field: Ring) -> bool:
-    """Whether the integer rows, given as {column: value}, are independent
-    over the field."""
-    tracker = RankTracker(ncols, field)
-    for row in rows:
-        tracker.add(row)
-    return tracker.rank == len(rows)
+def _basis_upto(n: int, m: int, deg: int) -> list:
+    """Every basis index of total degree at most deg, multidegree by multidegree."""
+    return [alpha for a in _multidegrees_total_upto(m, deg) for alpha in basis_alphas(n, m, a)]
 
 
 def _verify_basis_rank(n, m, deg, ring):
-    # The expansion matrix has 0/1 entries, so full rank modulo a large
-    # prime certifies full rank over Q; Q itself is needed only when the
-    # rank modulo the prime comes out short.
-    fields = (ring,) if ring.kind == "Zp" else (Zmod(1000003), QQ)
+    # over Z and Q the rank is linalg.rank_over_q; Z/p ranks in the ring itself
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         alphas = basis_alphas(n, m, a)
@@ -333,16 +325,14 @@ def _verify_basis_rank(n, m, deg, ring):
         rows = [{cols[k]: c for k, c in
                  MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand()._keys_at(w).items()}
                 for alpha in alphas]
-        if not any(_full_rank(rows, len(cols), field) for field in fields):
+        rank = rank_over_q(rows, len(cols)) if ring.p is None else rank_of(rows, len(cols), ring)
+        if rank < len(rows):
             failures += 1
     return checked, failures
 
 
 def _verify_homomorphism(n, m, deg, ring, pairs=40):
-    pool = []
-    for a in _multidegrees_total_upto(m, deg):
-        for alpha in basis_alphas(n, m, a):
-            pool.append(alpha)
+    pool = _basis_upto(n, m, deg)
     rng = random.Random(f"verify:{n}:{m}:{deg}:{ring.to_string()}")
     checked = failures = 0
     attempts = 0
@@ -363,32 +353,19 @@ def _verify_homomorphism(n, m, deg, ring, pairs=40):
 
 
 def _verify_round_trip(n, m, deg, ring):
-    checked = failures = 0
-    for a in _multidegrees_total_upto(m, deg):
-        for alpha in basis_alphas(n, m, a):
-            x = MsfElement._make(n, m, ring, {alpha: ring.one})
-            checked += 1
-            if evaluate(rewrite(x), n) != x:
-                failures += 1
-    return checked, failures
+    xs = [MsfElement._make(n, m, ring, {alpha: ring.one}) for alpha in _basis_upto(n, m, deg)]
+    return len(xs), sum([evaluate(rewrite(x), n) != x for x in xs])
 
 
 def _verify_relations(n, m, deg, ring):
-    checked = failures = 0
-    for a in _multidegrees_total_upto(m, deg):
-        for alpha in kernel_basis(n, m, a):
-            g = rewrite(MsfElement._make(INF, m, ring, {alpha: ring.one}))
-            checked += 1
-            if g.is_zero or not verify_relation(g, n):
-                failures += 1
-    return checked, failures
+    gs = [g for a in _multidegrees_total_upto(m, deg) for _, g in relations_of(n, m, a, ring)]
+    return len(gs), sum([g.is_zero or not verify_relation(g, n) for g in gs])
 
 
 def _cmd_verify(args) -> int:
     ring = _parse_ring(args.ring)
     n, m, deg = args.n, args.m, args.max_total_degree
-    if n < 1 or m < 1 or deg < 0:
-        raise _CliError(EXIT_PARSE, "need n >= 1, m >= 1 and a nonnegative degree")
+    _check_ambient(n, m, deg)
     if n > VERIFY_MAX_N or m > VERIFY_MAX_M or deg > VERIFY_MAX_DEG:
         raise _CliError(
             EXIT_PARSE,

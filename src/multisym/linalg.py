@@ -1,17 +1,20 @@
 """Small exact linear algebra over a field.
 
 Only what the rank certificates need: incremental row reduction over Q or a
-prime field.  Rows are sparse, maps {column: value}; a dense sequence is
-read as the map of its positions.  Values are ring elements or integers,
-settled into the ring on entry (Ring.settle), so zeros are never stored.
-The ring must support division.
+prime field, and the rank over Q of integer rows, taken modulo a prime
+first (rank_over_q).  Rows are sparse, maps {column: value}; a dense
+sequence is read as the map of its positions.  Values are ring elements or
+integers, settled into the ring on entry (Ring.settle), so zeros are never
+stored.  The ring must support division.
 """
 
 from __future__ import annotations
 
-from .coeffring import Ring
+from .coeffring import QQ, Ring, Zmod
 
-__all__ = ["RankTracker", "rank_of"]
+__all__ = ["RankTracker", "rank_of", "rank_over_q"]
+
+CERT_FIELD = Zmod(1000003)  # where rank_over_q ranks first
 
 
 class RankTracker:
@@ -66,7 +69,20 @@ class RankTracker:
 
 
 def rank_of(rows, ncols: int, ring: Ring) -> int:
+    """The rank of the rows over the field; no row is read once it is ncols."""
     tr = RankTracker(ncols, ring)
     for row in rows:
+        if tr.rank == ncols:
+            break
         tr.add(row)
     return tr.rank
+
+
+def rank_over_q(rows: list, ncols: int) -> int:
+    """The rank of integer rows over Q.  The rank modulo a prime is at most
+    that, so it is the answer when full, min(len(rows), ncols); only a rank
+    that falls short there is computed again over Q."""
+    rank = rank_of(rows, ncols, CERT_FIELD)
+    if rank < min(len(rows), ncols):
+        rank = rank_of(rows, ncols, QQ)
+    return rank

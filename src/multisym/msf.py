@@ -375,10 +375,6 @@ class MsfElement(Sparse):
         if self.n is not INF and w > self.n:
             raise ValueError(f"index of weight {w} cannot live in ambient n={self.n}")
 
-    @property
-    def finite(self) -> bool:
-        return self.n is not INF
-
     def __mul__(self, other: "MsfElement") -> "MsfElement":
         self._compat(other)
         R = self.ring

@@ -95,11 +95,7 @@ def invariant_basis(n: int, m: int, a: Mono, ring: Ring) -> list:
 
     These span the invariants of that multidegree component.
     """
-    out = []
-    for rep in _orbit_reps(n, m, a):
-        images = {_from_blocks(p) for p in permutations(rep)}
-        out.append(NPoly(n, m, ring, {img: ring.one for img in images}))
-    return out
+    return [orbit_sum(_from_blocks(rep), n, m, ring) for rep in _orbit_reps(n, m, a)]
 
 
 def is_invariant(p: NPoly, n: int) -> bool:

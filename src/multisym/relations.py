@@ -48,8 +48,8 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .coeffring import QQ, ZZ, Ring, Zmod
-from .linalg import RankTracker, rank_of
+from .coeffring import QQ, ZZ, Ring
+from .linalg import rank_over_q
 from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
 from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
 from .polyring import NPoly, _repack, key_width
@@ -57,6 +57,7 @@ from .rewrite import GenPoly, e_in_powersums, evaluates_to_zero, rewrite
 
 __all__ = [
     "kernel_basis",
+    "relations_of",
     "relation_items",
     "relation_polys",
     "genpoly_expand",
@@ -78,21 +79,23 @@ def multidegrees_upto(max_a: Mono) -> list:
     return [(0,) * len(max_a)] + monomials_up_to(len(max_a), max_a)
 
 
-def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
-    """(multidegree, index, relation) triples in deterministic order.
+def relations_of(n: int, m: int, a: Mono, ring: Ring) -> list:
+    """(index, relation) pairs of multidegree a, in kernel_basis order.
 
-    Each relation is the rewrite of the dead basis symbol in the no-cutoff
+    Each relation is the rewrite of a dead basis symbol in the no-cutoff
     ambient, so it is a nonzero polynomial in the free generators that
     evaluates to zero in the n-slot ring.
     """
+    return [(alpha, rewrite(MsfElement._make(INF, m, ring, {alpha: ring.one})))
+            for alpha in kernel_basis(n, m, a)]
+
+
+def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
+    """(multidegree, index, relation) triples up to max_a, in order."""
     if len(max_a) != m:
         raise ValueError("bound length must equal m")
-    items = []
-    for a in multidegrees_upto(max_a):
-        for alpha in kernel_basis(n, m, a):
-            x = MsfElement._make(INF, m, ring, {alpha: ring.one})
-            items.append((a, alpha, rewrite(x)))
-    return items
+    return [(a, alpha, g) for a in multidegrees_upto(max_a)
+            for alpha, g in relations_of(n, m, a, ring)]
 
 
 def relation_polys(n: int, m: int, max_a: Mono, ring: Ring) -> list:
@@ -312,8 +315,7 @@ def coverage_rank(n: int, m: int, a: Mono):
 
     Rows are the coefficient patterns of e_{n+k}(f) for deterministic
     pseudo-random integer f, k running over every weight the kernel
-    contains.  Certified with a big-prime rank first, exact rational
-    fallback if that comes up short.
+    contains, ranked by linalg.rank_over_q.
     """
     kernel = kernel_basis(n, m, a)
     dim = len(kernel)
@@ -324,7 +326,6 @@ def coverage_rank(n: int, m: int, a: Mono):
         by_weight.setdefault(alpha_weight(alpha), []).append(alpha)
     monos = monomials_up_to(m, a)
     rng = random.Random(f"coverage:{n}:{m}:{a}")
-    Fp = Zmod(1000003)
 
     # A row coming from e_{n+k}(f) is supported on indices of weight n+k
     # only, so the coverage matrix is block diagonal by weight and the
@@ -332,9 +333,8 @@ def coverage_rank(n: int, m: int, a: Mono):
     achieved = 0
     for w in sorted(by_weight):
         block = by_weight[w]
-        d = len(block)
         samples = []
-        for _ in range(d + 8):
+        for _ in range(len(block) + 8):
             lam = {mu: rng.randint(1, 97) for mu in monos}
             row = []
             for alpha in block:
@@ -343,13 +343,5 @@ def coverage_rank(n: int, m: int, a: Mono):
                     v *= lam[mu] ** mult
                 row.append(v)
             samples.append(row)
-        tr = RankTracker(d, Fp)
-        for row in samples:
-            tr.add(row)
-            if tr.rank == d:
-                break
-        got = tr.rank
-        if got < d:
-            got = rank_of(samples, d, QQ)
-        achieved += got
+        achieved += rank_over_q(samples, len(block))
     return achieved, dim

@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coeffring import Ring, ZZ
-from .polyring import NPoly, sn_act
+from .oracle import is_invariant
+from .polyring import NPoly
 from .rewrite import GenPoly
 
 __all__ = [
@@ -70,15 +71,6 @@ def epoly_substitute(ep: GenPoly, value_of, one, scalar):
     return total
 
 
-def _check_symmetric(f: NPoly) -> None:
-    N = f.n
-    for t in range(1, N):
-        perm = list(range(1, N + 1))
-        perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        if sn_act(tuple(perm), f) != f:
-            raise ValueError("input polynomial is not symmetric")
-
-
 def to_e_basis(f: NPoly) -> GenPoly:
     """Rewrite a symmetric polynomial in N variables into the e-basis, a
     GenPoly(1, f.ring) in the symbols E[i;(1)].
@@ -95,7 +87,8 @@ def to_e_basis(f: NPoly) -> GenPoly:
     deg = max((sum(mu) for mu in f.terms), default=-1)
     if deg > N:
         raise ValueError(f"degree {deg} exceeds the {N}-variable faithful range")
-    _check_symmetric(f)
+    if not is_invariant(f, N):
+        raise ValueError("input polynomial is not symmetric")
     rest = f
     out = {}
     while not rest.is_zero:

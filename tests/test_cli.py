@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import run_main
-from multisym import cli, msf
+from multisym import cli, linalg, msf
 from multisym.cli import main
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement, e_alpha, element_to_json
@@ -82,11 +82,24 @@ def test_parse_errors_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("n, m, degrees", [("0", "2", "1,1"), ("2", "0", ""),
                                            ("-1", "1", "1")])
 def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
-    code, out, err = run(capsys, ["relations", "--n", n, "--m", m,
-                                  "--max-degree", degrees])
-    assert code == 3
-    assert out == ""
-    assert err == "error: need n >= 1 and m >= 1\n"
+    """relations, basis and verify share one refusal of an empty ambient."""
+    for cmd in ("relations", "basis"):
+        assert run(capsys, [cmd, "--n", n, "--m", m, "--max-degree", degrees]) == (
+            3, "", "error: need n >= 1 and m >= 1\n")
+    assert run(capsys, ["verify", "--n", n, "--m", m, "--max-total-degree", "1"]) == (
+        3, "", "error: need n >= 1, m >= 1 and a nonnegative degree\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["relations", "--n", "2", "--m", "2", "--max-degree", "1,x"],
+     "error: bad degree list '1,x'\n"),
+    (["basis", "--n", "2", "--m", "2", "--max-degree", "1,x"],
+     "error: bad degree list '1,x'\n"),
+    (["verify", "--n", "2", "--m", "2", "--max-total-degree", "-1"],
+     "error: need n >= 1, m >= 1 and a nonnegative degree\n"),
+], ids=["relations-list", "basis-list", "verify-negative"])
+def test_bad_degrees_exit_3_with_one_line(capsys, argv, err):
+    assert run(capsys, argv) == (3, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,20 +510,24 @@ def test_verify_passes_at_desk_scale(capsys):
 
 
 def test_basis_rank_falls_back_to_q_when_short_mod_p(monkeypatch):
-    """A rank that comes out short modulo the big prime is decided over Q."""
-    assert cli._full_rank([{0: 1, 1: 1}, {1: 1}], 2, Zmod(1000003))
-    assert not cli._full_rank([{0: 1000003}], 1, Zmod(1000003))
-    assert cli._full_rank([{0: 1000003}], 1, QQ)
+    """A rank that comes out short modulo the big prime is decided over Q
+    (linalg.rank_over_q); over Z/p the rank is taken over the ring alone."""
+    p = Zmod(1000003)
+    assert linalg.CERT_FIELD == p
+    assert linalg.rank_of([{0: 1, 1: 1}, {1: 1}], 2, p) == 2
+    assert linalg.rank_of([{0: 1000003}], 1, p) == 0
+    assert linalg.rank_over_q([{0: 1000003}], 1) == 1
     fields = []
-    real = cli._full_rank
+    real = linalg.rank_of
 
     def short_mod_p(rows, ncols, field):
         fields.append(field)
-        return field == QQ and real(rows, ncols, field)
+        return real(rows, ncols, field) if field == QQ else 0
 
-    monkeypatch.setattr(cli, "_full_rank", short_mod_p)
+    monkeypatch.setattr(linalg, "rank_of", short_mod_p)
+    monkeypatch.setattr(cli, "rank_of", short_mod_p)
     checked, failures = cli._verify_basis_rank(2, 2, 3, ZZ)
-    assert failures == 0 and fields == [Zmod(1000003), QQ] * checked
+    assert failures == 0 and fields == [p, QQ] * checked
     fields.clear()
     assert cli._verify_basis_rank(2, 2, 3, Zmod(5)) == (checked, checked)
     assert fields == [Zmod(5)] * checked

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.linalg import RankTracker, rank_of
+from multisym.linalg import RankTracker, rank_of, rank_over_q
 
 FIELDS = [QQ, Zmod(2), Zmod(1000003)]
 
@@ -78,6 +78,24 @@ def test_sparse_rows_match_dense_elimination(field, seed):
     assert as_list.rank == as_map.rank == len(dense.pivots)
     assert as_list.pivots.keys() == dense.pivots.keys()
     assert rank_of(iter(rows), ncols, field) == len(dense.pivots)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_over_q_matches_dense_elimination(seed):
+    # rows with entries divisible by the big prime rank short modulo it
+    rng = random.Random(f"linalg:Q:{seed}")
+    ncols = rng.randint(1, 12)
+    rows = random_rows(rng, rng.randint(1, 2 * ncols + 3), ncols)
+    dense = DenseReference(ncols, QQ)
+    for row in rows:
+        dense.add(row)
+    assert rank_over_q(rows, ncols) == len(dense.pivots)
+
+
+def test_rank_reads_no_row_once_full():
+    assert rank_of([{0: 1}, {5: 1}], 1, QQ) == 1  # {5: 1} is out of range
+    with pytest.raises(ValueError):
+        rank_of([{}, {5: 1}], 1, QQ)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda r: r.to_string())

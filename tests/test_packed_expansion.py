@@ -8,6 +8,7 @@ exactly; and a one-unit change to a relation must flip its verdict.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,7 +18,8 @@ from multisym import relations
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.relations import (FIELD_BITS, _coords, _expansion_z, _fields_divisible,
                                 genpoly_expand, relation_items, verify_relation)
-from multisym.rewrite import GenPoly
+from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _packed_evaluation, evaluate,
+                              evaluates_to_zero)
 from test_integer_frame import ref_expand
 
 M31 = 2**31 - 1  # prime
@@ -215,3 +217,26 @@ def test_divisibility_of_every_field_is_read_exactly(p):
             for fs in (fields, [fields[0] + 1] + fields[1:]):  # and off by one
                 total = sum(f << (w * i) for i, f in enumerate(fs))
                 assert _fields_divisible(total, p, size, w) is all(f % p == 0 for f in fs)
+
+
+def test_images_too_wide_for_32_bit_fields():
+    # at n = 2, E[1;(1,0)]^34 is (x1(1) + x1(2))^34, whose largest
+    # coefficient C(34,17) = 2,333,606,220 reaches 2^31: neither packer can
+    # hold it in a 32-bit field, and both must widen
+    n, m = 2, 2
+    wide = GenPoly(m, ZZ, {(sym(1, (1, 0), 34),): 1})
+    rels = relation_items(n, m, (2, 1), ZZ)
+    assert rels
+    for _, _, rel in rels:
+        g = rel * wide
+        for s in g.terms:
+            route2 = relations._packed_image(s, n, m, FIELD_BITS)
+            route1 = _packed_evaluation(s, n, m, ZERO_TEST_BITS)
+            assert route2[0] is None and route2[1] >= comb(34, 17)
+            assert route1[0] is None and route1[1] >= comb(34, 17)
+        assert evaluates_to_zero(g, n) and evaluate(g, n).is_zero
+        assert not expands_as_reference(g, n)
+        s = next(iter(g.terms))
+        bumped = g + GenPoly(m, ZZ, {s: 1})
+        assert not evaluates_to_zero(bumped, n) and not evaluate(bumped, n).is_zero
+        assert expands_as_reference(bumped, n)

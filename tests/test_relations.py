@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import degrees_upto
+from multisym import linalg
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import (INF, alpha_weight, alphas_of_multidegree, e_alpha,
                           ek_of_f)
@@ -10,7 +11,7 @@ from multisym.polyring import NPoly
 from multisym.relations import (char_zero_ideal_gens, coverage_rank,
                                 genpoly_expand, genpoly_to_e1, kernel_basis,
                                 multidegrees_upto, relation_items,
-                                relation_polys, verify_relation)
+                                relation_polys, relations_of, verify_relation)
 from multisym.rewrite import GenPoly, evaluate, rewrite
 
 F2 = Zmod(2)
@@ -52,6 +53,27 @@ def test_relation_items_are_ordered_and_complete():
         assert not g.is_zero
     for a in multidegrees_upto((2, 2)):
         assert len(by_deg.get(a, [])) == len(kernel_basis(2, 2, a))
+
+
+def test_relations_change_base():
+    """The relations over Z/p are the Z relations reduced mod p, and those
+    over Q the Z relations themselves, index for index."""
+    count = 0
+    for n, m, box in [(2, 2, (3, 3)), (3, 2, (4, 4)), (2, 1, (10,)), (1, 3, (2, 2, 2))]:
+        for a in multidegrees_upto(box):
+            over_z = relations_of(n, m, a, ZZ)
+            for ring in (QQ, F2, Zmod(3), Zmod(7)):
+                got = relations_of(n, m, a, ring)
+                assert [al for al, _ in got] == [al for al, _ in over_z]
+                for (_, g), (_, gz) in zip(got, over_z):
+                    if ring == QQ:
+                        assert g.terms == gz.terms
+                    else:
+                        assert not g.is_zero
+                        assert g.terms == {s: c % ring.p for s, c in gz.terms.items()
+                                           if c % ring.p}
+            count += len(over_z)
+    assert count == 560
 
 
 def test_relations_vanish_small():
@@ -165,3 +187,17 @@ def test_ek_of_f_relations_route():
     g = rewrite(x)
     assert evaluate(g, 1).is_zero
     assert not evaluate(g, 2).is_zero
+
+
+def test_coverage_rank_falls_back_to_q(monkeypatch):
+    """A block whose rank comes out short modulo the prime is ranked over Q."""
+    fields = []
+    real = linalg.rank_of
+
+    def short_mod_p(rows, ncols, field):
+        fields.append(field)
+        return real(rows, ncols, field) if field == QQ else 0
+
+    monkeypatch.setattr(linalg, "rank_of", short_mod_p)
+    assert coverage_rank(1, 1, (4,)) == (4, 4)
+    assert fields and fields == [linalg.CERT_FIELD, QQ] * (len(fields) // 2)
