@@ -4,7 +4,9 @@ The invariants of the symmetric group permuting n slots of m variables,
 handled through their orbit-sum basis: products, expansion into the
 concrete polynomial ring, rewriting into the free generators e_i(nu) for
 primitive nu, and the defining relations of the finite-slot ring, with a
-brute-force oracle for differential checks.
+brute-force oracle for differential checks.  The reference routines
+and library conveniences that no command reaches live in
+multisym.reference, which loads on first use of one of its names.
 """
 
 import sys
@@ -13,14 +15,11 @@ from .coeffring import QQ, Ring, ZZ, Zmod
 from .monomial import grlex_key, mono_cmp, mono_mul, primitive_decompose
 from .msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
                   alphas_of_multidegree, basis_alphas, e_alpha,
-                  element_from_json, element_to_json, ek_of_f, expand,
-                  make_alpha, merge_repeats, product, truncate)
-from .polyring import NPoly, npoly_text, parse_npoly, sn_act, subst_slot
-from .relations import (char_zero_ideal_gens, coverage_rank, genpoly_expand,
-                        kernel_basis, relation_polys, verify_relation)
-from .rewrite import (GenPoly, evaluate, free_monomial_count, newton_p,
-                      plethysm_P, primitive_reduce, reduce_to_monomial_es,
-                      rewrite)
+                  element_from_json, element_to_json, make_alpha)
+from .polyring import NPoly, npoly_text
+from .relations import genpoly_expand, kernel_basis, verify_relation
+from .rewrite import (GenPoly, evaluate, newton_p, plethysm_P, primitive_reduce,
+                      reduce_to_monomial_es, rewrite)
 
 __version__ = "0.1.0"
 
@@ -42,12 +41,16 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # symfun (reference routines on the classical e_i) loads on first use,
-    # so importing the command line front end does not compile it
-    if name == "to_e_basis":
-        from .symfun import to_e_basis
-        return to_e_basis
+    # the names of __all__ not bound above live in reference, which loads on
+    # first use of one, so importing the command line front end never compiles it
+    if name in __all__:
+        from . import reference
+        return getattr(reference, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 
 def clear_caches() -> None:

@@ -23,7 +23,6 @@ from functools import cache
 from math import comb, factorial, perm
 
 from .coeffring import ZZ, Ring
-from .linalg import rank_of, rank_over_q
 from .monomial import monomials_of_total_degree
 from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
                   alpha_weight, basis_alphas, element_from_json, element_json_text)
@@ -310,7 +309,10 @@ def _basis_upto(n: int, m: int, deg: int) -> list:
 
 
 def _verify_basis_rank(n, m, deg, ring):
-    # over Z and Q the rank is linalg.rank_over_q; Z/p ranks in the ring itself
+    # over Z and Q the rank is linalg.rank_over_q; Z/p ranks in the ring itself.
+    # Only verify ranks, so the other commands never import linalg.
+    from .linalg import rank_of, rank_over_q
+
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         alphas = basis_alphas(n, m, a)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, repeat
-from math import comb, factorial
+from math import comb
 from operator import add, getitem, lshift
 
 from .coeffring import Ring
@@ -76,11 +76,6 @@ __all__ = [
     "alpha_text",
     "MsfElement",
     "e_alpha",
-    "product",
-    "expand",
-    "merge_repeats",
-    "truncate",
-    "ek_of_f",
     "alphas_of_multidegree",
     "basis_alphas",
     "element_json_text",
@@ -198,35 +193,6 @@ def _sorted_rows(terms: dict, render, field: int) -> tuple:
     keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), terms)))
     keyed = dict(zip(keys, terms.items()))
     return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__
-
-
-# integer core of the merge rule: equal argument monomials collapse and pick
-# up the multinomial coefficient (sum of mults)! / prod(mult_i!)
-
-def _merge_int(args) -> tuple[AlphaIndex, int]:
-    groups: dict[Mono, list[int]] = {}
-    for mu, mult in args:
-        if mult == 0:
-            continue
-        groups.setdefault(mu, []).append(mult)
-    mult_factor = 1
-    support = []
-    for mu, parts in groups.items():
-        tot = sum(parts)
-        if len(parts) > 1:
-            c = factorial(tot)
-            for p in parts:
-                c //= factorial(p)
-            mult_factor *= c
-        support.append((mu, tot))
-    support.sort(key=lambda t: grlex_key(t[0]))
-    return tuple(support), mult_factor
-
-
-def merge_repeats(args, ring: Ring):
-    """Public form of the merge rule: canonical index plus an R-scalar."""
-    alpha, k = _merge_int(args)
-    return alpha, ring.embed(k)
 
 
 @cache
@@ -483,59 +449,6 @@ def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfEle
     return MsfElement._make(n, m, ring, {alpha: ring.one})
 
 
-def product(x: MsfElement, y: MsfElement) -> MsfElement:
-    return x * y
-
-
-def expand(x: MsfElement) -> NPoly:
-    return x.expand()
-
-
-def truncate(x: MsfElement, target) -> MsfElement:
-    return x.truncate(target)
-
-
-def ek_of_f(f: NPoly, k: int, n) -> MsfElement:
-    """e_k evaluated at a one-slot polynomial f = f(x_1(1),...,x_m(1)) with
-    zero constant term.
-
-    Writing f = sum_mu lambda_mu * mu, the result is the sum over indices
-    alpha supported on the monomials of f with |alpha| = k of
-    (prod_mu lambda_mu^alpha(mu)) e_alpha.  Weight k terms all vanish when
-    k > n in a finite ambient.
-    """
-    from .monomial import compositions
-
-    R = f.ring
-    m = f.m
-    if f.n != 1:
-        raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
-    if k < 0:
-        raise ValueError("negative k")
-    if not R.is_zero(f.terms.get((0,) * m, R.zero)):
-        raise ValueError("argument must have zero constant term")
-    if k == 0:
-        return MsfElement.one(n, m, R)
-    if n is not INF and k > n:
-        return MsfElement.zero(n, m, R)
-    support = sorted(f.terms.items(), key=lambda t: grlex_key(t[0]))
-    monos = [mu for mu, _ in support]
-    lams = [c for _, c in support]
-    out = {}
-    for parts in compositions(k, len(monos)):
-        coeff = R.one
-        pairs = []
-        for mu, lam, p in zip(monos, lams, parts):
-            if p:
-                coeff = R.mul(coeff, R.power(lam, p))
-                pairs.append((mu, p))
-        if R.is_zero(coeff):
-            continue
-        alpha = tuple(sorted(pairs, key=lambda t: grlex_key(t[0])))
-        out[alpha] = R.add(out.get(alpha, R.zero), coeff)
-    return MsfElement(n, m, R, out)
-
-
 @cache
 def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
     monos = monomials_up_to(m, a)
@@ -569,11 +482,15 @@ def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
 def alphas_of_multidegree(m: int, a: Mono, max_weight=None) -> list:
     """All indices of multidegree exactly a, optionally of weight <= max_weight.
 
-    Deterministic order: by weight, then by the canonical index key.
+    Deterministic order: by weight, then by the canonical index key.  The
+    components are checked here, not in the cache, where (True, 2) would
+    find the entry of (1, 2).
     """
     a = tuple(a)
     if len(a) != m:
         raise ValueError("multidegree length must equal m")
+    for d in a:
+        _checked_int(d, "multidegree component", 0)
     return list(_alphas_cached(m, a, max_weight))
 
 

@@ -17,15 +17,15 @@ slot-major layout, x_i(j) living at flat index (j-1)*m + (i-1).
 Slot-major makes the slot permutation action a block permutation of the
 key.  Two shapes stand for the classical rings: ``NPoly(1, m)`` is
 R[y_1,...,y_m], one slot of m variables, and ``NPoly(N, 1)`` holds the
-polynomials in N variables that S_N permutes by ``sn_act``.
+polynomials in N variables that S_N permutes by ``reference.sn_act``.
 
 Internally an NPoly stores each monomial as one packed integer: the
 variable at flat index k owns a bit field of fixed width w starting at bit
 k*w, and the top bit of every field is a guard bit that no stored key sets.
 Multiplying two monomials is then a single integer addition.  Keys leave
 this module only as exponent tuples: ``NPoly.terms`` is a read-only mapping
-view that decodes on iteration and encodes on lookup, and ``sorted_terms``,
-``npoly_text``, ``sn_act`` and ``subst_slot`` all speak tuples.
+view that decodes on iteration and encodes on lookup, and ``sorted_terms``
+and ``npoly_text`` speak tuples.
 
 Overflow policy: widths start at ``BASE_WIDTH`` bits and only ever double.
 A product whose sum reaches a guard bit is still exact in w bits and is
@@ -50,13 +50,8 @@ __all__ = [
     "AmbientMismatch",
     "Sparse",
     "NPoly",
-    "subst_slot",
-    "sn_act",
-    "check_perm",
-    "flat_index",
     "npoly_multidegree",
     "npoly_text",
-    "parse_npoly",
 ]
 
 
@@ -180,17 +175,6 @@ class Sparse:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-
-def check_perm(sigma, n: int) -> None:
-    """sigma must be a tuple of the 1-based images (sigma[j-1] = image of j)."""
-    if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
-
-
-def flat_index(i: int, j: int, m: int) -> int:
-    """Flat position of x_i(j), both 1-based."""
-    return (j - 1) * m + (i - 1)
 
 
 # Packed exponent keys (Monagan & Pearce, CASC 2007); layout and overflow
@@ -346,7 +330,7 @@ class NPoly(Sparse):
         if not 1 <= j <= n:
             raise ValueError(f"slot index {j} outside 1..{n}")
         exps = [0] * (n * m)
-        exps[flat_index(i, j, m)] = 1
+        exps[(j - 1) * m + (i - 1)] = 1
         return cls(n, m, ring, {tuple(exps): ring.one})
 
     @property
@@ -415,33 +399,6 @@ def npoly_multidegree(mono, m: int) -> Mono:
     return tuple(deg)
 
 
-def subst_slot(f: NPoly, j: int, n: int) -> NPoly:
-    """The substitution x_i(1) -> x_i(j), landing the one-slot polynomial f
-    in the n-slot ring: each packed key moves up by j-1 slots."""
-    if f.n != 1:
-        raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
-    _checked_int(n, "slot count", 1)
-    if _checked_int(j, "slot index", 1) > n:
-        raise ValueError(f"slot index {j} outside 1..{n}")
-    shift = (j - 1) * f.m * f._w
-    return NPoly._packed(n, f.m, f.ring, {k << shift: c for k, c in f._d.items()}, f._w)
-
-
-def sn_act(sigma, p: NPoly) -> NPoly:
-    """Slot permutation x_i(j) -> x_i(sigma(j)); sigma[j-1] is the image of j."""
-    check_perm(sigma, p.n)
-    m = p.m
-    out = {}
-    for mono, c in p.terms.items():
-        key = [0] * len(mono)
-        for j in range(p.n):
-            dst = (sigma[j] - 1) * m
-            src = j * m
-            key[dst:dst + m] = mono[src:src + m]
-        out[tuple(key)] = c
-    return NPoly(p.n, p.m, p.ring, out)
-
-
 # text form, mostly for tests and --text output
 
 def npoly_text(p: NPoly) -> str:
@@ -450,42 +407,3 @@ def npoly_text(p: NPoly) -> str:
         (fmt(c), "*".join(f"x{flat % m + 1}({flat // m + 1})" + (f"^{e}" if e > 1 else "")
                           for flat, e in enumerate(mono) if e))
         for mono, c in p.sorted_terms())
-
-
-def parse_npoly(s: str, n: int, m: int, ring: Ring) -> NPoly:
-    """Parse the npoly_text form, e.g. 'x1(1)*x2(2) + 2*x1(2)^3'."""
-    import re
-
-    s = s.strip()
-    if s == "0":
-        return NPoly.zero(n, m, ring)
-    # split into signed terms at top level
-    s = s.replace("-", "+-")
-    parts = [t.strip() for t in s.split("+") if t.strip()]
-    var_re = re.compile(r"^x(\d+)\((\d+)\)(?:\^(\d+))?$")
-    total = NPoly.zero(n, m, ring)
-    for part in parts:
-        neg = part.startswith("-")
-        if neg:
-            part = part[1:].strip()
-        coeff = ring.one
-        exps = [0] * (n * m)
-        saw_var = False
-        for factor in part.split("*"):
-            factor = factor.strip()
-            mo = var_re.match(factor)
-            if mo:
-                i, j = int(mo.group(1)), int(mo.group(2))
-                e = int(mo.group(3)) if mo.group(3) else 1
-                if not (1 <= i <= m and 1 <= j <= n):
-                    raise ValueError(f"variable x{i}({j}) outside ambient ({n},{m})")
-                exps[flat_index(i, j, m)] += e
-                saw_var = True
-            else:
-                coeff = ring.mul(coeff, ring.parse_coeff(factor))
-        if not saw_var and not part:
-            raise ValueError("empty term")
-        if neg:
-            coeff = ring.neg(coeff)
-        total = total + NPoly.monomial(exps, n, m, ring, coeff)
-    return total

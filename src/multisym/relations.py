@@ -4,9 +4,7 @@ Per multidegree a the kernel of the limit ring onto the n-slot ring is
 spanned by the basis symbols of weight above n.  Rewriting such a symbol
 into the free generators (in the no-cutoff ambient) yields a polynomial
 identity that must evaluate to zero once the cutoff is applied: a defining
-relation.  Over the rationals the single symbol family e_{n+1}(f) generates
-the relation ideal, and the free e_1 alphabet makes those generators
-explicit.
+relation.
 
 Vanishing is checked along two independent routes.  Route 1 is the
 abstract product, through rewrite: evaluates_to_zero decides whether
@@ -43,28 +41,21 @@ multidegree at a time.
 
 from __future__ import annotations
 
-import random
 from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .coeffring import QQ, ZZ, Ring
-from .linalg import rank_over_q
-from .monomial import Mono, mono_pow, monomials_of_total_degree, monomials_up_to
-from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha, ek_of_f
+from .coeffring import ZZ, Ring
+from .monomial import Mono, monomials_up_to
+from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha
 from .polyring import NPoly, _repack, key_width
-from .rewrite import GenPoly, e_in_powersums, evaluates_to_zero, rewrite
+from .rewrite import GenPoly, evaluates_to_zero, rewrite
 
 __all__ = [
     "kernel_basis",
     "relations_of",
-    "relation_items",
-    "relation_polys",
     "genpoly_expand",
     "verify_relation",
-    "char_zero_ideal_gens",
-    "genpoly_to_e1",
-    "coverage_rank",
     "multidegrees_upto",
 ]
 
@@ -88,18 +79,6 @@ def relations_of(n: int, m: int, a: Mono, ring: Ring) -> list:
     """
     return [(alpha, rewrite(MsfElement._make(INF, m, ring, {alpha: ring.one})))
             for alpha in kernel_basis(n, m, a)]
-
-
-def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
-    """(multidegree, index, relation) triples up to max_a, in order."""
-    if len(max_a) != m:
-        raise ValueError("bound length must equal m")
-    return [(a, alpha, g) for a in multidegrees_upto(max_a)
-            for alpha, g in relations_of(n, m, a, ring)]
-
-
-def relation_polys(n: int, m: int, max_a: Mono, ring: Ring) -> list:
-    return [g for _, _, g in relation_items(n, m, max_a, ring)]
 
 
 def _image_z(symmono, n: int, m: int) -> NPoly:
@@ -252,96 +231,3 @@ def verify_relation(g: GenPoly, n: int) -> bool:
     if not evaluates_to_zero(g, n):
         return False
     return genpoly_expand(g, n).is_zero
-
-
-def char_zero_ideal_gens(n: int, m: int, bound: int) -> list:
-    """Rational ideal generators: e_{n+1}(f_d) for f_d the sum of all
-    monomials of total degree up to d, d = 1..bound, cut to total
-    multidegree <= bound and written in the free e_1 alphabet.
-
-    Empty when bound < n+1, since every coefficient of e_{n+1}(f) has
-    total degree at least n+1.
-    """
-    out = []
-    for d in range(1, bound + 1):
-        terms = {}
-        for t in range(1, d + 1):
-            for mu in monomials_of_total_degree(m, t):
-                terms[mu] = QQ.one
-        f = NPoly(1, m, QQ, terms)
-        el = ek_of_f(f, n + 1, INF).total_degree_cut(bound)
-        if el.is_zero:
-            continue
-        g = genpoly_to_e1(rewrite(el))
-        if not any(g == seen for seen in out):
-            out.append(g)
-    return out
-
-
-def _e1_image(i: int, nu: Mono, m: int, R: Ring) -> GenPoly:
-    """e_i on the alphabet of nu-values in the E[1;nu^r]: e_in_powersums(i)
-    with p_r -> E[1;nu^r], each Fraction embedded as numerator times the
-    inverse of the denominator (ZeroDivisionError over Z/p with p <= i)."""
-    terms = {}
-    for part, c in e_in_powersums(i).items():
-        # part descends, and E[1;nu^r] ascends with r in the symbol order
-        symmono = tuple([((1, mono_pow(nu, r)), part.count(r)) for r in sorted(set(part))])
-        v = R.mul(R.embed(c.numerator), R.inv(R.embed(c.denominator)))
-        if not R.is_zero(v):
-            terms[symmono] = v
-    return GenPoly._make(m, R, terms)
-
-
-def genpoly_to_e1(g: GenPoly) -> GenPoly:
-    """Re-express every symbol in e_1 symbols; needs division in the ring."""
-    R = g.ring
-    if not R.has_division:
-        raise ValueError("the e_1 alphabet conversion needs a field")
-    m = g.m
-    memo: dict[tuple, GenPoly] = {}
-    total = GenPoly.zero(m, R)
-    for symmono, c in g.terms.items():
-        term = GenPoly.const(c, m, R)
-        for (i, nu), e in symmono:
-            if (i, nu) not in memo:
-                memo[(i, nu)] = _e1_image(i, nu, m, R)
-            term = term * (memo[(i, nu)] ** e)
-        total = total + term
-    return total
-
-
-def coverage_rank(n: int, m: int, a: Mono):
-    """(achieved rank, kernel dimension) in multidegree a over the rationals.
-
-    Rows are the coefficient patterns of e_{n+k}(f) for deterministic
-    pseudo-random integer f, k running over every weight the kernel
-    contains, ranked by linalg.rank_over_q.
-    """
-    kernel = kernel_basis(n, m, a)
-    dim = len(kernel)
-    if dim == 0:
-        return 0, 0
-    by_weight = {}
-    for alpha in kernel:
-        by_weight.setdefault(alpha_weight(alpha), []).append(alpha)
-    monos = monomials_up_to(m, a)
-    rng = random.Random(f"coverage:{n}:{m}:{a}")
-
-    # A row coming from e_{n+k}(f) is supported on indices of weight n+k
-    # only, so the coverage matrix is block diagonal by weight and the
-    # blocks can be ranked independently.
-    achieved = 0
-    for w in sorted(by_weight):
-        block = by_weight[w]
-        samples = []
-        for _ in range(len(block) + 8):
-            lam = {mu: rng.randint(1, 97) for mu in monos}
-            row = []
-            for alpha in block:
-                v = 1
-                for mu, mult in alpha:
-                    v *= lam[mu] ** mult
-                row.append(v)
-            samples.append(row)
-        achieved += rank_over_q(samples, len(block))
-    return achieved, dim

@@ -19,10 +19,10 @@ the input's.  primitive_reduce then replaces each symbol e_i(nu^k), k >= 2,
 by P_{i,k} with E[j;(1)] renamed E[j;nu], dropping E[j;nu] with j > n
 in a finite ambient.
 
-As in msf, the GenPoly constructor and genpoly_from_json validate every
-symbol of every term, zero coefficients included: a symbol monomial must
-list its symbols in the canonical order, each once, and a boolean is
-refused as an index or exponent.  Arithmetic and the pipeline build
+As in msf, the GenPoly constructor and reference.genpoly_from_json
+validate every symbol of every term, zero coefficients included: a symbol
+monomial must list its symbols in the canonical order, each once, and a
+boolean is refused as an index or exponent.  Arithmetic and the pipeline build
 results through GenPoly._make, a direct slot store of terms that
 Ring.settle has already cleared of zeros.
 
@@ -67,8 +67,7 @@ from fractions import Fraction
 from functools import cache
 
 from .coeffring import QQ, ZZ, Ring
-from .monomial import (Mono, deg_leq, grlex_key, is_primitive, mono_pow,
-                       monomials_up_to, primitive_decompose)
+from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
 from .msf import (_JSON, _TEXT, INF, AlphaIndex, MsfElement, _alpha_product_z,
                   _check_slots, _packed_degree, _sorted_rows, alpha_weight, e_alpha)
 from .polyring import BASE_WIDTH, Sparse, _checked_int, signed_text
@@ -80,14 +79,12 @@ __all__ = [
     "rewrite",
     "evaluate",
     "evaluates_to_zero",
-    "free_monomial_count",
     "newton_p",
     "e_in_powersums",
     "plethysm_P",
     "genpoly_json_text",
     "genpoly_texts",
     "genpoly_to_json",
-    "genpoly_from_json",
 ]
 
 
@@ -528,79 +525,3 @@ def genpoly_to_json(g: GenPoly) -> dict:
     import json
 
     return json.loads(genpoly_json_text(g))
-
-
-def genpoly_from_json(d) -> GenPoly:
-    if not isinstance(d, dict):
-        raise ValueError("generator polynomial must be a JSON object")
-    for key in ("m", "ring", "terms"):
-        if key not in d:
-            raise ValueError(f"missing the {key!r} field")
-    m = _checked_int(d["m"], "variable count", 1)
-    ring = Ring.from_string(d["ring"])
-    if not isinstance(d["terms"], list):
-        raise ValueError("terms must be a list")
-    out = {}
-    for t in d["terms"]:
-        if not isinstance(t, dict) or "symbols" not in t or "coeff" not in t \
-                or not isinstance(t["symbols"], list) or not isinstance(t["coeff"], str):
-            raise ValueError(f"bad term {t!r}")
-        syms = {}
-        for s in t["symbols"]:
-            if not isinstance(s, dict) or not {"i", "nu", "exp"} <= set(s):
-                raise ValueError(f"bad symbol {s!r}")
-            nu = s["nu"]
-            if not isinstance(nu, list) or len(nu) != m:
-                raise ValueError(f"bad symbol monomial {nu!r}")
-            for x in nu:
-                _checked_int(x, "symbol monomial exponent", 0)
-            sym = (_checked_int(s["i"], "symbol index", 1), tuple(nu))
-            syms[sym] = syms.get(sym, 0) + _checked_int(s["exp"], "symbol exponent", 1)
-        key = tuple(sorted(syms.items(), key=lambda t2: _symbol_key(t2[0])))
-        c = ring.parse_coeff(t["coeff"])
-        out[key] = ring.add(out.get(key, ring.zero), c)
-    return GenPoly(m, ring, out)
-
-
-@cache
-def _free_symbols(m: int, a: Mono) -> tuple:
-    """Symbols (i, nu) with nu primitive and multidegree i*deg(nu) <= a."""
-    syms = []
-    for nu in monomials_up_to(m, a):
-        if not is_primitive(nu):
-            continue
-        i = 1
-        while deg_leq(mono_pow(nu, i), a):
-            syms.append((i, nu))
-            i += 1
-    syms.sort(key=_symbol_key)
-    return tuple(syms)
-
-
-def free_monomial_count(m: int, a) -> int:
-    """Number of monomials of multidegree a in the free commutative
-    polynomial ring on the symbols E[i;nu] with nu primitive, grading
-    each symbol by i*deg(nu).
-    """
-    a = tuple(a)
-    if len(a) != m:
-        raise ValueError("multidegree length must equal m")
-    if not any(a):
-        return 1
-    degs = [mono_pow(nu, i) for i, nu in _free_symbols(m, a)]
-
-    @cache
-    def rec(idx, remaining):
-        if not any(remaining):
-            return 1
-        if idx == len(degs):
-            return 0
-        d = degs[idx]
-        total = rec(idx + 1, remaining)
-        rem = remaining
-        while deg_leq(d, rem):
-            rem = tuple(rem[t] - d[t] for t in range(m))
-            total += rec(idx + 1, rem)
-        return total
-
-    return rec(0, a)

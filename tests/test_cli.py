@@ -525,7 +525,6 @@ def test_basis_rank_falls_back_to_q_when_short_mod_p(monkeypatch):
         return real(rows, ncols, field) if field == QQ else 0
 
     monkeypatch.setattr(linalg, "rank_of", short_mod_p)
-    monkeypatch.setattr(cli, "rank_of", short_mod_p)
     checked, failures = cli._verify_basis_rank(2, 2, 3, ZZ)
     assert failures == 0 and fields == [p, QQ] * checked
     fields.clear()

@@ -17,7 +17,8 @@ from multisym import relations
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import MsfElement
 from multisym.polyring import NPoly
-from multisym.relations import relation_items, verify_relation
+from multisym.reference import relation_items
+from multisym.relations import verify_relation
 from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _orbit_coords, _packed_evaluation,
                               evaluate, evaluates_to_zero)
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from conftest import alpha_pool, degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import mono_mul
-from multisym.msf import (INF, AmbientMismatch, MsfElement,
-                          WeightExceedsAmbient, alpha_weight,
-                          alphas_of_multidegree, basis_alphas, e_alpha,
-                          ek_of_f, element_from_json, element_to_json, expand,
-                          make_alpha, merge_repeats, product, truncate)
+from multisym.msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
+                          alpha_weight, alphas_of_multidegree, basis_alphas, e_alpha,
+                          element_from_json, element_to_json, make_alpha)
 from multisym.oracle import is_invariant, orbit_sum
-from multisym.polyring import NPoly, parse_npoly, subst_slot
+from multisym.polyring import NPoly
+from multisym.reference import (ek_of_f, expand, merge_repeats, parse_npoly, product,
+                                subst_slot, truncate)
 
 F2 = Zmod(2)
 Y1, Y2 = (1, 0), (0, 1)
@@ -323,6 +323,16 @@ def test_index_enumeration():
     full = alphas_of_multidegree(1, (4,))
     assert basis_alphas(2, 1, (4,)) == \
         [al for al in full if alpha_weight(al) <= 2]
+
+
+@pytest.mark.parametrize("a", [(-1, 2), (True, 2), (1.0, 2), (1, "2")])
+def test_index_enumeration_refuses_bad_components(a):
+    # (True, 2) hashes as (1, 2), whose enumeration is cached first
+    assert alphas_of_multidegree(2, (1, 2)) and basis_alphas(2, 2, (1, 2))
+    with pytest.raises(ValueError):
+        alphas_of_multidegree(2, a)
+    with pytest.raises(ValueError):
+        basis_alphas(2, 2, a)
 
 
 def test_text_form():

@@ -16,8 +16,9 @@ import multisym
 from conftest import seeded
 from multisym import relations
 from multisym.coeffring import QQ, ZZ, Zmod
+from multisym.reference import relation_items
 from multisym.relations import (FIELD_BITS, _coords, _expansion_z, _fields_divisible,
-                                genpoly_expand, relation_items, verify_relation)
+                                genpoly_expand, verify_relation)
 from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _packed_evaluation, evaluate,
                               evaluates_to_zero)
 from test_integer_frame import ref_expand

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.polyring import (BASE_WIDTH, NPoly, npoly_text,
-                               parse_npoly, sn_act)
+from multisym.polyring import BASE_WIDTH, NPoly, npoly_text
+from multisym.reference import parse_npoly, sn_act
 
 RINGS = (ZZ, QQ, Zmod(5))
 

@@ -19,7 +19,8 @@ from conftest import run_main
 from multisym import cli
 from multisym.coeffring import QQ, ZZ
 from multisym.msf import INF, e_alpha, element_to_json
-from multisym.relations import relation_items, verify_relation
+from multisym.reference import relation_items
+from multisym.relations import verify_relation
 from multisym.rewrite import evaluate, rewrite
 
 SRC = str(Path(multisym.__file__).resolve().parent.parent)
@@ -129,18 +130,33 @@ def test_main_leaves_the_collector_alone(tmp_path, monkeypatch, argv):
     assert after == (True, frozen)
 
 
-def test_cli_import_leaves_symfun_unloaded(tmp_path):
+def test_cli_import_leaves_reference_unloaded(tmp_path):
+    """Importing the CLI and running its commands never loads reference, and
+    only verify loads linalg; the package still serves every exported name."""
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(element_to_json(e_alpha([((1, 0), 2), ((0, 1), 1)], INF, 2, ZZ))))
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import multisym.cli\n"
-        "print('multisym.symfun' in sys.modules)\n"
-        "from multisym import to_e_basis\n"
-        "from multisym.symfun import to_e_basis as direct\n"
+        "def loaded():\n"
+        "    return [m for m in ('multisym.reference', 'multisym.linalg') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "for argv in (['product', sys.argv[1], sys.argv[1]],\n"
+        "             ['relations', '--n', '1', '--m', '2', '--max-degree', '2,1'],\n"
+        "             ['verify', '--n', '2', '--m', '1', '--max-total-degree', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = multisym.cli.main(argv)\n"
+        "    print(argv[0], code, loaded())\n"
+        "import multisym\n"
+        "print(all([getattr(multisym, name) is not None for name in multisym.__all__]))\n"
         "from multisym import *\n"
-        "print(to_e_basis is direct, 'to_e_basis' in dir())\n")
-    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_child_env(),
-                         capture_output=True, timeout=120)
-    assert (res.returncode, res.stdout.decode()) == (0, "False\nTrue True\n")
+        "from multisym.reference import to_e_basis as direct\n"
+        "print(to_e_basis is direct, set(multisym.__all__) <= set(dir()) & set(dir(multisym)))\n")
+    res = subprocess.run([sys.executable, "-c", script, str(x)], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, timeout=120)
+    assert (res.returncode, res.stdout.decode()) == (0, (
+        "[]\nproduct 0 []\nrelations 0 []\nverify 0 ['multisym.linalg']\n"
+        "True\nTrue True\n"))
     with pytest.raises(AttributeError):
         multisym.no_such_name
 

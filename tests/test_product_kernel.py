@@ -14,7 +14,8 @@ import pytest
 
 from conftest import seeded
 from multisym.monomial import mono_mul
-from multisym.msf import _alpha_product_z, _merge_int, make_alpha
+from multisym.msf import _alpha_product_z, make_alpha
+from multisym.reference import _merge_int
 
 
 def naive_inner_tables(avec, bvec):

@@ -5,13 +5,12 @@ import pytest
 from conftest import degrees_upto
 from multisym import linalg
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import (INF, alpha_weight, alphas_of_multidegree, e_alpha,
-                          ek_of_f)
+from multisym.msf import INF, alpha_weight, alphas_of_multidegree, e_alpha
 from multisym.polyring import NPoly
-from multisym.relations import (char_zero_ideal_gens, coverage_rank,
-                                genpoly_expand, genpoly_to_e1, kernel_basis,
-                                multidegrees_upto, relation_items,
-                                relation_polys, relations_of, verify_relation)
+from multisym.reference import (char_zero_ideal_gens, coverage_rank, ek_of_f,
+                                genpoly_to_e1, relation_items, relation_polys)
+from multisym.relations import (genpoly_expand, kernel_basis, multidegrees_upto,
+                                relations_of, verify_relation)
 from multisym.rewrite import GenPoly, evaluate, rewrite
 
 F2 = Zmod(2)
@@ -21,6 +20,16 @@ def test_multidegrees_upto():
     assert multidegrees_upto((2, 1)) == \
         [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert multidegrees_upto((2,)) == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("a", [(-1, 2), (True, 2), (1.0, 2)])
+def test_kernel_and_relations_refuse_bad_components(a):
+    # the CLI's degree parser refuses these first; library callers meet this check
+    assert relations_of(2, 2, (1, 2), ZZ)
+    with pytest.raises(ValueError):
+        kernel_basis(2, 2, a)
+    with pytest.raises(ValueError):
+        relations_of(2, 2, a, ZZ)
 
 
 def test_kernel_basis_examples():

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import (INF, MsfElement, alphas_of_multidegree, e_alpha,
-                          expand, product)
+from multisym.msf import INF, MsfElement, alphas_of_multidegree, e_alpha
+from multisym.reference import expand, free_monomial_count, genpoly_from_json, product
 from multisym.rewrite import (GenPoly, _symbol_key, _symmono_mul, evaluate,
-                              free_monomial_count, genpoly_from_json,
                               genpoly_to_json, plethysm_P, primitive_reduce,
                               reduce_to_monomial_es, rewrite)
 

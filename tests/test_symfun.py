@@ -11,10 +11,10 @@ import pytest
 
 from conftest import eval_at
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.polyring import NPoly, sn_act
+from multisym.polyring import NPoly
+from multisym.reference import (elementary_npoly, epoly_substitute, epoly_to_npoly,
+                                plethysm_P_by_elimination, sn_act, to_e_basis)
 from multisym.rewrite import GenPoly, e_in_powersums, newton_p, plethysm_P
-from multisym.symfun import (elementary_npoly, epoly_substitute, epoly_to_npoly,
-                             plethysm_P_by_elimination, to_e_basis)
 
 
 def e(i, ring=ZZ):
