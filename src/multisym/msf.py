@@ -22,20 +22,15 @@ computed over Z and embedded into R at the end, so they can vanish in
 positive characteristic.
 
 Which tables exist depends only on the multiplicity vectors of alpha and
-beta, so the rule is split in three cached steps:
+beta, so the rule is split in two cached steps:
 
 * _margin_tables(avec, bvec, min_inner) enumerates the tables once per
   shape, each as its argument list over slots f_i, g_j and f_i*g_j;
-* _product_skeleton(avec, bvec, min_inner, ranks) merges them once per
-  rank pattern: ranks names each slot's monomial by its grlex rank among
-  the distinct candidates of an index pair, equal monomials sharing a
-  rank, and the result maps index patterns ((rank, mult), ...) to
-  integers;
 * _alpha_product_z(alpha, beta, cap) builds the k+h+kh candidate
-  monomials of one pair, ranks them and renames the skeleton's ranks to
-  monomials.
+  monomials of one pair and merges each table's arguments in place:
+  sorted by grlex, equal monomials are adjacent.
 
-None of these keys holds a ring.
+Neither cache key holds a ring.
 
 The writers sort terms by one integer key each (_sorted_rows): a term's
 packed multidegree, in fields too wide for its sum to carry, above the
@@ -53,14 +48,14 @@ guarantee canonical indices of weight at most n.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import add, getitem, lshift
 
 from .coeffring import Ring
-from .monomial import Mono, grlex_key, monomials_up_to
+from .monomial import Mono, monomials_up_to
 from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, _checked_int,
-                       key_width, signed_text, slot_key)
+                       key_width, pack_key, signed_text)
 
 INF = float("inf")
 
@@ -249,48 +244,39 @@ def _margin_tables(avec, bvec, min_inner) -> tuple:
 
 
 @cache
-def _product_skeleton(avec, bvec, min_inner, ranks) -> dict:
-    """The product rule for one shape, with monomials named by rank.
-
-    ranks[s] is the grlex rank of slot s's monomial among the distinct
-    candidate monomials of one index pair; slots whose monomials coincide
-    share a rank.  Merging a table's arguments of equal rank gives an index
-    pattern ((rank, mult), ...) in ascending rank, and its multinomial
-    factor.  Patterns keep the table order of their first occurrence.
-    """
-    out: dict[tuple, int] = {}
-    for args in _margin_tables(avec, bvec, min_inner):
-        merged: dict[int, int] = {}
-        factor = 1
-        for slot, v in args:
-            r = ranks[slot]
-            if r in merged:
-                t = merged[r] + v
-                factor *= comb(t, v)
-                merged[r] = t
-            else:
-                merged[r] = v
-        pattern = tuple(sorted(merged.items()))
-        out[pattern] = out.get(pattern, 0) + factor
-    return out
-
-
-@cache
 def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
     """Structure constants over Z of e_alpha * e_beta.
 
     cap is None for the no-cutoff product (inverse limit) or the slot count
-    n; keys of the result are the indices gamma with |gamma| <= cap.
+    n; keys of the result are the indices gamma with |gamma| <= cap, in the
+    order of the first table that gives each.  A table's arguments, sorted
+    by (deg mu, mu, mult), put equal monomials next to each other; each
+    merge of v more onto t gives the factor comb(t + v, v).
     """
     fs, avec = zip(*alpha) if alpha else ((), ())
     gs, bvec = zip(*beta) if beta else ((), ())
     min_inner = 0 if cap is None else max(0, sum(avec) + sum(bvec) - cap)
-    slots = [*fs, *gs, *[tuple(map(add, f, g)) for f in fs for g in gs]]
-    monos = sorted(set(slots), key=grlex_key)
-    rank = dict(zip(monos, range(len(monos))))
-    skeleton = _product_skeleton(avec, bvec, min_inner, tuple(map(rank.__getitem__, slots)))
-    return {tuple([(monos[r], t) for r, t in pattern]): c
-            for pattern, c in skeleton.items()}
+    # the candidate monomial of each slot: f_i, g_j, f_i*g_j
+    monos = [*fs, *gs, *[tuple(map(add, f, g)) for f in fs for g in gs]]
+    degs = [*map(sum, monos)]
+    out: dict[AlphaIndex, int] = {}
+    get = out.get
+    for args in _margin_tables(avec, bvec, min_inner):
+        gamma = []
+        factor = 1
+        last = None
+        # an int first keeps most of the sort's compares off the tuples
+        for _, mu, v in sorted([(degs[s], monos[s], v) for s, v in args]):
+            if mu == last:
+                t += v
+                factor *= comb(t, v)
+                gamma[-1] = (mu, t)
+            else:
+                gamma.append((mu, v))
+                last, t = mu, v
+        gamma = tuple(gamma)
+        out[gamma] = get(gamma, 0) + factor
+    return out
 
 
 def _check_slots(n) -> None:
@@ -408,27 +394,27 @@ def _expand_alpha(alpha: AlphaIndex, n: int, m: int, w: int) -> tuple:
     """Packed keys, field width w, of the orbit sum of e_alpha in n slots.
 
     One key per way of giving each support monomial its multiplicity many
-    slots, all slots distinct; every key occurs exactly once.
+    slots, all slots distinct; every key occurs exactly once.  The keys
+    come out in lexicographic order of the slot choices, monomial by
+    monomial.
     """
-    from itertools import combinations
-
     if alpha_weight(alpha) > n:
         return ()
-    # keys[t][j]: support monomial t placed in slot j
-    keys = [[slot_key(mu, j, m, w) for j in range(n)] for mu, _ in alpha]
-    results = []
-
-    def rec(idx, avail, key):
-        if idx == len(alpha):
-            results.append(key)
-            return
-        here, mult = keys[idx], alpha[idx][1]
-        for slots in combinations(avail, mult):
-            placed = sum(here[j] for j in slots)
-            rec(idx + 1, tuple(s for s in avail if s not in slots), key + placed)
-
-    rec(0, tuple(range(n)), 0)
-    return tuple(results)
+    if not alpha:
+        return (0,)
+    # a monomial's key in slot j is its packed key shifted by j slots; keys
+    # in disjoint slots add up to the key of their product
+    step = m * w
+    keys = [[pack_key(mu, w) << s for s in range(0, n * step, step)] for mu, _ in alpha]
+    # (partial key, free slots) after placing each monomial but the last
+    level = [(0, tuple(range(n)))]
+    for here, (_, mult) in zip(keys, alpha[:-1]):
+        level = [(key + sum(map(here.__getitem__, slots)),
+                  tuple([s for s in avail if s not in slots]))
+                 for key, avail in level for slots in combinations(avail, mult)]
+    here, mult = keys[-1], alpha[-1][1]
+    return tuple([key + placed for key, avail in level
+                  for placed in map(sum, combinations(map(here.__getitem__, avail), mult))])
 
 
 def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfElement":
@@ -474,7 +460,10 @@ def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
                 acc + [(mu, mult)])
 
     rec(0, a, max_weight, [])
-    found = [alpha for alpha, _ in _sorted_rows(dict.fromkeys(found), _pair_render, _TEXT)[0]]
+    # every index found has multidegree a, so the canonical order of
+    # _sorted_rows reduces to comparing key parts (deg mu, mu, mult) in turn,
+    # a prefix first: list order
+    found.sort(key=lambda alpha: [(sum(mu), mu, mult) for mu, mult in alpha])
     found.sort(key=alpha_weight)
     return tuple(found)
 
@@ -496,7 +485,7 @@ def alphas_of_multidegree(m: int, a: Mono, max_weight=None) -> list:
 
 def basis_alphas(n: int, m: int, a: Mono) -> list:
     """Indices of the module basis in multidegree a for n slots."""
-    return alphas_of_multidegree(m, a, max_weight=n)
+    return alphas_of_multidegree(m, a, max_weight=_checked_int(n, "slot count", 1))
 
 
 # JSON forms, the CLI exchange format

@@ -200,13 +200,6 @@ def pack_key(mono, w: int) -> int:
     return key
 
 
-def slot_key(mu, j: int, m: int, w: int) -> int:
-    """Packed key, fields of width w, of the monomial mu in the m variables
-    of slot j, slots counted from 0.  Keys of monomials in disjoint slots
-    add up to the key of their product."""
-    return pack_key(mu, w) << (j * m * w)
-
-
 def unpack_key(key: int, size: int, w: int) -> tuple:
     """Flat exponent tuple of a packed key with size fields of width w."""
     mask = (1 << w) - 1

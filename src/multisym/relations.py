@@ -48,7 +48,7 @@ from operator import mul
 from .coeffring import ZZ, Ring
 from .monomial import Mono, monomials_up_to
 from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha
-from .polyring import NPoly, _repack, key_width
+from .polyring import NPoly, _checked_int, _repack, key_width
 from .rewrite import GenPoly, evaluates_to_zero, rewrite
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
 
 def kernel_basis(n: int, m: int, a: Mono) -> list:
     """All indices of multidegree a and weight above n."""
+    _checked_int(n, "slot count", 1)
     return [al for al in alphas_of_multidegree(m, a) if alpha_weight(al) > n]
 
 

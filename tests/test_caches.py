@@ -71,7 +71,6 @@ def test_clear_caches_empties_every_module_cache():
     assert _packed_evaluation.cache_info().currsize > 0
     assert _orbit_coords.cache_info().currsize > 0
     assert msf._margin_tables.cache_info().currsize > 0
-    assert msf._product_skeleton.cache_info().currsize > 0
     assert msf._pair_render.cache_info().currsize > 0
     assert _factor_render.cache_info().currsize > 0
     multisym.clear_caches()
@@ -79,8 +78,7 @@ def test_clear_caches_empties_every_module_cache():
               if name.startswith("multisym.")
               for obj in vars(mod).values() if hasattr(obj, "cache_info")]
     names = {c.__name__ for c in caches}
-    assert {"_alpha_product_z", "_margin_tables", "_product_skeleton",
-            "_reduce_alpha", "_expand_alpha",
+    assert {"_alpha_product_z", "_margin_tables", "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
             "_pair_render", "_factor_render", "_monomials_cached",

@@ -11,6 +11,7 @@ from conftest import run_main
 from multisym import cli, linalg, msf
 from multisym.cli import main
 from multisym.coeffring import QQ, ZZ, Zmod
+from multisym.monomial import mono_mul
 from multisym.msf import INF, MsfElement, e_alpha, element_to_json
 
 A3, B3, C3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -287,6 +288,17 @@ def test_plethysm_budget_takes_degree_16(tmp_path, capsys):
     assert run(capsys, ["rewrite", x])[0] == 0
 
 
+def _write_terms(path, head, terms):
+    path.write_text(json.dumps(dict(head, terms=[
+        {"alpha": [{"mono": list(mu), "mult": k} for mu, k in pairs], "coeff": c}
+        for c, pairs in terms])))
+    return str(path)
+
+
+# CI's $zx: n = 4, m = 1, over Z/7
+ZX = [("1", [((4,), 4)]), ("3", [((8,), 2)]), ("2", [((2,), 3), ((5,), 1)])]
+
+
 # sha256 of stdout of rewrite --check and of rewrite --check --text.  The
 # first input reaches P_{1,16} and P_{8,2}; the second cuts P_{i,k} to its
 # terms in E[j;(1)] with j <= n = 4, over Z/7.
@@ -295,18 +307,72 @@ def test_plethysm_budget_takes_degree_16(tmp_path, capsys):
      [("1", [((16, 0), 1)]), ("1", [((0, 2), 8)]), ("1", [((1, 1), 1)])],
      ("ad035e1bb0984d9363007bdff3c711a7aa10936d287a54a55c7eb974a21e5b56",
       "0830279b723aae58a3b96c017cdf8dec973d13076782c0d7f0c9f6b431699219")),
-    ({"n": 4, "m": 1, "ring": "Zmod:7"},
-     [("1", [((4,), 4)]), ("3", [((8,), 2)]), ("2", [((2,), 3), ((5,), 1)])],
+    ({"n": 4, "m": 1, "ring": "Zmod:7"}, ZX,
      ("0e2e133a69edb22ea8c8da859ecd362ed3ac596fbdd293c5d21f5a7d9686b0c4",
       "e796ee1599736ec798973af68e28a6ca8aab69588563198f24fa0ceb668b6915")),
 ], ids=["inf-Z-plethysm-16", "n=4-Zmod7"])
 def test_rewrite_check_bytes_are_pinned(tmp_path, capsys, head, terms, digests):
-    path = tmp_path / "x.json"
-    path.write_text(json.dumps(dict(head, terms=[
-        {"alpha": [{"mono": list(mu), "mult": k} for mu, k in pairs], "coeff": c}
-        for c, pairs in terms])))
+    path = _write_terms(tmp_path / "x.json", head, terms)
     for flags, digest in zip(([], ["--text"]), digests):
-        code, out, _ = run(capsys, ["rewrite", "--check", str(path)] + flags)
+        code, out, _ = run(capsys, ["rewrite", "--check", path] + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _monomials_coincide(x_terms, y_terms) -> bool:
+    """Some index pair has equal argument monomials among its f_i, g_j and
+    f_i*g_j, so its tables merge arguments."""
+    for _, fs in x_terms:
+        for _, gs in y_terms:
+            slots = [mu for mu, _ in fs] + [mu for mu, _ in gs]
+            slots += [mono_mul(f, g) for f, _ in fs for g, _ in gs]
+            if len(set(slots)) < len(slots):
+                return True
+    return False
+
+
+# sha256 of stdout of product and of product --text, on pairs whose argument
+# monomials coincide (f_i = g_j, f_i*g_j = f_k).  The first is CI's $zx times
+# itself; n = 2, 3 and 4 cut the tables by the cap.
+QX = [("1/2", [((1, 0), 1), ((0, 1), 1)]), ("-3", [((1, 1), 2)]),
+      ("2/3", [((0, 1), 1), ((1, 1), 1)])]
+QY = [("5", [((1, 0), 1)]), ("1/7", [((0, 1), 1), ((1, 1), 1)]), ("-1", [((1, 0), 2)])]
+
+
+@pytest.mark.parametrize("head, x_terms, y_terms, digests", [
+    ({"n": 4, "m": 1, "ring": "Zmod:7"}, ZX, ZX,
+     ("9dd9864893601db09e33065de7dc66ec2829501601f2123edb28fc7ebe9a26b8",
+      "eb63358f8c96dbb4ae90ef4208f63a440852b0b1b9be3080c5748c41c05af784")),
+    ({"n": "inf", "m": 1, "ring": "Zmod:7"},
+     [("3", [((1,), 2), ((2,), 1)]), ("6", [((3,), 1)])],
+     [("4", [((1,), 1), ((2,), 2)]), ("1", [((1,), 3)])],
+     ("ee6b0294feed1878e8c8b6dfd91ab57fea301b391079438d460ff64c631837af",
+      "e35e50ebdf5d62e0f6b0d83d7a76ec3798a72f292419906c29ab1a107363348b")),
+    ({"n": "inf", "m": 2, "ring": "Z"},
+     [("2", [((1, 0), 2)]), ("-1", [((1, 0), 1), ((2, 0), 1)]),
+      ("3", [((0, 1), 1), ((1, 1), 1)])],
+     [("1", [((1, 0), 1)]), ("-2", [((1, 0), 1), ((0, 1), 2)]), ("1", [((1, 1), 1)])],
+     ("7bc7c898b295de03d57ac57ecb04a40700464d1b50e9bcf4c67c9508311cdc8e",
+      "a59a6b6aadfa8a987115eb1bec2158f014f7648f2940312f8c8a6be563cee747")),
+    ({"n": "inf", "m": 2, "ring": "Q"}, QX[:2], QY,
+     ("4378611a737a32f5ff2d257f903ae89be66ed598e9907fdc82196d37e3721b70",
+      "7135cdecaa07135f9d6f249ed86bd196bb90334ab4284159bdc1d400f7191d6c")),
+    ({"n": 3, "m": 2, "ring": "Q"}, QX, QY,
+     ("3689276e54fc1f98e7e170b1bc7d6dee3e11c2fff4439cfd468cc4aaec041918",
+      "6d8855ec002237b01b5657d28270bd6749f8ee09cee073cfd495029fe946e9e9")),
+    ({"n": 2, "m": 1, "ring": "Z"},
+     [("1", [((1,), 1), ((2,), 1)]), ("-4", [((3,), 2)])],
+     [("1", [((1,), 1)]), ("2", [((1,), 1), ((3,), 1)])],
+     ("3d4b2d2f9f318036991de5a4df73694668a31b217d314887fef96b9a72d370ac",
+      "fddb79f47d55f9e057888ed4c62dd70e8f9101c112ce1e0818f45c5392d8c065")),
+], ids=["n=4-Zmod7-zx", "inf-Zmod7", "inf-Z", "inf-Q", "n=3-Q", "n=2-Z"])
+def test_product_bytes_with_coincident_monomials_are_pinned(tmp_path, capsys, head,
+                                                             x_terms, y_terms, digests):
+    assert _monomials_coincide(x_terms, y_terms)
+    x = _write_terms(tmp_path / "x.json", head, x_terms)
+    y = _write_terms(tmp_path / "y.json", head, y_terms)
+    for flags, digest in zip(([], ["--text"]), digests):
+        code, out, _ = run(capsys, ["product", x, y] + flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

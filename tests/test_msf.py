@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import alpha_pool, degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import mono_mul
-from multisym.msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
-                          alpha_weight, alphas_of_multidegree, basis_alphas, e_alpha,
-                          element_from_json, element_to_json, make_alpha)
+from multisym.msf import (_TEXT, INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
+                          _expand_alpha, _pair_render, _sorted_rows, alpha_weight,
+                          alphas_of_multidegree, basis_alphas, e_alpha, element_from_json,
+                          element_to_json, make_alpha)
 from multisym.oracle import is_invariant, orbit_sum
 from multisym.polyring import NPoly
 from multisym.reference import (ek_of_f, expand, merge_repeats, parse_npoly, product,
@@ -333,6 +334,58 @@ def test_index_enumeration_refuses_bad_components(a):
         alphas_of_multidegree(2, a)
     with pytest.raises(ValueError):
         basis_alphas(2, 2, a)
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, 1.5, 2.0, "2", INF])
+def test_basis_enumeration_refuses_bad_slot_counts(n):
+    # unchecked, -1 gives [], 1.5 a TypeError from range, and True one slot
+    assert basis_alphas(1, 2, (1, 1)) == [make_alpha([((1, 1), 1)])]
+    with pytest.raises(ValueError):
+        basis_alphas(n, 2, (1, 1))
+
+
+def writers_order(alphas) -> list:
+    """The canonical term order of the writers (_sorted_rows), then stable
+    by weight: the order the enumeration must give."""
+    rows = _sorted_rows(dict.fromkeys(alphas), _pair_render, _TEXT)[0]
+    return sorted([alpha for alpha, _ in rows], key=alpha_weight)
+
+
+@pytest.mark.parametrize("m, top", [(1, 9), (2, 5), (3, 3)])
+def test_index_enumeration_keeps_the_writers_order(m, top):
+    for a in degrees_upto(m, top):
+        for cap in (None, 1, 2, 3):
+            got = alphas_of_multidegree(m, a, cap)
+            assert got == writers_order(got[::-1]), (a, cap)
+
+
+def naive_orbit_keys(alpha, n, m, w) -> tuple:
+    """Packed keys of the orbit sum of e_alpha: one per placement of the
+    weight-many arguments into distinct slots that gives each monomial an
+    increasing run of slots, in lexicographic order of the placements."""
+    mults = [mult for _, mult in alpha]
+    out = []
+    for slots in itertools.permutations(range(n), sum(mults)):
+        runs = [slots[sum(mults[:t]):sum(mults[:t + 1])] for t in range(len(mults))]
+        if any(list(run) != sorted(run) for run in runs):
+            continue
+        flat = [0] * (n * m)
+        for (mu, _), run in zip(alpha, runs):
+            for j in run:
+                flat[j * m:(j + 1) * m] = mu
+        out.append(sum(e << (i * w) for i, e in enumerate(flat)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m, top", [(1, 5), (2, 4), (3, 3)])
+def test_expand_alpha_matches_naive_placements(m, top):
+    pool = alpha_pool(INF, m, top)
+    assert () in pool and max(map(alpha_weight, pool)) > 2
+    for n in (1, 2, 3, 4):
+        for alpha in pool:
+            want = naive_orbit_keys(alpha, n, m, 4)
+            assert _expand_alpha(alpha, n, m, 4) == want, (alpha, n)
+            assert bool(want) == (alpha_weight(alpha) <= n)
 
 
 def test_text_form():

@@ -1,11 +1,12 @@
 """The orbit-sum product kernel against a naive margin-table reference.
 
-_alpha_product_z enumerates the margin tables once per multiplicity shape,
-merges them once per rank pattern and relabels per index pair.  The
-reference below enumerates the tables for every pair and merges each one
-directly, as the product rule is stated.  Both must give the same dict,
-key order included, on random pairs and on pairs built so that argument
-monomials coincide in every way the rule allows.
+_alpha_product_z enumerates the margin tables once per multiplicity shape
+and, per index pair, sorts each table's arguments by grlex and merges the
+equal monomials next to each other.  The reference below enumerates the
+tables for every pair and merges each one through a dict, as the product
+rule is stated.  Both must give the same dict, key order included, on
+random pairs and on pairs built so that argument monomials coincide in
+every way the rule allows.
 """
 
 import random

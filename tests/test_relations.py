@@ -32,6 +32,16 @@ def test_kernel_and_relations_refuse_bad_components(a):
         relations_of(2, 2, a, ZZ)
 
 
+@pytest.mark.parametrize("n", [-1, 0, True, 1.5, "2"])
+def test_kernel_and_relations_refuse_bad_slot_counts(n):
+    # unchecked, -1 keeps every index of the multidegree and True means one slot
+    assert kernel_basis(1, 2, (1, 1)) == [(((0, 1), 1), ((1, 0), 1))]
+    with pytest.raises(ValueError):
+        kernel_basis(n, 2, (1, 1))
+    with pytest.raises(ValueError):
+        relations_of(n, 2, (1, 1), ZZ)
+
+
 def test_kernel_basis_examples():
     assert kernel_basis(1, 1, (2,)) == [(((1,), 2),)]
     assert kernel_basis(1, 2, (1, 1)) == [(((0, 1), 1), ((1, 0), 1))]
