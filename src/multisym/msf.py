@@ -472,14 +472,16 @@ def alphas_of_multidegree(m: int, a: Mono, max_weight=None) -> list:
     """All indices of multidegree exactly a, optionally of weight <= max_weight.
 
     Deterministic order: by weight, then by the canonical index key.  The
-    components are checked here, not in the cache, where (True, 2) would
-    find the entry of (1, 2).
+    components and the bound are checked here, not in the cache, where
+    (True, 2) would find the entry of (1, 2).
     """
     a = tuple(a)
     if len(a) != m:
         raise ValueError("multidegree length must equal m")
     for d in a:
         _checked_int(d, "multidegree component", 0)
+    if max_weight is not None:
+        _checked_int(max_weight, "weight bound", 0)
     return list(_alphas_cached(m, a, max_weight))
 
 

@@ -215,49 +215,44 @@ def _repack(d: dict, size: int, w: int, w2: int) -> dict:
     return {pack_key(unpack_key(k, size, w), w2): c for k, c in d.items()}
 
 
-class NPolyTerms(Mapping):
-    """Read-only view of an NPoly's terms, keyed by flat exponent tuples.
+class TermsView(Mapping):
+    """Read-only view of a dict of stored keys, speaking public keys.
 
+    decode maps a stored key to its public form; encode maps a public key
+    to its stored form, or to None when no stored key can stand for it.
     Keys are decoded when iterated and encoded when looked up; len is O(1).
     """
 
-    __slots__ = ("_p",)
+    __slots__ = ("_d", "_decode", "_encode")
 
-    def __init__(self, p: "NPoly"):
-        self._p = p
+    def __init__(self, d: dict, decode, encode):
+        self._d, self._decode, self._encode = d, decode, encode
 
     def __len__(self) -> int:
-        return len(self._p._d)
+        return len(self._d)
 
     def __iter__(self):
-        p = self._p
-        size, w = p.n * p.m, p._w
-        return (unpack_key(k, size, w) for k in p._d)
+        return map(self._decode, self._d)
 
-    def __getitem__(self, mono):
-        p = self._p
-        top = 1 << (p._w - 1)
-        try:
-            ok = len(mono) == p.n * p.m and all(
-                type(e) is int and 0 <= e < top for e in mono)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise KeyError(mono)
-        return p._d[pack_key(mono, p._w)]
+    def __getitem__(self, key):
+        k = self._encode(key)
+        if k is None or k not in self._d:
+            raise KeyError(key)
+        return self._d[k]
 
     def items(self):
-        return _NPolyItems(self)
+        return _TermsItems(self)
 
     def values(self):
-        return self._p._d.values()
+        return self._d.values()
 
 
-class _NPolyItems(ItemsView):
+class _TermsItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping, self._mapping._p._d.values())
+        view = self._mapping
+        return zip(map(view._decode, view._d), view._d.values())
 
 
 class NPoly(Sparse):
@@ -327,9 +322,20 @@ class NPoly(Sparse):
         return cls(n, m, ring, {tuple(exps): ring.one})
 
     @property
-    def terms(self) -> NPolyTerms:
+    def terms(self) -> TermsView:
         """The terms as a read-only mapping from flat exponent tuples."""
-        return NPolyTerms(self)
+        size, w = self.n * self.m, self._w
+        return TermsView(self._d, lambda k: unpack_key(k, size, w), self._encode)
+
+    def _encode(self, mono):
+        """The packed key of an exponent tuple, or None if it has none."""
+        top = 1 << (self._w - 1)
+        try:
+            ok = len(mono) == self.n * self.m and all(
+                type(e) is int and 0 <= e < top for e in mono)
+        except TypeError:
+            ok = False
+        return pack_key(mono, self._w) if ok else None
 
     def _keys_at(self, w: int) -> dict:
         """The packed terms at field width w >= self._w."""

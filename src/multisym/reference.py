@@ -323,7 +323,7 @@ def _e1_image(i: int, nu: Mono, m: int, R: Ring) -> GenPoly:
         v = R.mul(R.embed(c.numerator), R.inv(R.embed(c.denominator)))
         if not R.is_zero(v):
             terms[symmono] = v
-    return GenPoly._make(m, R, terms)
+    return GenPoly(m, R, terms)
 
 
 def genpoly_to_e1(g: GenPoly) -> GenPoly:
@@ -451,8 +451,8 @@ def to_e_basis(f: NPoly) -> GenPoly:
         exps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
         key = tuple([((i, (1,)), e) for i, e in enumerate(exps, 1) if e])
         out[key] = c
-        rest = rest - epoly_to_npoly(GenPoly._make(1, ring, {key: c}), N, ring)
-    return GenPoly._make(1, ring, out)
+        rest = rest - epoly_to_npoly(GenPoly(1, ring, {key: c}), N, ring)
+    return GenPoly(1, ring, out)
 
 
 def plethysm_P_by_elimination(h: int, k: int) -> GenPoly:

@@ -26,24 +26,38 @@ boolean is refused as an index or exponent.  Arithmetic and the pipeline build
 results through GenPoly._make, a direct slot store of terms that
 Ring.settle has already cleared of zeros.
 
+Interned keys: a GenPoly stores its terms under small ints, since Python
+hashes a nested symbol-monomial tuple again at every lookup.  One
+append-only table per process (_SYMMONOS, inverse _IDS) gives each symbol
+monomial an id on first sight, 0 for the empty one; an id never names a
+second monomial.  GenPoly.terms is a read-only view that decodes ids, as
+NPoly.terms decodes packed exponents.  Ids never leave the process: a
+GenPoly pickles its symbol monomials, and the writers decode each id once
+and sort on the symbols (msf._sorted_rows), so no output byte depends on
+an id.
+
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
-structure constants are integers, so one image serves Z, Q and every Z/p:
-_reduce_alpha gives e_alpha in the symbols e_i(mu), _primitive_image_z a
-symbol monomial's primitive form in ambient n, and _evaluate_image_z the
-orbit-sum expansion of a generator monomial in ambient n; each maps the
-empty key to the unit.  The ring enters last, in _accumulate, shared by
-reduce_to_monomial_es, primitive_reduce and evaluate: it lifts the
-coefficients to integer numerators over one denominator (Ring.lift), adds
-numerator times image into one dict of ints, and settles each sum into
-the ring once (Ring.settle).
+structure constants are integers, so one image serves Z, Q and every Z/p.
+_reduce_alpha gives e_alpha as (id, int) pairs in the symbols e_i(mu);
+_primitive_image_z, keyed by a symbol monomial's id, its primitive form in
+ambient n; and _evaluate_image_z, keyed the same way, the orbit-sum
+expansion of a generator monomial in ambient n; id 0 maps to the unit.
+Both stages of rewrite thus add into dicts keyed by ints, and no symbol
+monomial is decoded between them.  clear_caches keeps the table, so an id
+in any cache still names the monomial it was computed for.  The ring
+enters last, in _accumulate, shared by reduce_to_monomial_es,
+primitive_reduce and evaluate: it lifts the coefficients to integer
+numerators over one denominator (Ring.lift), adds numerator times image
+into one dict of ints, and settles each sum into the ring once
+(Ring.settle).
 
 evaluates_to_zero answers whether evaluate(g, n) is zero without building
 it, on Kronecker-packed integers.  Two more caches serve it, again keyed
 by the ambient (n, m) and never by a ring: _orbit_coords, an append-only
 coordinate index of the orbit-sum indices of each multidegree a, whose
-positions never move; and _packed_evaluation, each generator monomial's
-_evaluate_image_z image packed once into one int with a w-bit field per
+positions never move; and _packed_evaluation, keyed by id, each generator
+monomial's _evaluate_image_z image packed once into one int with a w-bit field per
 position of its multidegree's index.  Those coefficients are orbit-sum
 structure constants, and the packer checks that they are nonnegative.
 Clearing one of the two caches without the other would misplace fields;
@@ -70,7 +84,7 @@ from .coeffring import QQ, ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
 from .msf import (_JSON, _TEXT, INF, AlphaIndex, MsfElement, _alpha_product_z,
                   _check_slots, _packed_degree, _sorted_rows, alpha_weight, e_alpha)
-from .polyring import BASE_WIDTH, Sparse, _checked_int, signed_text
+from .polyring import BASE_WIDTH, Sparse, TermsView, _checked_int, signed_text
 
 __all__ = [
     "GenPoly",
@@ -86,6 +100,26 @@ __all__ = [
     "genpoly_texts",
     "genpoly_to_json",
 ]
+
+
+# the intern table: an append-only list of symbol monomials and its inverse;
+# an id is a position in the list and never names a second monomial
+_SYMMONOS: list = [()]
+_IDS: dict = {(): 0}
+
+
+def _intern(symmono) -> int:
+    """The id of a canonical symbol monomial, assigned on first sight."""
+    k = _IDS.get(symmono)
+    if k is None:
+        k = _IDS[symmono] = len(_SYMMONOS)
+        _SYMMONOS.append(symmono)
+    return k
+
+
+def _decoded(d: dict) -> dict:
+    """The terms of an id-keyed dict, keyed by symbol monomials."""
+    return dict(zip(map(_SYMMONOS.__getitem__, d), d.values()))
 
 
 def _symbol_key(sym):
@@ -128,9 +162,11 @@ def _symmono_degree(symmono, m: int) -> Mono:
 
 
 class GenPoly(Sparse):
-    """Polynomial in the abstract symbols E[i;nu] over a Ring."""
+    """Polynomial in the abstract symbols E[i;nu] over a Ring, its terms
+    stored in _d under interned symbol-monomial ids (module docstring)."""
 
-    __slots__ = ("m", "ring", "terms")
+    __slots__ = ("m", "ring", "_d")
+    _unit = 0
 
     def __init__(self, m: int, ring: Ring, terms=None):
         self.m = _checked_int(m, "variable count", 1)
@@ -155,22 +191,35 @@ class GenPoly(Sparse):
                 if p is not None:
                     c %= p
                 if not ring.is_zero(c):
-                    clean[symmono] = c
-        self.terms = clean
+                    clean[_intern(symmono)] = c
+        self._d = clean
 
     @classmethod
-    def _make(cls, m: int, ring: Ring, terms: dict) -> "GenPoly":
-        """Trusted constructor: the caller guarantees well-formed, canonically
-        sorted symbol monomials and nonzero ring elements (Ring.settle)."""
+    def _make(cls, m: int, ring: Ring, d: dict) -> "GenPoly":
+        """Trusted constructor: the caller guarantees ids of well-formed
+        symbol monomials and nonzero ring elements (Ring.settle)."""
         self = object.__new__(cls)
-        self.m, self.ring, self.terms = m, ring, terms
+        self.m, self.ring, self._d = m, ring, d
         return self
+
+    def __reduce__(self):
+        # ids are local to a process: pickle the symbol monomials
+        return (GenPoly, (self.m, self.ring, _decoded(self._d)))
+
+    @property
+    def terms(self) -> TermsView:
+        """The terms as a read-only mapping from symbol monomials."""
+        return TermsView(self._d, _SYMMONOS.__getitem__, _IDS.get)
+
+    @property
+    def _raw(self) -> dict:
+        return self._d
 
     def _ambient(self) -> tuple:
         return (self.m, self.ring)
 
-    def _degree(self, symmono) -> Mono:
-        return _symmono_degree(symmono, self.m)
+    def _degree(self, k: int) -> Mono:
+        return _symmono_degree(_SYMMONOS[k], self.m)
 
     @classmethod
     def const(cls, c, m: int, ring: Ring) -> "GenPoly":
@@ -184,9 +233,10 @@ class GenPoly(Sparse):
         self._compat(other)
         out = {}
         get = out.get
+        inner = list(other.terms.items())
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _symmono_mul(ka, kb)
+            for kb, cb in inner:
+                key = _intern(_symmono_mul(ka, kb))
                 out[key] = get(key, 0) + ca * cb
         return self._like(self.ring.settle(out, 1))
 
@@ -208,7 +258,7 @@ class GenPoly(Sparse):
         return best
 
     def sorted_terms(self):
-        return _sorted_rows(self.terms, _factor_render, _TEXT)[0]
+        return _sorted_rows(_decoded(self._d), _factor_render, _TEXT)[0]
 
     def text(self) -> str:
         return genpoly_texts([self])[0]
@@ -226,16 +276,17 @@ def genpoly_texts(gs) -> list:
     """
     if len({g.m for g in gs}) > 1:
         raise ValueError("batched texts need one variable count")
-    union = dict.fromkeys([s for g in gs for s in g.terms])
-    rows, frag = _sorted_rows(union, _factor_render, _TEXT)
-    keys = [s for s, _ in rows]
+    ids = [*dict.fromkeys([k for g in gs for k in g._d])]
+    # sorted rows of (symbol monomial, its id): each id is decoded once
+    rows, frag = _sorted_rows(dict(zip(map(_SYMMONOS.__getitem__, ids), ids)),
+                              _factor_render, _TEXT)
+    keys = [k for _, k in rows]
     order = dict(zip(keys, range(len(keys)))).__getitem__
-    bodies = ["*".join(map(frag, s)) for s in keys]
+    bodies = ["*".join(map(frag, s)) for s, _ in rows]
     out = []
     for g in gs:
-        fmt, terms = g.ring.format_coeff, g.terms
-        out.append(signed_text([(fmt(terms[keys[i]]), bodies[i])
-                                for i in sorted(map(order, terms))]))
+        fmt, d = g.ring.format_coeff, g._d
+        out.append(signed_text([(fmt(d[keys[i]]), bodies[i]) for i in sorted(map(order, d))]))
     return out
 
 
@@ -296,14 +347,14 @@ def plethysm_P(h: int, k: int) -> GenPoly:
         return prods[part]
 
     cs, den = QQ.lift(e_in_powersums(h))
-    out: dict[tuple, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     for part, c in cs.items():
-        for symmono, v in prod(part).terms.items():
-            out[symmono] = get(symmono, 0) + c * v
+        for key, v in prod(part)._d.items():
+            out[key] = get(key, 0) + c * v
     if any(v % den for v in out.values()):
         raise AssertionError(f"non-integral coefficient in P_{h},{k}")
-    return GenPoly._make(1, ZZ, {symmono: v // den for symmono, v in out.items() if v})
+    return GenPoly._make(1, ZZ, {key: v // den for key, v in out.items() if v})
 
 
 # integer core of the peeling recursion, shared across coefficient rings
@@ -312,20 +363,20 @@ def plethysm_P(h: int, k: int) -> GenPoly:
 def _reduce_alpha(alpha: AlphaIndex) -> tuple:
     """e_alpha as an integer combination of symbol monomials.
 
-    Returned as a tuple of (symmono, int) pairs so it can live in a cache.
+    Returned as a tuple of (id, int) pairs so it can live in a cache.
     """
     if not alpha:
-        return (((), 1),)
+        return ((0, 1),)
     if len(alpha) == 1:
         mu, a = alpha[0]
-        return (((((a, mu), 1),), 1),)
+        return ((_intern((((a, mu), 1),)), 1),)
     mu_p, a_p = alpha[-1]  # largest support monomial
     rest = alpha[:-1]
-    pivot_sym = (a_p, mu_p)
+    pivot = (((a_p, mu_p), 1),)
 
-    acc: dict[tuple, int] = {}
-    for symmono, c in _reduce_alpha(rest):
-        key = _symmono_mul(symmono, ((pivot_sym, 1),))
+    acc: dict[int, int] = {}
+    for k, c in _reduce_alpha(rest):
+        key = _intern(_symmono_mul(_SYMMONOS[k], pivot))
         acc[key] = acc.get(key, 0) + c
     prod = _alpha_product_z(((mu_p, a_p),), rest, None)
     if prod.get(alpha) != 1:
@@ -335,8 +386,8 @@ def _reduce_alpha(alpha: AlphaIndex) -> tuple:
             continue
         if alpha_weight(gamma) >= alpha_weight(alpha):
             raise AssertionError("correction term fails to drop in weight")
-        for symmono, c in _reduce_alpha(gamma):
-            acc[symmono] = acc.get(symmono, 0) - mult * c
+        for k, c in _reduce_alpha(gamma):
+            acc[k] = acc.get(k, 0) - mult * c
     return tuple((k, v) for k, v in acc.items() if v)
 
 
@@ -344,7 +395,7 @@ def _accumulate(x: Sparse, image) -> dict:
     """The terms of sum c * image(key) over x's terms, in x's ring;
     image(key) gives the (key, int) pairs of a cached integer image."""
     R = x.ring
-    cs, den = R.lift(x.terms)
+    cs, den = R.lift(x._raw)
     out: dict = {}
     get = out.get
     for key, c in cs.items():
@@ -370,23 +421,25 @@ def _primitive_symbol_z(sym, n) -> GenPoly:
     terms = {}
     if n is INF or i <= n:
         if k == 1:
-            terms[(((i, nu), 1),)] = 1
+            terms[_intern((((i, nu), 1),))] = 1
         else:
             # E[j;(1)] -> E[j;nu]: one nu throughout, so ascending j stays
             # canonical, and the last factor has the largest j
             for symmono, c in plethysm_P(i, k).terms.items():
                 if n is INF or symmono[-1][0][0] <= n:
-                    terms[tuple([((j, nu), e) for (j, _), e in symmono])] = c
+                    terms[_intern(tuple([((j, nu), e) for (j, _), e in symmono]))] = c
     return GenPoly._make(len(mu), ZZ, terms)
 
 
 @cache
-def _primitive_image_z(symmono, n, m: int) -> GenPoly:
-    """The primitive form over Z of a symbol monomial in ambient n."""
+def _primitive_image_z(k: int, n, m: int) -> GenPoly:
+    """The primitive form over Z of the symbol monomial of id k in ambient n."""
+    symmono = _SYMMONOS[k]
     if not symmono:
         return GenPoly.one(m, ZZ)
     if len(symmono) > 1:
-        return _primitive_image_z(symmono[:-1], n, m) * _primitive_image_z(symmono[-1:], n, m)
+        return (_primitive_image_z(_intern(symmono[:-1]), n, m)
+                * _primitive_image_z(_intern(symmono[-1:]), n, m))
     (sym, e), = symmono
     return _primitive_symbol_z(sym, n) ** e
 
@@ -400,7 +453,7 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
     """
     m = p.m
     return GenPoly._make(m, p.ring, _accumulate(
-        p, lambda symmono: _primitive_image_z(symmono, n, m).terms.items()))
+        p, lambda k: _primitive_image_z(k, n, m)._d.items()))
 
 
 def rewrite(x: MsfElement) -> GenPoly:
@@ -409,12 +462,14 @@ def rewrite(x: MsfElement) -> GenPoly:
 
 
 @cache
-def _evaluate_image_z(symmono, n, m: int) -> MsfElement:
-    """prod e_i(nu)**e over a symbol monomial, over Z in ambient n."""
+def _evaluate_image_z(k: int, n, m: int) -> MsfElement:
+    """prod e_i(nu)**e over the symbol monomial of id k, over Z in ambient n."""
+    symmono = _SYMMONOS[k]
     if not symmono:
         return MsfElement.one(n, m, ZZ)
     if len(symmono) > 1:
-        return _evaluate_image_z(symmono[:-1], n, m) * _evaluate_image_z(symmono[-1:], n, m)
+        return (_evaluate_image_z(_intern(symmono[:-1]), n, m)
+                * _evaluate_image_z(_intern(symmono[-1:]), n, m))
     ((i, nu), e), = symmono
     return e_alpha([(nu, i)], n, m, ZZ, truncating=True) ** e
 
@@ -424,7 +479,7 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     _check_slots(n)
     m = g.m
     return MsfElement._make(n, m, g.ring, _accumulate(
-        g, lambda symmono: _evaluate_image_z(symmono, n, m).terms.items()))
+        g, lambda k: _evaluate_image_z(k, n, m).terms.items()))
 
 
 # the zero test of evaluate on Kronecker-packed images (module docstring)
@@ -445,9 +500,9 @@ def _orbit_coords(n, m: int, a: Mono) -> dict:
 
 
 @cache
-def _packed_evaluation(symmono, n, m: int, w: int):
-    """(packed, top, a) for the integer image of a symbol monomial in
-    ambient n, or None when the image is zero.
+def _packed_evaluation(k: int, n, m: int, w: int):
+    """(packed, top, a) for the integer image of the symbol monomial of id
+    k in ambient n, or None when the image is zero.
 
     a is the image's multidegree, top its largest coefficient, and packed
     the int with the coefficient of each orbit sum in the w-bit field at
@@ -455,10 +510,10 @@ def _packed_evaluation(symmono, n, m: int, w: int):
     fit below the top bit of a field.
     """
     # the image itself stays cached: it is also the prefix of longer monomials
-    img = _evaluate_image_z(symmono, n, m).terms
+    img = _evaluate_image_z(k, n, m).terms
     if not img:
         return None
-    a = _symmono_degree(symmono, m)
+    a = _symmono_degree(_SYMMONOS[k], m)
     if min(img.values()) < 0:
         raise AssertionError("orbit-sum structure constants must be nonnegative")
     top = max(img.values())
@@ -487,19 +542,19 @@ def evaluates_to_zero(g: GenPoly, n) -> bool:
     building the evaluation (module docstring)."""
     _check_slots(n)
     m, p = g.m, g.ring.p
-    cs, _ = g.ring.lift(g.terms)  # over Z/p already in [0, p)
+    cs, _ = g.ring.lift(g._d)  # over Z/p already in [0, p)
     groups: dict = {}
-    for symmono, c in cs.items():
-        img = _packed_evaluation(symmono, n, m, ZERO_TEST_BITS)
+    for k, c in cs.items():
+        img = _packed_evaluation(k, n, m, ZERO_TEST_BITS)
         if img is not None:
-            groups.setdefault(img[2], []).append((symmono, c, img))
+            groups.setdefault(img[2], []).append((k, c, img))
     for terms in groups.values():
         w = ZERO_TEST_BITS
         bound = sum([abs(c) * img[1] for _, c, img in terms])
         while bound >> (w - 1):
             w *= 2
-        total = sum([c * (img[0] if w == ZERO_TEST_BITS else _packed_evaluation(s, n, m, w)[0])
-                     for s, c, img in terms])
+        total = sum([c * (img[0] if w == ZERO_TEST_BITS else _packed_evaluation(k, n, m, w)[0])
+                     for k, c, img in terms])
         if total and (p is None or any(v % p for v in _fields_of(total, w))):
             return False
     return True
@@ -513,7 +568,7 @@ def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
     with sort_keys=True and separators=(",", ":").
     """
     fmt = g.ring.format_coeff
-    rows, frag = _sorted_rows(g.terms, _factor_render, _JSON)
+    rows, frag = _sorted_rows(_decoded(g._d), _factor_render, _JSON)
     terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join(map(frag, symmono)))
                       for symmono, c in rows])
     head = "" if check is None else f'"check":"{check}",'

@@ -391,6 +391,22 @@ def test_relations_bytes_are_pinned(capsys, ring, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of relations with one variable, where the plethysm images
+# of primitive_reduce make up most of each relation
+@pytest.mark.parametrize("argv, digest", [
+    ("--n 2 --m 1 --max-degree 10",
+     "a510a232c22f95be384e17aa8af3ce69b7e52a58f73582485d8da8d57a5683f4"),
+    ("--n 2 --m 1 --max-degree 10 --ring Q",
+     "fe2dd059af8320c569e7f91d64d39aa11ec1723af2d95979e16cc6716376dd0a"),
+    ("--n 3 --m 1 --max-degree 10 --ring Zmod:3",
+     "e9914269251c761a5e065ac3020690a77c0f25f23dd1de3edc73d50eb2a50fbc"),
+])
+def test_one_variable_relations_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, ["relations"] + argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of stdout of verify; the first three also run in CI, the last is
 # the benchmark's largest verify shape
 @pytest.mark.parametrize("argv, digest", [

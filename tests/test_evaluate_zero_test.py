@@ -19,8 +19,8 @@ from multisym.msf import MsfElement
 from multisym.polyring import NPoly
 from multisym.reference import relation_items
 from multisym.relations import verify_relation
-from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _orbit_coords, _packed_evaluation,
-                              evaluate, evaluates_to_zero)
+from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _intern, _orbit_coords,
+                              _packed_evaluation, evaluate, evaluates_to_zero)
 
 rewrite_mod = importlib.import_module("multisym.rewrite")
 
@@ -52,9 +52,9 @@ def widths(monkeypatch):
     seen = []
     packed = rewrite_mod._packed_evaluation
 
-    def spy(symmono, n, m, w):
+    def spy(k, n, m, w):
         seen.append(w)
-        return packed(symmono, n, m, w)
+        return packed(k, n, m, w)
 
     monkeypatch.setattr(rewrite_mod, "_packed_evaluation", spy)
     return seen
@@ -118,8 +118,8 @@ def test_inhomogeneous_input_is_tested_per_multidegree(ring):
     # E[1;(1,0)] and E[1;(0,1)] each take position 0 of their own index, so
     # their packed images are equal ints: one sum over both would cancel
     split = genpoly(ring, 2, [(1, [sym(1, (1, 0))]), (-1, [sym(1, (0, 1))])])
-    assert _packed_evaluation((sym(1, (1, 0)),), 2, 2, ZERO_TEST_BITS)[0] == \
-        _packed_evaluation((sym(1, (0, 1)),), 2, 2, ZERO_TEST_BITS)[0]
+    assert _packed_evaluation(_intern((sym(1, (1, 0)),)), 2, 2, ZERO_TEST_BITS)[0] == \
+        _packed_evaluation(_intern((sym(1, (0, 1)),)), 2, 2, ZERO_TEST_BITS)[0]
     assert agrees(split, 2) is False
     # two identities of different multidegrees, plus a constant or a bump
     zero = genpoly(ring, 2, [(1, [sym(1, (1, 0), 2)]), (-1, [sym(1, (2, 0))]),
@@ -155,7 +155,8 @@ def test_total_divisible_by_p_with_a_field_that_is_not():
     # multiples of 3, but 1 + 2 * 2^32 and 2 + 2^32 both are
     ring = Zmod(3)
     g = genpoly(ring, 2, [(1, [sym(2, (1, 0))]), (2, [sym(1, (2, 0))])])
-    total = sum(c * _packed_evaluation(s, 2, 2, ZERO_TEST_BITS)[0] for s, c in g.terms.items())
+    total = sum(c * _packed_evaluation(_intern(s), 2, 2, ZERO_TEST_BITS)[0]
+                for s, c in g.terms.items())
     assert total and total % 3 == 0
     assert agrees(g, 2) is False
     assert verify_relation(g, 2) is False
@@ -166,9 +167,9 @@ def test_negative_image_coefficient_is_refused(monkeypatch):
     multisym.clear_caches()
     s = (sym(1, (1, 0)),)
     bad = MsfElement._make(2, 2, ZZ, {(((1, 0), 1),): -1})
-    monkeypatch.setattr(rewrite_mod, "_evaluate_image_z", lambda symmono, n, m: bad)
+    monkeypatch.setattr(rewrite_mod, "_evaluate_image_z", lambda k, n, m: bad)
     with pytest.raises(AssertionError, match="nonnegative"):
-        _packed_evaluation(s, 2, 2, ZERO_TEST_BITS)
+        _packed_evaluation(_intern(s), 2, 2, ZERO_TEST_BITS)
     multisym.clear_caches()
 
 

@@ -3,19 +3,25 @@
 The oracle is the ground truth of the differential checks, and route 1 of
 the vanishing check (rewrite.evaluates_to_zero) must not share route 2's
 code in relations: one fault there would otherwise pass the same wrong
-result on both sides.  The command line front end never imports the
-reference module, so no CLI process compiles it.  Read from the source, so
-a lazy import inside a function counts too.
+result on both sides.  Nor may route 2 or the oracle read the interned
+symbol-monomial ids that GenPoly stores: they read GenPoly.terms, keyed
+by the symbol monomials themselves.  The command line front end never
+imports the reference module, so no CLI process compiles it.  Read from
+the source, so a lazy import inside a function counts too.
 """
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
 import multisym
+from multisym.coeffring import ZZ, Zmod
+from multisym.relations import relations_of, verify_relation
+from multisym.rewrite import GenPoly
 
 SRC = pathlib.Path(multisym.__file__).parent
 
@@ -47,6 +53,55 @@ def test_module_does_not_import(module, forbidden):
     imports = package_imports(module)
     assert imports  # the walk does see the module's own imports
     assert not imports & forbidden
+
+
+# the intern table of rewrite and what reads it
+TABLE_NAMES = {"_SYMMONOS", "_IDS", "_intern", "_decoded"}
+
+
+def source_names(module: str) -> set:
+    """Every name and attribute name in a module of the package."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_route_2_imports_only_the_public_rewrite():
+    tree = ast.parse((SRC / "relations.py").read_text(encoding="utf-8"))
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "rewrite"
+             for alias in node.names}
+    assert taken == {"GenPoly", "evaluates_to_zero", "rewrite"}
+
+
+@pytest.mark.parametrize("module", ["relations", "oracle"])
+def test_module_never_names_the_intern_table(module):
+    names = source_names(module)
+    assert "terms" in names  # the walk does see attributes
+    assert not names & TABLE_NAMES
+
+
+def test_route_2_reads_generator_polynomials_through_terms(monkeypatch):
+    """While relations are found and checked, no code in relations.py reads
+    a GenPoly's id-keyed dict, directly or through _raw."""
+    readers = []
+    for name in ("_d", "_raw"):
+        stored = GenPoly.__dict__[name]
+
+        def spy(self, stored=stored):
+            readers.append(sys._getframe(1).f_code.co_filename)
+            return stored.__get__(self, GenPoly)
+
+        setter = getattr(stored, "__set__", None) if name == "_d" else None
+        monkeypatch.setattr(GenPoly, name, property(spy, setter))
+    for ring in (ZZ, Zmod(3)):
+        for _, g in relations_of(2, 2, (2, 2), ring):
+            assert verify_relation(g, 2)
+    relations = str(SRC / "relations.py")
+    assert readers and str(SRC / "rewrite.py") in readers
+    assert relations not in readers
 
 
 def test_cli_path_never_imports_reference():

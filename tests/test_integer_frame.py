@@ -51,15 +51,16 @@ def ref_product(x: MsfElement, y: MsfElement) -> dict:
 
 
 def ref_rewrite(x: MsfElement) -> dict:
+    # the cached images are keyed by interned symbol-monomial ids
     R = x.ring
     first = ref_combine(R, [(c, _reduce_alpha(a)) for a, c in x.terms.items()])
-    return ref_combine(R, [(c, _primitive_image_z(s, x.n, x.m).terms.items())
-                           for s, c in first.items()])
+    return ref_combine(R, [(c, _primitive_image_z(k, x.n, x.m).terms.items())
+                           for k, c in first.items()])
 
 
 def ref_evaluate(g: GenPoly, n) -> dict:
-    return ref_combine(g.ring, [(c, _evaluate_image_z(s, n, g.m).terms.items())
-                                for s, c in g.terms.items()])
+    return ref_combine(g.ring, [(c, _evaluate_image_z(k, n, g.m).terms.items())
+                                for k, c in g._d.items()])
 
 
 def ref_expand(g: GenPoly, n) -> dict:

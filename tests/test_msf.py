@@ -344,6 +344,23 @@ def test_basis_enumeration_refuses_bad_slot_counts(n):
         basis_alphas(n, 2, (1, 1))
 
 
+@pytest.mark.parametrize("a", [(1, 1), (0, 0)])
+@pytest.mark.parametrize("bound", [-1, True, 1.5, 2.0, "x", INF])
+def test_index_enumeration_refuses_bad_weight_bounds(a, bound):
+    # unchecked, 1.5 and "x" raise TypeError from range, -1 gives [] for
+    # (1, 1) but [()] for (0, 0), and True reads as 1
+    assert alphas_of_multidegree(2, a, 2)
+    with pytest.raises(ValueError):
+        alphas_of_multidegree(2, a, bound)
+
+
+def test_index_enumeration_takes_weight_bounds_from_zero():
+    assert alphas_of_multidegree(2, (0, 0), 0) == [()]
+    assert alphas_of_multidegree(2, (1, 1), 0) == []
+    assert alphas_of_multidegree(2, (1, 1), 1) == [make_alpha([((1, 1), 1)])]
+    assert alphas_of_multidegree(2, (1, 1), None) == alphas_of_multidegree(2, (1, 1), 2)
+
+
 def writers_order(alphas) -> list:
     """The canonical term order of the writers (_sorted_rows), then stable
     by weight: the order the enumeration must give."""

@@ -19,7 +19,7 @@ from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.reference import relation_items
 from multisym.relations import (FIELD_BITS, _coords, _expansion_z, _fields_divisible,
                                 genpoly_expand, verify_relation)
-from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _packed_evaluation, evaluate,
+from multisym.rewrite import (ZERO_TEST_BITS, GenPoly, _intern, _packed_evaluation, evaluate,
                               evaluates_to_zero)
 from test_integer_frame import ref_expand
 
@@ -232,7 +232,7 @@ def test_images_too_wide_for_32_bit_fields():
         g = rel * wide
         for s in g.terms:
             route2 = relations._packed_image(s, n, m, FIELD_BITS)
-            route1 = _packed_evaluation(s, n, m, ZERO_TEST_BITS)
+            route1 = _packed_evaluation(_intern(s), n, m, ZERO_TEST_BITS)
             assert route2[0] is None and route2[1] >= comb(34, 17)
             assert route1[0] is None and route1[1] >= comb(34, 17)
         assert evaluates_to_zero(g, n) and evaluate(g, n).is_zero
