@@ -24,8 +24,8 @@ from math import comb, factorial, perm
 
 from .coeffring import ZZ, Ring
 from .monomial import monomials_of_total_degree
-from .msf import (INF, AmbientMismatch, MsfElement, alpha_multidegree,
-                  alpha_weight, basis_alphas, element_from_json, element_json_text)
+from .msf import (INF, AmbientMismatch, MsfElement, _basis_symbol, _split,
+                  alpha_multidegree, basis_alphas, element_from_json, element_json_text)
 from .polyring import NPoly, key_width, npoly_text, pack_key
 from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
 from .relations import multidegrees_upto, relations_of, verify_relation
@@ -128,11 +128,11 @@ def _check_expansion_size(x: MsfElement) -> None:
     """Refuse to expand x when the keys would exceed EXPAND_MAX_FIELDS."""
     n, m = x.n, x.m
     fields = 0
-    for alpha in x.terms:
-        fields += n * len(alpha) * n * m  # first, so perm only sees small n
+    for monos, mults, weight in map(_split, x._d):
+        fields += n * len(monos) * n * m  # first, so perm only sees small n
         if fields <= EXPAND_MAX_FIELDS:
-            orbit = perm(n, alpha_weight(alpha))
-            for _, k in alpha:
+            orbit = perm(n, weight)
+            for k in mults:
                 orbit //= factorial(k)
             fields += orbit * n * m
         if fields > EXPAND_MAX_FIELDS:
@@ -154,8 +154,8 @@ def _check_product_size(x: MsfElement, y: MsfElement) -> None:
     """Refuse x * y when its margin tables would exceed PRODUCT_MAX_TABLE_WORDS."""
     cap = PRODUCT_MAX_TABLE_WORDS
     work = 0
-    for avec in {tuple([k for _, k in a]) for a in x.terms}:
-        for bvec in {tuple([k for _, k in b]) for b in y.terms}:
+    for avec in {_split(k)[1] for k in x._d}:
+        for bvec in {_split(k)[1] for k in y._d}:
             k, h = len(avec), len(bvec)
             total = sum(avec) + sum(bvec)
             bits = (total - max(avec + bvec, default=0)) * total.bit_length()
@@ -325,7 +325,7 @@ def _verify_basis_rank(n, m, deg, ring):
         cols = {pack_key(mono, w): i
                 for i, mono in enumerate(oracle.monomials_of_multidegree(n, m, a))}
         rows = [{cols[k]: c for k, c in
-                 MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand()._keys_at(w).items()}
+                 _basis_symbol(alpha, n, m, ZZ).expand()._keys_at(w).items()}
                 for alpha in alphas]
         rank = rank_over_q(rows, len(cols)) if ring.p is None else rank_of(rows, len(cols), ring)
         if rank < len(rows):
@@ -346,8 +346,8 @@ def _verify_homomorphism(n, m, deg, ring, pairs=40):
         db = sum(alpha_multidegree(ay, m))
         if da + db > deg + 2:
             continue
-        x = MsfElement._make(n, m, ring, {ax: ring.one})
-        y = MsfElement._make(n, m, ring, {ay: ring.one})
+        x = _basis_symbol(ax, n, m, ring)
+        y = _basis_symbol(ay, n, m, ring)
         checked += 1
         if (x * y).expand() != x.expand() * y.expand():
             failures += 1
@@ -355,7 +355,7 @@ def _verify_homomorphism(n, m, deg, ring, pairs=40):
 
 
 def _verify_round_trip(n, m, deg, ring):
-    xs = [MsfElement._make(n, m, ring, {alpha: ring.one}) for alpha in _basis_upto(n, m, deg)]
+    xs = [_basis_symbol(alpha, n, m, ring) for alpha in _basis_upto(n, m, deg)]
     return len(xs), sum([evaluate(rewrite(x), n) != x for x in xs])
 
 

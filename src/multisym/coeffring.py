@@ -192,6 +192,18 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def coerce(self, c):
+        """c checked and made canonical: over Z and Z/p an int that is not a
+        bool, reduced into [0, p) over Z/p; over Q an int or a Fraction, as
+        a Fraction.  Anything else raises ValueError."""
+        if type(c) is int:
+            if self.kind == "Q":
+                return Fraction(c)
+            return c if self.p is None else c % self.p
+        if type(c) is Fraction and self.kind == "Q":
+            return c
+        raise ValueError(f"bad coefficient {c!r} in {self.to_string()}")
+
     def lift(self, terms: dict) -> tuple[dict, int]:
         """Integer numerators over one denominator: (ints, den) with
         terms[k] == ints[k] / den.

@@ -26,11 +26,30 @@ beta, so the rule is split in two cached steps:
 
 * _margin_tables(avec, bvec, min_inner) enumerates the tables once per
   shape, each as its argument list over slots f_i, g_j and f_i*g_j;
-* _alpha_product_z(alpha, beta, cap) builds the k+h+kh candidate
-  monomials of one pair and merges each table's arguments in place:
-  sorted by grlex, equal monomials are adjacent.
+* _alpha_product_z(ka, kb, cap) builds the k+h+kh candidate monomials
+  of one pair of index ids and merges each table's arguments in place:
+  sorted by grlex, equal monomials are adjacent.  It returns the
+  (id, structure constant) pairs of the product, in the order of the
+  first table that gives each index.
 
-Neither cache key holds a ring.
+Interned indices: an MsfElement stores its terms under small ints, since
+Python hashes a nested index tuple again at every lookup.  One
+append-only table per process (_ALPHAS, inverse _ALPHA_IDS) gives each
+index an id on first sight, 0 for the empty one; an id never names a
+second index.  MsfElement.terms is a read-only view that decodes ids, as
+GenPoly.terms does for symbol monomials.  Ids never leave the process:
+an MsfElement pickles its indices, and the writers decode each id once
+and sort on the indices, so no output byte depends on an id.
+
+Caching contract: every cache here is keyed by index ids (or by
+multiplicity vectors), the ambient where it matters, and never by a
+coefficient ring; the structure constants are integers, so one entry
+serves Z, Q and every Z/p.  _split gives the (monomials, multiplicities,
+weight) of an id once, for the kernel, the weights of the product, the
+cutoffs and the expansion; _expand_alpha, keyed by id, n, m and a field
+width, gives the packed orbit-sum keys.  clear_caches keeps the table,
+so an id in any cache, here or in rewrite, still names the index it was
+computed for.
 
 The writers sort terms by one integer key each (_sorted_rows): a term's
 packed multidegree, in fields too wide for its sum to carry, above the
@@ -39,10 +58,12 @@ ranks of its parts by key part, one digit per position.
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index, and refuse a
 boolean as an exponent or multiplicity.  Arithmetic builds its results
-through the trusted MsfElement._make, a direct slot store: its callers add
-integer numerators into one dict and settle it into the ring once
-(Ring.lift and Ring.settle, or polyring.Sparse for sums and scaling), and
-guarantee canonical indices of weight at most n.
+through the trusted MsfElement._make, a direct slot store of an id-keyed
+dict: its callers add integer numerators into one dict and settle it into
+the ring once (Ring.lift and Ring.settle, or polyring.Sparse for sums and
+scaling), and guarantee ids of canonical indices of weight at most n.
+Other modules build one basis symbol of a trusted index through
+_basis_symbol, so none of them names the table.
 """
 
 from __future__ import annotations
@@ -54,8 +75,8 @@ from operator import add, getitem, lshift
 
 from .coeffring import Ring
 from .monomial import Mono, monomials_up_to
-from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, _checked_int,
-                       key_width, pack_key, signed_text)
+from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView,
+                       _checked_int, key_width, pack_key, signed_text)
 
 INF = float("inf")
 
@@ -103,6 +124,34 @@ def make_alpha(pairs) -> AlphaIndex:
             raise ValueError(f"repeated support monomial {mu}")
         seen[mu] = mult
     return tuple([(mu, seen[mu]) for _, mu in sorted([(sum(mu), mu) for mu in seen])])
+
+
+# the intern table: an append-only list of indices and its inverse; an id
+# is a position in the list and never names a second index
+_ALPHAS: list = [()]
+_ALPHA_IDS: dict = {(): 0}
+
+
+def _intern_alpha(alpha: AlphaIndex) -> int:
+    """The id of a canonical index, assigned on first sight."""
+    k = _ALPHA_IDS.get(alpha)
+    if k is None:
+        k = _ALPHA_IDS[alpha] = len(_ALPHAS)
+        _ALPHAS.append(alpha)
+    return k
+
+
+def _decoded_alphas(d: dict) -> dict:
+    """The terms of an id-keyed dict, keyed by indices."""
+    return dict(zip(map(_ALPHAS.__getitem__, d), d.values()))
+
+
+@cache
+def _split(k: int) -> tuple:
+    """(monomials, multiplicities, weight) of the index of id k."""
+    alpha = _ALPHAS[k]
+    monos, mults = zip(*alpha) if alpha else ((), ())
+    return monos, mults, sum(mults)
 
 
 def alpha_weight(alpha: AlphaIndex) -> int:
@@ -159,9 +208,10 @@ def _packed_degree(deg: tuple, w: int) -> int:
     return key
 
 
-def _sorted_rows(terms: dict, render, field: int) -> tuple:
-    """The (index, coefficient) items of terms in canonical order, and the
-    map from each part of an index to field `field` of its render record.
+def _sorted_rows(terms, render, field: int) -> tuple:
+    """The (index, coefficient) items of a mapping in canonical order, and
+    the map from each part of an index to field `field` of its render
+    record.  terms may be a TermsView: each key is read once.
 
     Canonical order: by total degree, then multidegree, then the parts by
     key part, a prefix first.  The distinct parts are ranked once; a part at
@@ -170,12 +220,13 @@ def _sorted_rows(terms: dict, render, field: int) -> tuple:
     key is one sum of table entries.  Every part has positive degree, so a
     prefix never ties its extension, and keys are unique.
     """
-    recs = sorted(map(render, {*chain.from_iterable(terms)}))
+    idx = [*terms]
+    recs = sorted(map(render, {*chain.from_iterable(idx)}))
     if not recs:  # at most the constant term
-        return [*terms.items()], {}.__getitem__
+        return [*zip(idx, terms.values())], {}.__getitem__
     cols = [*zip(*recs)]
     parts, n = cols[_PART], len(recs)
-    depth = max(map(len, terms))
+    depth = max(map(len, idx))
     w = key_width(depth * max(cols[_TOTAL]))
     b = n.bit_length()
     packed = cols[_PACKED] if w == BASE_WIDTH else map(_packed_degree, cols[_DEGREE], repeat(w))
@@ -185,8 +236,8 @@ def _sorted_rows(terms: dict, render, field: int) -> tuple:
         tables.append([*map(add, base, range(0, n << s, 1 << s))])
     rank = dict(zip(parts, range(n))).__getitem__
     # sum(map(getitem, tables, map(rank, idx))) for each index, in C loops
-    keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), terms)))
-    keyed = dict(zip(keys, terms.items()))
+    keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), idx)))
+    keyed = dict(zip(keys, zip(idx, terms.values())))
     return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__
 
 
@@ -244,22 +295,24 @@ def _margin_tables(avec, bvec, min_inner) -> tuple:
 
 
 @cache
-def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
-    """Structure constants over Z of e_alpha * e_beta.
+def _alpha_product_z(ka: int, kb: int, cap) -> tuple:
+    """Structure constants over Z of e_alpha * e_beta, alpha and beta of
+    ids ka and kb.
 
     cap is None for the no-cutoff product (inverse limit) or the slot count
-    n; keys of the result are the indices gamma with |gamma| <= cap, in the
-    order of the first table that gives each.  A table's arguments, sorted
-    by (deg mu, mu, mult), put equal monomials next to each other; each
-    merge of v more onto t gives the factor comb(t + v, v).
+    n; the result holds an (id, int) pair for each index gamma with
+    |gamma| <= cap, in the order of the first table that gives it.  A
+    table's arguments, sorted by (deg mu, mu, mult), put equal monomials
+    next to each other; each merge of v more onto t gives the factor
+    comb(t + v, v).
     """
-    fs, avec = zip(*alpha) if alpha else ((), ())
-    gs, bvec = zip(*beta) if beta else ((), ())
-    min_inner = 0 if cap is None else max(0, sum(avec) + sum(bvec) - cap)
+    fs, avec, wa = _split(ka)
+    gs, bvec, wb = _split(kb)
+    min_inner = 0 if cap is None else max(0, wa + wb - cap)
     # the candidate monomial of each slot: f_i, g_j, f_i*g_j
     monos = [*fs, *gs, *[tuple(map(add, f, g)) for f in fs for g in gs]]
     degs = [*map(sum, monos)]
-    out: dict[AlphaIndex, int] = {}
+    out: dict[int, int] = {}
     get = out.get
     for args in _margin_tables(avec, bvec, min_inner):
         gamma = []
@@ -274,9 +327,9 @@ def _alpha_product_z(alpha: AlphaIndex, beta: AlphaIndex, cap) -> dict:
             else:
                 gamma.append((mu, v))
                 last, t = mu, v
-        gamma = tuple(gamma)
-        out[gamma] = get(gamma, 0) + factor
-    return out
+        k = _intern_alpha(tuple(gamma))
+        out[k] = get(k, 0) + factor
+    return tuple(out.items())
 
 
 def _check_slots(n) -> None:
@@ -285,9 +338,11 @@ def _check_slots(n) -> None:
 
 
 class MsfElement(Sparse):
-    """R-linear combination of basis symbols; ambient is n slots or INF."""
+    """R-linear combination of basis symbols; ambient is n slots or INF.
+    Its terms are stored in _d under interned index ids (module docstring)."""
 
-    __slots__ = ("n", "m", "ring", "terms")
+    __slots__ = ("n", "m", "ring", "_d")
+    _unit = 0
 
     def __init__(self, n, m: int, ring: Ring, terms=None):
         _check_slots(n)
@@ -296,29 +351,38 @@ class MsfElement(Sparse):
         self.m = m
         self.ring = ring
         clean = {}
-        p = ring.p
         if terms:
             for alpha, c in terms.items():
                 self._check_alpha(alpha)
-                if p is not None:
-                    c %= p
-                if not ring.is_zero(c):
-                    clean[alpha] = c
-        self.terms = clean
+                c = ring.coerce(c)
+                if c:
+                    clean[_intern_alpha(alpha)] = c
+        self._d = clean
 
     @classmethod
-    def _make(cls, n, m: int, ring: Ring, terms: dict) -> "MsfElement":
-        """Trusted constructor: the caller guarantees canonical indices of
-        weight at most n and nonzero ring elements (Ring.settle)."""
+    def _make(cls, n, m: int, ring: Ring, d: dict) -> "MsfElement":
+        """Trusted constructor: the caller guarantees ids of canonical
+        indices of weight at most n and nonzero ring elements (Ring.settle)."""
         self = object.__new__(cls)
-        self.n, self.m, self.ring, self.terms = n, m, ring, terms
+        self.n, self.m, self.ring, self._d = n, m, ring, d
         return self
+
+    def __reduce__(self):
+        # ids are local to a process, and INF is told apart by identity:
+        # pickle the indices, and the ambient as the JSON form spells it
+        return (_unpickled, ("inf" if self.n is INF else self.n, self.m, self.ring,
+                             _decoded_alphas(self._d)))
+
+    @property
+    def terms(self) -> TermsView:
+        """The terms as a read-only mapping from indices."""
+        return TermsView(self._d, _ALPHAS.__getitem__, _ALPHA_IDS.get)
 
     def _ambient(self) -> tuple:
         return (self.n, self.m, self.ring)
 
-    def _degree(self, alpha: AlphaIndex) -> Mono:
-        return alpha_multidegree(alpha, self.m)
+    def _degree(self, k: int) -> Mono:
+        return alpha_multidegree(_ALPHAS[k], self.m)
 
     def _check_alpha(self, alpha: AlphaIndex) -> None:
         if make_alpha(alpha) != alpha or any(len(mu) != self.m for mu, _ in alpha):
@@ -331,19 +395,19 @@ class MsfElement(Sparse):
         self._compat(other)
         R = self.ring
         cap = None if self.n is INF else self.n
-        xs, dx = R.lift(self.terms)
-        ys, dy = R.lift(other.terms)
-        ys = [(ay, cy, alpha_weight(ay)) for ay, cy in ys.items()]
-        out: dict[AlphaIndex, int] = {}
+        xs, dx = R.lift(self._d)
+        ys, dy = R.lift(other._d)
+        ys = [(ky, cy, _split(ky)[2]) for ky, cy in ys.items()]
+        out: dict[int, int] = {}
         get = out.get
-        for ax, cx in xs.items():
-            wx = alpha_weight(ax)
-            for ay, cy, wy in ys:
+        for kx, cx in xs.items():
+            wx = _split(kx)[2]
+            for ky, cy, wy in ys:
                 cxy = cx * cy
                 # the cap prunes only when the weights can exceed it
                 ck = None if cap is None or cap >= wx + wy else cap
-                for gamma, mult in _alpha_product_z(ax, ay, ck).items():
-                    out[gamma] = get(gamma, 0) + (cxy if mult == 1 else cxy * mult)
+                for k, mult in _alpha_product_z(kx, ky, ck):
+                    out[k] = get(k, 0) + (cxy if mult == 1 else cxy * mult)
         return MsfElement._make(self.n, self.m, R, R.settle(out, dx * dy))
 
     def truncate(self, target) -> "MsfElement":
@@ -352,27 +416,25 @@ class MsfElement(Sparse):
             raise ValueError(f"cannot lift from ambient {self.n} to {target}")
         if target == self.n:
             return self
-        keep = {a: c for a, c in self.terms.items()
-                if target is INF or alpha_weight(a) <= target}
+        keep = {k: c for k, c in self._d.items()
+                if target is INF or _split(k)[2] <= target}
         return MsfElement._make(target, self.m, self.ring, keep)
 
     def total_degree_cut(self, bound: int) -> "MsfElement":
         """Keep the terms of total multidegree <= bound."""
-        keep = {al: c for al, c in self.terms.items()
-                if sum(alpha_multidegree(al, self.m)) <= bound}
+        keep = {k: c for k, c in self._d.items() if sum(self._degree(k)) <= bound}
         return self._like(keep)
 
     def expand(self) -> NPoly:
         """Concrete orbit-sum polynomial in the n-slot ring."""
         if self.n is INF:
             raise ValueError("cannot expand an inverse-limit element")
-        n, m = self.n, self.m
-        w = key_width(max((e for alpha in self.terms for mu, _ in alpha for e in mu),
-                          default=0))
+        n, m, d = self.n, self.m, self._d
+        w = key_width(max((e for k in d for mu in _split(k)[0] for e in mu), default=0))
         # orbit sums of distinct indices have disjoint supports
         out: dict[int, object] = {}
-        for alpha, c in self.terms.items():
-            out.update(dict.fromkeys(_expand_alpha(alpha, n, m, w), c))
+        for k, c in d.items():
+            out.update(dict.fromkeys(_expand_alpha(k, n, m, w), c))
         return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
@@ -389,30 +451,42 @@ class MsfElement(Sparse):
         return f"MsfElement(n={n}, m={self.m}, {self.text()})"
 
 
+def _unpickled(n, m: int, ring: Ring, terms: dict) -> MsfElement:
+    return MsfElement(INF if n == "inf" else n, m, ring, terms)
+
+
+def _basis_symbol(alpha: AlphaIndex, n, m: int, ring: Ring) -> MsfElement:
+    """e_alpha with coefficient one; trusted: alpha is canonical in m
+    variables and of weight at most n."""
+    return MsfElement._make(n, m, ring, {_intern_alpha(alpha): ring.one})
+
+
 @cache
-def _expand_alpha(alpha: AlphaIndex, n: int, m: int, w: int) -> tuple:
-    """Packed keys, field width w, of the orbit sum of e_alpha in n slots.
+def _expand_alpha(k: int, n: int, m: int, w: int) -> tuple:
+    """Packed keys, field width w, of the orbit sum of e_alpha in n slots,
+    alpha of id k.
 
     One key per way of giving each support monomial its multiplicity many
     slots, all slots distinct; every key occurs exactly once.  The keys
     come out in lexicographic order of the slot choices, monomial by
     monomial.
     """
-    if alpha_weight(alpha) > n:
+    monos, mults, weight = _split(k)
+    if weight > n:
         return ()
-    if not alpha:
+    if not monos:
         return (0,)
     # a monomial's key in slot j is its packed key shifted by j slots; keys
     # in disjoint slots add up to the key of their product
     step = m * w
-    keys = [[pack_key(mu, w) << s for s in range(0, n * step, step)] for mu, _ in alpha]
+    keys = [[pack_key(mu, w) << s for s in range(0, n * step, step)] for mu in monos]
     # (partial key, free slots) after placing each monomial but the last
     level = [(0, tuple(range(n)))]
-    for here, (_, mult) in zip(keys, alpha[:-1]):
+    for here, mult in zip(keys, mults[:-1]):
         level = [(key + sum(map(here.__getitem__, slots)),
                   tuple([s for s in avail if s not in slots]))
                  for key, avail in level for slots in combinations(avail, mult)]
-    here, mult = keys[-1], alpha[-1][1]
+    here, mult = keys[-1], mults[-1]
     return tuple([key + placed for key, avail in level
                   for placed in map(sum, combinations(map(here.__getitem__, avail), mult))])
 
@@ -432,7 +506,7 @@ def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfEle
             return MsfElement.zero(n, m, ring)
         raise WeightExceedsAmbient(
             f"weight {alpha_weight(alpha)} symbol vanishes for n={n}")
-    return MsfElement._make(n, m, ring, {alpha: ring.one})
+    return _basis_symbol(alpha, n, m, ring)
 
 
 @cache
@@ -540,5 +614,6 @@ def element_from_json(d) -> MsfElement:
         alpha = make_alpha(pairs)
         if n is not INF and alpha_weight(alpha) > n:
             raise ValueError(f"index of weight {alpha_weight(alpha)} cannot live in ambient n={n}")
-        out[alpha] = out.get(alpha, 0) + ring.parse_coeff(t["coeff"])
+        k = _intern_alpha(alpha)
+        out[k] = out.get(k, 0) + ring.parse_coeff(t["coeff"])
     return MsfElement._make(n, m, ring, ring.settle(out, 1))

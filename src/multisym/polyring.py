@@ -6,10 +6,13 @@ equality, sums, negation, scaling, powers and multidegree components.  A
 subclass supplies its ambient, one trusted constructor and the
 multidegree of a key; it keeps its own validating public constructor,
 product kernel and writers.  Every public constructor checks every key,
-zero coefficient or not, and takes its integers through ``_checked_int``,
-so booleans, floats and out-of-range values are refused with a
-ValueError; over Z/p it reduces each coefficient into [0, p) and drops
-those that are 0 mod p.
+zero coefficient or not, and takes the integers of a key through
+``_checked_int``, so booleans, floats and out-of-range values are refused
+with a ValueError.  It takes each coefficient, as ``Sparse.scale`` takes
+its scalar, through ``Ring.coerce``: an int that is not a bool, or over Q
+also a Fraction, else a ValueError; over Z/p it is reduced into [0, p),
+and those that are 0 mod p are dropped.  A power must be an int of at
+least 0.
 
 ``NPoly`` is R[x_i(j) : 1<=i<=m, 1<=j<=n], the n-slot ring over a
 coefficient ring R.  Monomials are flat exponent tuples of length n*m in
@@ -57,9 +60,7 @@ __all__ = [
 
 def binary_power(x, k: int, one):
     """x**k by square-and-multiply, starting from x itself; one() for k = 0."""
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0:
+    if _checked_int(k, "power", 0) == 0:
         return one()
     acc = None
     while True:
@@ -101,7 +102,7 @@ def _ambient_text(ambient) -> str:
 class Sparse:
     """A finite map from keys to nonzero coefficients of one Ring.
 
-    A subclass stores its terms in ``terms`` (or overrides ``_raw``) and
+    A subclass stores its terms in ``_d`` (or overrides ``_raw``) and
     supplies ``_ambient()``, its constructor arguments before ``terms`` as
     a tuple; ``_make(*ambient, terms)``, the trusted constructor, which
     stores canonical keys and nonzero ring elements as given; and
@@ -115,7 +116,7 @@ class Sparse:
 
     @property
     def _raw(self) -> dict:
-        return self.terms
+        return self._d
 
     def _like(self, raw: dict):
         """A result in self's ambient from canonical, settled terms."""
@@ -160,6 +161,7 @@ class Sparse:
         return self + (-other)
 
     def scale(self, c):
+        c = self.ring.coerce(c)
         return self._like(self.ring.settle({k: c * v for k, v in self._raw.items()}, 1))
 
     def __pow__(self, k: int):
@@ -265,16 +267,14 @@ class NPoly(Sparse):
         size = _checked_int(n, "slot count", 1) * _checked_int(m, "variable count", 1)
         clean = {}
         top = 0
-        p = ring.p
         if terms:
             for mono, c in terms.items():
                 if len(mono) != size:
                     raise ValueError(f"exponent tuple of length {len(mono)}, expected {size}")
                 for e in mono:
                     _checked_int(e, "exponent", 0)
-                if p is not None:
-                    c %= p
-                if not ring.is_zero(c):
+                c = ring.coerce(c)
+                if c:
                     clean[mono] = c
                     top = max(top, *mono)
         w = key_width(top)
@@ -294,10 +294,6 @@ class NPoly(Sparse):
 
     def _ambient(self) -> tuple:
         return (self.n, self.m, self.ring)
-
-    @property
-    def _raw(self) -> dict:
-        return self._d
 
     def _like(self, raw: dict) -> "NPoly":
         return NPoly._packed(self.n, self.m, self.ring, raw, self._w)

@@ -47,7 +47,7 @@ from operator import mul
 
 from .coeffring import ZZ, Ring
 from .monomial import Mono, monomials_up_to
-from .msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, e_alpha
+from .msf import INF, _basis_symbol, alpha_weight, alphas_of_multidegree, e_alpha
 from .polyring import NPoly, _checked_int, _repack, key_width
 from .rewrite import GenPoly, evaluates_to_zero, rewrite
 
@@ -78,7 +78,7 @@ def relations_of(n: int, m: int, a: Mono, ring: Ring) -> list:
     ambient, so it is a nonzero polynomial in the free generators that
     evaluates to zero in the n-slot ring.
     """
-    return [(alpha, rewrite(MsfElement._make(INF, m, ring, {alpha: ring.one})))
+    return [(alpha, rewrite(_basis_symbol(alpha, INF, m, ring)))
             for alpha in kernel_basis(n, m, a)]
 
 

@@ -39,10 +39,12 @@ an id.
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
 structure constants are integers, so one image serves Z, Q and every Z/p.
-_reduce_alpha gives e_alpha as (id, int) pairs in the symbols e_i(mu);
+_reduce_alpha, keyed by the id of alpha in msf's table of indices, gives
+e_alpha as (id, int) pairs in the symbols e_i(mu);
 _primitive_image_z, keyed by a symbol monomial's id, its primitive form in
 ambient n; and _evaluate_image_z, keyed the same way, the orbit-sum
-expansion of a generator monomial in ambient n; id 0 maps to the unit.
+expansion of a generator monomial in ambient n, an MsfElement keyed by
+index ids; id 0 maps to the unit.
 Both stages of rewrite thus add into dicts keyed by ints, and no symbol
 monomial is decoded between them.  clear_caches keeps the table, so an id
 in any cache still names the monomial it was computed for.  The ring
@@ -55,7 +57,7 @@ into one dict of ints, and settles each sum into the ring once
 evaluates_to_zero answers whether evaluate(g, n) is zero without building
 it, on Kronecker-packed integers.  Two more caches serve it, again keyed
 by the ambient (n, m) and never by a ring: _orbit_coords, an append-only
-coordinate index of the orbit-sum indices of each multidegree a, whose
+coordinate index of the orbit-sum index ids of each multidegree a, whose
 positions never move; and _packed_evaluation, keyed by id, each generator
 monomial's _evaluate_image_z image packed once into one int with a w-bit field per
 position of its multidegree's index.  Those coefficients are orbit-sum
@@ -82,8 +84,8 @@ from functools import cache
 
 from .coeffring import QQ, ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
-from .msf import (_JSON, _TEXT, INF, AlphaIndex, MsfElement, _alpha_product_z,
-                  _check_slots, _packed_degree, _sorted_rows, alpha_weight, e_alpha)
+from .msf import (_ALPHAS, _JSON, _TEXT, INF, MsfElement, _alpha_product_z, _check_slots,
+                  _intern_alpha, _packed_degree, _sorted_rows, _split, e_alpha)
 from .polyring import BASE_WIDTH, Sparse, TermsView, _checked_int, signed_text
 
 __all__ = [
@@ -172,7 +174,6 @@ class GenPoly(Sparse):
         self.m = _checked_int(m, "variable count", 1)
         self.ring = ring
         clean = {}
-        p = ring.p
         if terms:
             for symmono, c in terms.items():
                 spelled = []
@@ -188,9 +189,8 @@ class GenPoly(Sparse):
                 keys = [_symbol_key(sym) for sym, _ in spelled]
                 if tuple(spelled) != symmono or any(k >= k2 for k, k2 in zip(keys, keys[1:])):
                     raise ValueError(f"symbol monomial {symmono} is not canonical")
-                if p is not None:
-                    c %= p
-                if not ring.is_zero(c):
+                c = ring.coerce(c)
+                if c:
                     clean[_intern(symmono)] = c
         self._d = clean
 
@@ -258,7 +258,7 @@ class GenPoly(Sparse):
         return best
 
     def sorted_terms(self):
-        return _sorted_rows(_decoded(self._d), _factor_render, _TEXT)[0]
+        return _sorted_rows(self.terms, _factor_render, _TEXT)[0]
 
     def text(self) -> str:
         return genpoly_texts([self])[0]
@@ -276,9 +276,9 @@ def genpoly_texts(gs) -> list:
     """
     if len({g.m for g in gs}) > 1:
         raise ValueError("batched texts need one variable count")
-    ids = [*dict.fromkeys([k for g in gs for k in g._d])]
+    ids = {k: k for g in gs for k in g._d}
     # sorted rows of (symbol monomial, its id): each id is decoded once
-    rows, frag = _sorted_rows(dict(zip(map(_SYMMONOS.__getitem__, ids), ids)),
+    rows, frag = _sorted_rows(TermsView(ids, _SYMMONOS.__getitem__, _IDS.get),
                               _factor_render, _TEXT)
     keys = [k for _, k in rows]
     order = dict(zip(keys, range(len(keys)))).__getitem__
@@ -360,33 +360,35 @@ def plethysm_P(h: int, k: int) -> GenPoly:
 # integer core of the peeling recursion, shared across coefficient rings
 
 @cache
-def _reduce_alpha(alpha: AlphaIndex) -> tuple:
-    """e_alpha as an integer combination of symbol monomials.
+def _reduce_alpha(ka: int) -> tuple:
+    """e_alpha, alpha of id ka, as an integer combination of symbol monomials.
 
     Returned as a tuple of (id, int) pairs so it can live in a cache.
     """
+    alpha = _ALPHAS[ka]
     if not alpha:
         return ((0, 1),)
     if len(alpha) == 1:
         mu, a = alpha[0]
         return ((_intern((((a, mu), 1),)), 1),)
     mu_p, a_p = alpha[-1]  # largest support monomial
-    rest = alpha[:-1]
+    rest = _intern_alpha(alpha[:-1])
     pivot = (((a_p, mu_p), 1),)
 
     acc: dict[int, int] = {}
     for k, c in _reduce_alpha(rest):
         key = _intern(_symmono_mul(_SYMMONOS[k], pivot))
         acc[key] = acc.get(key, 0) + c
-    prod = _alpha_product_z(((mu_p, a_p),), rest, None)
-    if prod.get(alpha) != 1:
+    prod = _alpha_product_z(_intern_alpha(alpha[-1:]), rest, None)
+    if dict(prod).get(ka) != 1:
         raise AssertionError("peeled product must contain the index once")
-    for gamma, mult in prod.items():
-        if gamma == alpha:
+    weight = _split(ka)[2]
+    for kg, mult in prod:
+        if kg == ka:
             continue
-        if alpha_weight(gamma) >= alpha_weight(alpha):
+        if _split(kg)[2] >= weight:
             raise AssertionError("correction term fails to drop in weight")
-        for k, c in _reduce_alpha(gamma):
+        for k, c in _reduce_alpha(kg):
             acc[k] = acc.get(k, 0) - mult * c
     return tuple((k, v) for k, v in acc.items() if v)
 
@@ -479,7 +481,7 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     _check_slots(n)
     m = g.m
     return MsfElement._make(n, m, g.ring, _accumulate(
-        g, lambda k: _evaluate_image_z(k, n, m).terms.items()))
+        g, lambda k: _evaluate_image_z(k, n, m)._d.items()))
 
 
 # the zero test of evaluate on Kronecker-packed images (module docstring)
@@ -510,7 +512,7 @@ def _packed_evaluation(k: int, n, m: int, w: int):
     fit below the top bit of a field.
     """
     # the image itself stays cached: it is also the prefix of longer monomials
-    img = _evaluate_image_z(k, n, m).terms
+    img = _evaluate_image_z(k, n, m)._d
     if not img:
         return None
     a = _symmono_degree(_SYMMONOS[k], m)
@@ -520,7 +522,7 @@ def _packed_evaluation(k: int, n, m: int, w: int):
     if top >> (w - 1):
         return None, top, a
     pos = _orbit_coords(n, m, a)
-    at = [pos.setdefault(alpha, len(pos)) for alpha in img]
+    at = [pos.setdefault(ka, len(pos)) for ka in img]
     fields = [0] * (max(at) + 1)
     for i, v in zip(at, img.values()):
         fields[i] = v
@@ -568,7 +570,7 @@ def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
     with sort_keys=True and separators=(",", ":").
     """
     fmt = g.ring.format_coeff
-    rows, frag = _sorted_rows(_decoded(g._d), _factor_render, _JSON)
+    rows, frag = _sorted_rows(g.terms, _factor_render, _JSON)
     terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join(map(frag, symmono)))
                       for symmono, c in rows])
     head = "" if check is None else f'"check":"{check}",'

@@ -31,7 +31,7 @@ def reference_basis_rank(n, m, deg, ring):
                 continue
             cols = {mono: i for i, mono in enumerate(monos)}
             rows = [{cols[mono]: c for mono, c in
-                     MsfElement._make(n, m, ZZ, {alpha: ZZ.one}).expand().terms.items()}
+                     MsfElement(n, m, ZZ, {alpha: ZZ.one}).expand().terms.items()}
                     for alpha in alphas]
             ranks = []
             for field in fields:

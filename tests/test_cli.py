@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import random
 import sys
 import time
 
 import pytest
 
-from conftest import run_main
+from conftest import alpha_pool, run_main
 from multisym import cli, linalg, msf
 from multisym.cli import main
 from multisym.coeffring import QQ, ZZ, Zmod
@@ -375,6 +376,43 @@ def test_product_bytes_with_coincident_monomials_are_pinned(tmp_path, capsys, he
         code, out, _ = run(capsys, ["product", x, y] + flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _seeded_q_element(rng, n, pool, count) -> dict:
+    """An element over Q on `count` indices drawn from pool (all of them
+    for None), with seeded fractional coefficients, in the JSON form."""
+    alphas = pool if count is None else rng.sample(pool, count)
+    terms = [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in alpha],
+              "coeff": f"{rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])}/{rng.choice([1, 2, 3, 5, 7])}"}
+             for alpha in alphas]
+    return {"n": "inf" if n is INF else n, "m": 2, "ring": "Q", "terms": terms}
+
+
+# sha256 of stdout at the size of the benchmark's engine products: a 40-term
+# pair in n = 4, and a dense pair in the inverse limit (every index of total
+# degree <= 4, 56 terms a side), whose product is rewritten with --check
+@pytest.mark.parametrize("tag, n, total, count, digests", [
+    ("n4", 4, 4, 40, ("da3ace915585e41c4ada6d18e709e674bd13eaeaff402cd0a0330779761c68fd",)),
+    ("inf", INF, 4, None, ("4c771c246d8ff1d45b34d065f0019177bbc96f75fbc91b6d7e58f4e35e9d11b6",
+                           "2b8993d170983b966eff2a87a812d36f1caf28f057ef59c53839f63872fec5c4")),
+], ids=["n=4-Q-40-terms", "inf-Q-dense"])
+def test_engine_scale_product_bytes_are_pinned(tmp_path, tag, n, total, count, digests):
+    rng = random.Random(f"engine-scale:{tag}")
+    pool = alpha_pool(n, 2, total)
+    files = []
+    for side in "xy":
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(_seeded_q_element(rng, n, pool, count)))
+        files.append(str(path))
+    code, out, _ = run_main(["product"] + files)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[0]
+    if n is INF:
+        z = tmp_path / "z.json"
+        z.write_text(out)
+        code, out, _ = run_main(["rewrite", "--check", str(z)])
+        assert code == 0 and '"check":"PASS"' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[1]
 
 
 # sha256 of stdout of relations --n 2 --m 2 --max-degree 4,4: every relation

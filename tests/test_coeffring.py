@@ -168,3 +168,19 @@ def test_cli_import_does_not_load_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_coerce_checks_and_canonicalises_a_coefficient():
+    assert ZZ.coerce(-5) == -5 and type(ZZ.coerce(-5)) is int
+    assert Zmod(7).coerce(-1) == 6 and Zmod(7).coerce(14) == 0
+    assert QQ.coerce(3) == 3 and type(QQ.coerce(3)) is Fraction
+    assert QQ.coerce(Fraction(6, 4)) == Fraction(3, 2)
+    for ring in (ZZ, QQ, Zmod(7)):
+        for bad in (True, False, 0.5, 1.0, "1", None, [1]):
+            with pytest.raises(ValueError):
+                ring.coerce(bad)
+    for ring in (ZZ, Zmod(7)):
+        with pytest.raises(ValueError):
+            ring.coerce(Fraction(1, 2))
+        with pytest.raises(ValueError):
+            ring.coerce(Fraction(2))

@@ -5,7 +5,9 @@ the vanishing check (rewrite.evaluates_to_zero) must not share route 2's
 code in relations: one fault there would otherwise pass the same wrong
 result on both sides.  Nor may route 2 or the oracle read the interned
 symbol-monomial ids that GenPoly stores: they read GenPoly.terms, keyed
-by the symbol monomials themselves.  The command line front end never
+by the symbol monomials themselves.  The front end, route 2 and the
+oracle never name msf's table of index ids either; they build basis
+symbols through msf._basis_symbol.  The command line front end never
 imports the reference module, so no CLI process compiles it.  Read from
 the source, so a lazy import inside a function counts too.
 """
@@ -81,6 +83,18 @@ def test_module_never_names_the_intern_table(module):
     names = source_names(module)
     assert "terms" in names  # the walk does see attributes
     assert not names & TABLE_NAMES
+
+
+# msf's intern table of orbit-sum indices
+ALPHA_TABLE_NAMES = {"_ALPHAS", "_ALPHA_IDS", "_intern_alpha", "_decoded_alphas"}
+
+
+@pytest.mark.parametrize("module", ["cli", "relations", "oracle"])
+def test_module_never_names_the_index_table(module):
+    names = source_names(module)
+    assert "terms" in names  # the walk does see attributes
+    assert not names & ALPHA_TABLE_NAMES
+    assert ALPHA_TABLE_NAMES <= source_names("msf")
 
 
 def test_route_2_reads_generator_polynomials_through_terms(monkeypatch):

@@ -15,7 +15,8 @@ import pytest
 
 from conftest import alpha_pool, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import INF, MsfElement, _alpha_product_z, alpha_weight, e_alpha
+from multisym.msf import (_ALPHAS, INF, MsfElement, _alpha_product_z, _intern_alpha,
+                          alpha_weight, e_alpha)
 from multisym.polyring import NPoly
 from multisym.relations import _expansion_z, genpoly_expand
 from multisym.rewrite import (GenPoly, _evaluate_image_z, _primitive_image_z,
@@ -38,6 +39,7 @@ def ref_combine(ring, pairs) -> dict:
 
 
 def ref_product(x: MsfElement, y: MsfElement) -> dict:
+    # the kernel takes index ids and gives (id, int) pairs
     R = x.ring
     cap = None if x.n is INF else x.n
     pairs = []
@@ -46,14 +48,15 @@ def ref_product(x: MsfElement, y: MsfElement) -> dict:
             ck = cap
             if ck is not None and ck >= alpha_weight(ax) + alpha_weight(ay):
                 ck = None
-            pairs.append((R.mul(cx, cy), _alpha_product_z(ax, ay, ck).items()))
+            image = _alpha_product_z(_intern_alpha(ax), _intern_alpha(ay), ck)
+            pairs.append((R.mul(cx, cy), [(_ALPHAS[k], v) for k, v in image]))
     return ref_combine(R, pairs)
 
 
 def ref_rewrite(x: MsfElement) -> dict:
-    # the cached images are keyed by interned symbol-monomial ids
+    # the cached images are keyed by interned index and symbol-monomial ids
     R = x.ring
-    first = ref_combine(R, [(c, _reduce_alpha(a)) for a, c in x.terms.items()])
+    first = ref_combine(R, [(c, _reduce_alpha(_intern_alpha(a))) for a, c in x.terms.items()])
     return ref_combine(R, [(c, _primitive_image_z(k, x.n, x.m).terms.items())
                            for k, c in first.items()])
 

@@ -28,7 +28,7 @@ import multisym
 from conftest import alpha_pool, run_main
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key, primitive_decompose
-from multisym.msf import INF, MsfElement, _alpha_product_z, e_alpha
+from multisym.msf import _ALPHAS, INF, MsfElement, _alpha_product_z, _intern_alpha, e_alpha
 from multisym.rewrite import (GenPoly, evaluate, genpoly_json_text, plethysm_P,
                               rewrite)
 
@@ -81,9 +81,9 @@ def ref_peel(alpha) -> tuple:
         return tuple({tuple([((a, mu), 1) for mu, a in alpha]): 1}.items())
     (mu, a), rest = alpha[-1], alpha[:-1]
     acc = ref_mul(ZZ, dict(ref_peel(rest)), {(((a, mu), 1),): 1})
-    for gamma, mult in _alpha_product_z(((mu, a),), rest, None).items():
-        if gamma != alpha:
-            acc = ref_add(ZZ, acc, {k: -mult * c for k, c in ref_peel(gamma)})
+    for k, mult in _alpha_product_z(_intern_alpha(((mu, a),)), _intern_alpha(rest), None):
+        if _ALPHAS[k] != alpha:
+            acc = ref_add(ZZ, acc, {s: -mult * c for s, c in ref_peel(_ALPHAS[k])})
     return tuple(acc.items())
 
 

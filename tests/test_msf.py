@@ -11,7 +11,7 @@ from conftest import alpha_pool, degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import mono_mul
 from multisym.msf import (_TEXT, INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
-                          _expand_alpha, _pair_render, _sorted_rows, alpha_weight,
+                          _expand_alpha, _intern_alpha, _pair_render, _sorted_rows, alpha_weight,
                           alphas_of_multidegree, basis_alphas, e_alpha, element_from_json,
                           element_to_json, make_alpha)
 from multisym.oracle import is_invariant, orbit_sum
@@ -401,7 +401,7 @@ def test_expand_alpha_matches_naive_placements(m, top):
     for n in (1, 2, 3, 4):
         for alpha in pool:
             want = naive_orbit_keys(alpha, n, m, 4)
-            assert _expand_alpha(alpha, n, m, 4) == want, (alpha, n)
+            assert _expand_alpha(_intern_alpha(alpha), n, m, 4) == want, (alpha, n)
             assert bool(want) == (alpha_weight(alpha) <= n)
 
 

@@ -6,7 +6,8 @@ equal monomials next to each other.  The reference below enumerates the
 tables for every pair and merges each one through a dict, as the product
 rule is stated.  Both must give the same dict, key order included, on
 random pairs and on pairs built so that argument monomials coincide in
-every way the rule allows.
+every way the rule allows.  The kernel speaks interned index ids;
+product_z below interns its arguments and decodes its result.
 """
 
 import random
@@ -15,8 +16,14 @@ import pytest
 
 from conftest import seeded
 from multisym.monomial import mono_mul
-from multisym.msf import _alpha_product_z, make_alpha
+from multisym.msf import _ALPHAS, _alpha_product_z, _intern_alpha, make_alpha
 from multisym.reference import _merge_int
+
+
+def product_z(alpha, beta, cap) -> dict:
+    """The kernel's structure constants of an index pair, keyed by index."""
+    return {_ALPHAS[k]: v
+            for k, v in _alpha_product_z(_intern_alpha(alpha), _intern_alpha(beta), cap)}
 
 
 def naive_inner_tables(avec, bvec):
@@ -115,7 +122,7 @@ def check(alpha, beta):
     weight = sum(t for _, t in alpha) + sum(t for _, t in beta)
     terms = naive_terms(alpha, beta)
     for cap in [None] + list(range(1, weight + 1)):
-        got = _alpha_product_z(alpha, beta, cap)
+        got = product_z(alpha, beta, cap)
         want = naive_product(terms, weight, cap)
         assert got == want, (alpha, beta, cap)
         assert list(got) == list(want), (alpha, beta, cap)
@@ -145,8 +152,8 @@ def test_kernel_on_the_empty_index():
     x = make_alpha([((1, 0), 2), ((0, 1), 1)])
     for a, b in [(one, one), (one, x), (x, one)]:
         check(a, b)
-    assert _alpha_product_z(one, one, None) == {(): 1}
-    assert _alpha_product_z(one, x, 2) == {}
+    assert product_z(one, one, None) == {(): 1}
+    assert product_z(one, x, 2) == {}
 
 
 def test_coincidence_pairs_do_coincide():

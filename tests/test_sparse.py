@@ -15,6 +15,7 @@ of the class that GenPoly(1, ZZ) replaced.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -287,3 +288,47 @@ def test_public_constructors_reduce_mod_p(build, text, expected):
     assert list(x.terms.values()) == [6]
     assert not x.is_zero and (x - y).is_zero
     assert zero.is_zero and zero == build(0) and text(zero) == "0"
+
+
+A1 = (((1,), 1),)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=lambda r: r.to_string())
+@pytest.mark.parametrize("bad", [True, False, 0.1, 1.5, 2.0, "3", None, 1j],
+                         ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda R, c: NPoly(1, 1, R, {(1,): c}),
+    lambda R, c: MsfElement(INF, 1, R, {A1: c}),
+    lambda R, c: GenPoly(1, R, {(((1, (1,)), 1),): c}),
+    lambda R, c: NPoly.one(1, 1, R).scale(c),
+    lambda R, c: MsfElement.one(INF, 1, R).scale(c),
+    lambda R, c: GenPoly.one(1, R).scale(c),
+], ids=["NPoly", "MsfElement", "GenPoly", "NPoly-scale", "Msf-scale", "GenPoly-scale"])
+def test_coefficients_and_scalars_are_ring_elements(build, bad, ring):
+    with pytest.raises(ValueError):
+        build(ring, bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda R, c: NPoly(1, 1, R, {(1,): c}),
+    lambda R, c: MsfElement(INF, 1, R, {A1: c}),
+    lambda R, c: GenPoly(1, R, {(((1, (1,)), 1),): c}),
+], ids=["NPoly", "MsfElement", "GenPoly"])
+def test_constructors_store_canonical_coefficients(build):
+    x = build(QQ, 3)
+    assert list(x.terms.values()) == [3] and type(list(x.terms.values())[0]) is Fraction
+    assert build(QQ, Fraction(1, 10)) * build(QQ, Fraction(1, 10)) == \
+        build(QQ, 1) * build(QQ, Fraction(1, 100))
+    with pytest.raises(ValueError):
+        build(ZZ, Fraction(1, 2))  # only Q takes fractions
+    with pytest.raises(ValueError):
+        build(Zmod(5), Fraction(2))
+    assert build(Zmod(5), 7) == build(Zmod(5), 2)
+
+
+@pytest.mark.parametrize("k", [True, False, 1.5, 2.0, -1, "2", None], ids=repr)
+def test_powers_are_nonnegative_ints(k):
+    x = MsfElement(INF, 1, ZZ, {A1: 2})
+    for value in (x, multisym.rewrite(x), NPoly(1, 1, ZZ, {(1,): 2})):
+        with pytest.raises(ValueError):
+            value ** k
