@@ -38,8 +38,8 @@ append-only table per process (_ALPHAS, inverse _ALPHA_IDS) gives each
 index an id on first sight, 0 for the empty one; an id never names a
 second index.  MsfElement.terms is a read-only view that decodes ids, as
 GenPoly.terms does for symbol monomials.  Ids never leave the process:
-an MsfElement pickles its indices, and the writers decode each id once
-and sort on the indices, so no output byte depends on an id.
+an MsfElement pickles its indices, and a writer's row of an id is built
+from the index alone, so no output byte depends on an id.
 
 Caching contract: every cache here is keyed by index ids (or by
 multiplicity vectors), the ambient where it matters, and never by a
@@ -51,9 +51,10 @@ width, gives the packed orbit-sum keys.  clear_caches keeps the table,
 so an id in any cache, here or in rewrite, still names the index it was
 computed for.
 
-The writers sort terms by one integer key each (_sorted_rows): a term's
-packed multidegree, in fields too wide for its sum to carry, above the
-ranks of its parts by key part, one digit per position.
+The writers sort ids by row (_rows), filled once per id and form per
+process: the multidegree packed in fields too wide to carry at its total,
+the parts' render records (a prefix first) and the fragment.  Rows hold
+no ring or ambient, so a write formats only the coefficients.
 
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index, and refuse a
@@ -69,14 +70,14 @@ _basis_symbol, so none of them names the table.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, compress, filterfalse
 from math import comb
-from operator import add, getitem, lshift
+from operator import add, itemgetter
 
 from .coeffring import Ring
 from .monomial import Mono, monomials_up_to
-from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView,
-                       _checked_int, key_width, pack_key, signed_text)
+from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView, _checked_int,
+                       key_width, pack_key, signed_text)
 
 INF = float("inf")
 
@@ -182,11 +183,10 @@ def alpha_text(alpha: AlphaIndex) -> str:
 # Render records: everything the writers need of one support pair (here) or
 # one symbol factor (rewrite._factor_render).  A record is a flat tuple: the
 # fields of the part's key part come first, so records sort by key part; the
-# rest is read from the end: the part's total degree, its multidegree, that
-# multidegree packed at BASE_WIDTH, its text and JSON fragments, and the
-# part itself.  Records hold no ring or ambient, so only the coefficient is
-# formatted per call.
-_TOTAL, _DEGREE, _PACKED, _TEXT, _JSON, _PART = range(-6, 0)
+# rest is read from the end: the part's multidegree, that multidegree
+# packed at BASE_WIDTH, and its text and JSON fragments.  Records hold no
+# ring or ambient.
+_DEGREE, _PACKED, _TEXT, _JSON = range(-4, 0)
 
 
 @cache
@@ -194,12 +194,11 @@ def _pair_render(pair) -> tuple:
     """Render record of a support pair (mu, mult); key part (deg mu, mu, mult)."""
     mu, mult = pair
     deg = tuple([e * mult for e in mu])
-    return (sum(mu), *mu, mult, sum(deg), deg, _packed_degree(deg, BASE_WIDTH),
-            f"{mono_text(mu)}:{mult}",
-            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult), pair)
+    return (sum(mu), *mu, mult, deg, _packed_degree(deg, BASE_WIDTH), f"{mono_text(mu)}:{mult}",
+            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult))
 
 
-def _packed_degree(deg: tuple, w: int) -> int:
+def _packed_degree(deg, w: int) -> int:
     """A multidegree as one int: its total above one w-bit field per entry,
     the first entry highest, so integer order is grlex order."""
     key = sum(deg)
@@ -208,37 +207,55 @@ def _packed_degree(deg: tuple, w: int) -> int:
     return key
 
 
-def _sorted_rows(terms, render, field: int) -> tuple:
-    """The (index, coefficient) items of a mapping in canonical order, and
-    the map from each part of an index to field `field` of its render
-    record.  terms may be a TermsView: each key is read once.
+# A form spells the ids of one table: (decode, render, template, separator,
+# record field, fragment of id 0); template % separator.join(part fields).
+_TEXT_FORM = (_ALPHAS.__getitem__, _pair_render, "e(%s)", ", ", _TEXT, "")
+_JSON_FORM = (_ALPHAS.__getitem__, _pair_render, '{"alpha":[%s],"coeff":"', ",", _JSON,
+              '{"alpha":[],"coeff":"')
 
-    Canonical order: by total degree, then multidegree, then the parts by
-    key part, a prefix first.  The distinct parts are ranked once; a part at
-    position i of an index stands for its packed multidegree (key_width
-    fields: no term's sum carries) above its rank in digit i, so a term's
-    key is one sum of table entries.  Every part has positive degree, so a
-    prefix never ties its extension, and keys are unique.
-    """
-    idx = [*terms]
-    recs = sorted(map(render, {*chain.from_iterable(idx)}))
-    if not recs:  # at most the constant term
-        return [*zip(idx, terms.values())], {}.__getitem__
-    cols = [*zip(*recs)]
-    parts, n = cols[_PART], len(recs)
-    depth = max(map(len, idx))
-    w = key_width(depth * max(cols[_TOTAL]))
-    b = n.bit_length()
-    packed = cols[_PACKED] if w == BASE_WIDTH else map(_packed_degree, cols[_DEGREE], repeat(w))
-    base = [*map(lshift, packed, repeat(depth * b))]
-    tables = []
-    for s in range(depth * b - b, -1, -b):
-        tables.append([*map(add, base, range(0, n << s, 1 << s))])
-    rank = dict(zip(parts, range(n))).__getitem__
-    # sum(map(getitem, tables, map(rank, idx))) for each index, in C loops
-    keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), idx)))
-    keyed = dict(zip(keys, zip(idx, terms.values())))
-    return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__
+
+@cache
+def _form_rows(form) -> dict:
+    """The row of each id written in one form (module docstring)."""
+    return {0: (0, (), form[-1])}
+
+
+def _rows(ids, form) -> dict:
+    """The rows of a form, after each of ids that lacks its row gets it:
+    one batch of C loops over the records of all their parts."""
+    rows = _form_rows(form)
+    new = [*filterfalse(rows.__contains__, ids)]
+    if new:
+        decode, render, template, sep, field, _ = form
+        parts = [*map(decode, new)]
+        # tuples only, so the cyclic collector stops tracking a row once seen
+        recs = tuple(map(render, chain.from_iterable(parts)))
+        ends = [*accumulate(map(len, parts))]
+        cuts = [*map(slice, [0, *ends], ends)]
+        packed = [*map(itemgetter(_PACKED), recs)]
+        keys = [*map(sum, map(packed.__getitem__, cuts))]
+        # from a total of 2^(BASE_WIDTH-1) on a field may carry: repack wider
+        wide = 1 << BASE_WIDTH * (len(recs[0][_DEGREE]) + 1) - 1
+        for i in compress(range(len(keys)), map(wide.__le__, keys)):
+            deg = [*map(sum, zip(*map(itemgetter(_DEGREE), recs[cuts[i]])))]
+            keys[i] = _packed_degree(deg, key_width(sum(deg)))
+        texts = [*map(itemgetter(field), recs)]
+        frags = map(template.__mod__, map(sep.join, map(texts.__getitem__, cuts)))
+        rows.update(zip(new, zip(keys, map(recs.__getitem__, cuts), frags)))
+    return rows
+
+
+def _sorted_items(d: dict, form) -> list:
+    """The (decoded key, coefficient) items of an id-keyed dict in canonical order."""
+    order = sorted(d, key=_rows(d, form).__getitem__)
+    return [*zip(map(form[0], order), map(d.__getitem__, order))]
+
+
+def _written(d: dict, rows: dict, fmt, place=None) -> tuple:
+    """(coefficient texts, fragments) of an id-keyed dict's terms sorted by
+    row, or by place, a position in a sorted superset; rows has each id."""
+    order = sorted(d, key=place or rows.__getitem__)
+    return map(fmt, map(d.__getitem__, order)), map(itemgetter(2), map(rows.__getitem__, order))
 
 
 @cache
@@ -438,13 +455,11 @@ class MsfElement(Sparse):
         return NPoly._packed(n, m, self.ring, out, w)
 
     def sorted_terms(self):
-        return _sorted_rows(self.terms, _pair_render, _TEXT)[0]
+        return _sorted_items(self._d, _TEXT_FORM)
 
     def text(self) -> str:
-        fmt = self.ring.format_coeff
-        rows, frag = _sorted_rows(self.terms, _pair_render, _TEXT)
-        return signed_text((fmt(c), "e(%s)" % ", ".join(map(frag, alpha)) if alpha else "")
-                           for alpha, c in rows)
+        d = self._d
+        return signed_text(zip(*_written(d, _rows(d, _TEXT_FORM), self.ring.format_coeff)))
 
     def __repr__(self) -> str:
         n = "inf" if self.n is INF else self.n
@@ -534,9 +549,9 @@ def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
                 acc + [(mu, mult)])
 
     rec(0, a, max_weight, [])
-    # every index found has multidegree a, so the canonical order of
-    # _sorted_rows reduces to comparing key parts (deg mu, mu, mult) in turn,
-    # a prefix first: list order
+    # every index found has multidegree a, so the writers' canonical order
+    # reduces to comparing key parts (deg mu, mu, mult) in turn, a prefix
+    # first: list order
     found.sort(key=lambda alpha: [(sum(mu), mu, mult) for mu, mult in alpha])
     found.sort(key=alpha_weight)
     return tuple(found)
@@ -572,10 +587,8 @@ def element_json_text(x: MsfElement) -> str:
     The text equals json.dumps(element_to_json(x), sort_keys=True,
     separators=(",", ":")); ring strings and coefficients need no escapes.
     """
-    fmt = x.ring.format_coeff
-    rows, frag = _sorted_rows(x.terms, _pair_render, _JSON)
-    terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join(map(frag, alpha)), fmt(c))
-                      for alpha, c in rows])
+    cs, frags = _written(x._d, _rows(x._d, _JSON_FORM), x.ring.format_coeff)
+    terms = ",".join(map('%s%s"}'.__mod__, zip(frags, cs)))
     n = '"inf"' if x.n is INF else x.n
     return f'{{"m":{x.m},"n":{n},"ring":"{x.ring.to_string()}","terms":[{terms}]}}'
 

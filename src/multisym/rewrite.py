@@ -32,9 +32,9 @@ append-only table per process (_SYMMONOS, inverse _IDS) gives each symbol
 monomial an id on first sight, 0 for the empty one; an id never names a
 second monomial.  GenPoly.terms is a read-only view that decodes ids, as
 NPoly.terms decodes packed exponents.  Ids never leave the process: a
-GenPoly pickles its symbol monomials, and the writers decode each id once
-and sort on the symbols (msf._sorted_rows), so no output byte depends on
-an id.
+GenPoly pickles its symbol monomials, and the writers read each id's row
+of msf._rows, built from the symbol monomial alone, so no output byte
+depends on an id.
 
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
@@ -81,11 +81,13 @@ import struct
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import count
 
 from .coeffring import QQ, ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
 from .msf import (_ALPHAS, _JSON, _TEXT, INF, MsfElement, _alpha_product_z, _check_slots,
-                  _intern_alpha, _packed_degree, _sorted_rows, _split, e_alpha)
+                  _intern_alpha, _packed_degree, _rows, _sorted_items, _split, _written,
+                  e_alpha)
 from .polyring import BASE_WIDTH, Sparse, TermsView, _checked_int, signed_text
 
 __all__ = [
@@ -150,9 +152,15 @@ def _factor_render(factor) -> tuple:
     (i, nu), e = factor
     nus = ",".join(map(str, nu))
     deg = tuple([x * i * e for x in nu])
-    return (sum(nu), *nu, i, e, sum(deg), deg, _packed_degree(deg, BASE_WIDTH),
+    return (sum(nu), *nu, i, e, deg, _packed_degree(deg, BASE_WIDTH),
             f"E[{i};({nus})]" + (f"^{e}" if e > 1 else ""),
-            '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus), factor)
+            '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus))
+
+
+# the forms of the writers (msf._rows); a JSON fragment follows the coefficient
+_TEXT_FORM = (_SYMMONOS.__getitem__, _factor_render, "%s", "*", _TEXT, "")
+_JSON_FORM = (_SYMMONOS.__getitem__, _factor_render, '","symbols":[%s]}', ",", _JSON,
+              '","symbols":[]}')
 
 
 def _symmono_degree(symmono, m: int) -> Mono:
@@ -258,7 +266,7 @@ class GenPoly(Sparse):
         return best
 
     def sorted_terms(self):
-        return _sorted_rows(self.terms, _factor_render, _TEXT)[0]
+        return _sorted_items(self._d, _TEXT_FORM)
 
     def text(self) -> str:
         return genpoly_texts([self])[0]
@@ -270,24 +278,15 @@ class GenPoly(Sparse):
 def genpoly_texts(gs) -> list:
     """The text of each generator polynomial in gs, all in one variable count.
 
-    The union of their symbol monomials is put in canonical order and
-    written once, and each polynomial's terms are then sorted by position
-    in that order: one sorter setup for many small polynomials.
+    The union of their symbol monomials gets its rows in one batch and is
+    sorted once; each polynomial's terms are then sorted by position in it.
     """
     if len({g.m for g in gs}) > 1:
         raise ValueError("batched texts need one variable count")
-    ids = {k: k for g in gs for k in g._d}
-    # sorted rows of (symbol monomial, its id): each id is decoded once
-    rows, frag = _sorted_rows(TermsView(ids, _SYMMONOS.__getitem__, _IDS.get),
-                              _factor_render, _TEXT)
-    keys = [k for _, k in rows]
-    order = dict(zip(keys, range(len(keys)))).__getitem__
-    bodies = ["*".join(map(frag, s)) for s, _ in rows]
-    out = []
-    for g in gs:
-        fmt, d = g.ring.format_coeff, g._d
-        out.append(signed_text([(fmt(d[keys[i]]), bodies[i]) for i in sorted(map(order, d))]))
-    return out
+    ids = set().union(*[g._d for g in gs])
+    rows = _rows(ids, _TEXT_FORM)
+    place = dict(zip(sorted(ids, key=rows.__getitem__), count())).__getitem__
+    return [signed_text(zip(*_written(g._d, rows, g.ring.format_coeff, place))) for g in gs]
 
 
 # one alphabet: the classical e_i are the symbols E[i;(1)] of GenPoly(1, ZZ)
@@ -569,10 +568,8 @@ def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:
     leading "check" member.  The text equals json.dumps of the dict form
     with sort_keys=True and separators=(",", ":").
     """
-    fmt = g.ring.format_coeff
-    rows, frag = _sorted_rows(g.terms, _factor_render, _JSON)
-    terms = ",".join(['{"coeff":"%s","symbols":[%s]}' % (fmt(c), ",".join(map(frag, symmono)))
-                      for symmono, c in rows])
+    cs, frags = _written(g._d, _rows(g._d, _JSON_FORM), g.ring.format_coeff)
+    terms = ",".join(map('{"coeff":"%s%s'.__mod__, zip(cs, frags)))
     head = "" if check is None else f'"check":"{check}",'
     return f'{{{head}"m":{g.m},"ring":"{g.ring.to_string()}","terms":[{terms}]}}'
 

@@ -1,14 +1,18 @@
-"""Shared helpers: deterministic pseudo-random elements, degree boxes and
-the command line run in process."""
+"""Shared helpers: deterministic pseudo-random elements, degree boxes, the
+command line run in process, and the writers' earlier sort as a reference."""
 
 import contextlib
 import io
 import itertools
 import random
+from functools import cache
+from itertools import chain, repeat
+from operator import add, getitem, lshift
 
 from multisym.cli import main
 from multisym.coeffring import Ring
-from multisym.msf import INF, MsfElement, alphas_of_multidegree
+from multisym.msf import INF, MsfElement, alphas_of_multidegree, mono_text
+from multisym.polyring import BASE_WIDTH, key_width
 
 
 def seeded(tag: str) -> random.Random:
@@ -71,3 +75,62 @@ def run_main(argv) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# ---- the writers' earlier sort: one integer key per term, from the ranks of
+# the parts present in the call; the reference order of test_interned_alphas
+# and test_msf
+
+REF_TOTAL, REF_DEGREE, REF_PACKED, REF_TEXT, REF_JSON, REF_PART = range(-6, 0)
+
+
+@cache
+def ref_pair_render(pair) -> tuple:
+    """Render record of a support pair (mu, mult); key part (deg mu, mu, mult)."""
+    mu, mult = pair
+    deg = tuple([e * mult for e in mu])
+    return (sum(mu), *mu, mult, sum(deg), deg, ref_packed_degree(deg, BASE_WIDTH),
+            f"{mono_text(mu)}:{mult}",
+            '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult), pair)
+
+
+def ref_packed_degree(deg: tuple, w: int) -> int:
+    """A multidegree as one int: its total above one w-bit field per entry,
+    the first entry highest, so integer order is grlex order."""
+    key = sum(deg)
+    for d in deg:
+        key = key << w | d
+    return key
+
+
+def ref_sorted_rows(terms, render, field: int) -> tuple:
+    """The (index, coefficient) items of a mapping in canonical order, and
+    the map from each part of an index to field `field` of its render
+    record.
+
+    Canonical order: by total degree, then multidegree, then the parts by
+    key part, a prefix first.  The distinct parts are ranked once; a part at
+    position i of an index stands for its packed multidegree (key_width
+    fields: no term's sum carries) above its rank in digit i, so a term's
+    key is one sum of table entries.  Every part has positive degree, so a
+    prefix never ties its extension, and keys are unique.
+    """
+    idx = [*terms]
+    recs = sorted(map(render, {*chain.from_iterable(idx)}))
+    if not recs:  # at most the constant term
+        return [*zip(idx, terms.values())], {}.__getitem__
+    cols = [*zip(*recs)]
+    parts, n = cols[REF_PART], len(recs)
+    depth = max(map(len, idx))
+    w = key_width(depth * max(cols[REF_TOTAL]))
+    b = n.bit_length()
+    packed = (cols[REF_PACKED] if w == BASE_WIDTH
+              else map(ref_packed_degree, cols[REF_DEGREE], repeat(w)))
+    base = [*map(lshift, packed, repeat(depth * b))]
+    tables = []
+    for s in range(depth * b - b, -1, -b):
+        tables.append([*map(add, base, range(0, n << s, 1 << s))])
+    rank = dict(zip(parts, range(n))).__getitem__
+    keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), idx)))
+    keyed = dict(zip(keys, zip(idx, terms.values())))
+    return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__

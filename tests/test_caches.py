@@ -6,6 +6,10 @@ caches filled by other rings and ambients must equal the result computed
 from empty caches.
 """
 
+import importlib
+import os
+import pickle
+import subprocess
 import sys
 
 import pytest
@@ -18,7 +22,10 @@ from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.relations import genpoly_expand
 from multisym.rewrite import (GenPoly, _factor_render, _orbit_coords, _packed_evaluation,
-                              evaluate, evaluates_to_zero, rewrite)
+                              evaluate, evaluates_to_zero, genpoly_json_text, rewrite)
+
+rewrite_mod = importlib.import_module("multisym.rewrite")
+FORMS = [msf._TEXT_FORM, msf._JSON_FORM, rewrite_mod._TEXT_FORM, rewrite_mod._JSON_FORM]
 
 RINGS = [ZZ, Zmod(2), Zmod(3), QQ]
 AMBIENTS = [2, 3, INF]
@@ -73,6 +80,7 @@ def test_clear_caches_empties_every_module_cache():
     assert msf._margin_tables.cache_info().currsize > 0
     assert msf._pair_render.cache_info().currsize > 0
     assert _factor_render.cache_info().currsize > 0
+    assert msf._form_rows.cache_info().currsize > 0
     multisym.clear_caches()
     caches = [obj for name, mod in sys.modules.items()
               if name.startswith("multisym.")
@@ -81,9 +89,47 @@ def test_clear_caches_empties_every_module_cache():
     assert {"_alpha_product_z", "_margin_tables", "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
-            "_pair_render", "_factor_render", "_monomials_cached",
+            "_pair_render", "_factor_render", "_form_rows", "_monomials_cached",
             "_orbit_reps_cached", "_orbit_coords", "_packed_evaluation"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+def test_rows_written_over_z_write_q_and_zmod_p_as_a_fresh_process():
+    """The writers' rows are filled over Z and read over Q and Z/p: each
+    ring's bytes are those written in a fresh process from empty rows, and
+    no row holds a ring or an ambient."""
+    x = random_element(seeded("rows:x"), INF, 2, ZZ, 5, max_terms=8)
+    x = x * x + x.one(INF, 2, ZZ)
+    g = rewrite(x)
+    script = (
+        "import pickle, sys\n"
+        "from multisym import clear_caches\n"
+        "from multisym.msf import element_json_text\n"
+        "from multisym.rewrite import genpoly_json_text\n"
+        "for x, g in pickle.load(sys.stdin.buffer):\n"
+        "    clear_caches()\n"
+        "    print(x.text(), element_json_text(x), g.text(), genpoly_json_text(g))\n")
+    multisym.clear_caches()
+    here = ""
+    images = []
+    for ring in (ZZ, QQ, Zmod(5)):
+        y = in_ring(x, ring)
+        h = GenPoly(g.m, ring, {s: ring.embed(c) for s, c in g.terms.items()})
+        here += f"{y.text()} {msf.element_json_text(y)} {h.text()} {genpoly_json_text(h)}\n"
+        images.append((y, h))
+    src = os.path.dirname(multisym.__path__[0])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(images),
+                           capture_output=True, env=env, check=True).stdout.decode()
+    assert here == fresh
+    kinds = set()
+    stack = [msf._form_rows(form) for form in FORMS]
+    assert all(len(rows) > 1 for rows in stack)
+    while stack:
+        obj = stack.pop()
+        kinds.add(type(obj))
+        stack.extend(obj.values() if isinstance(obj, dict) else obj if isinstance(obj, tuple) else ())
+    assert kinds == {dict, tuple, int, str}
 
 
 def test_relations_bytes_survive_clear_caches():

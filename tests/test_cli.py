@@ -390,11 +390,18 @@ def _seeded_q_element(rng, n, pool, count) -> dict:
 
 # sha256 of stdout at the size of the benchmark's engine products: a 40-term
 # pair in n = 4, and a dense pair in the inverse limit (every index of total
-# degree <= 4, 56 terms a side), whose product is rewritten with --check
+# degree <= 4, 56 terms a side), whose product is rewritten with --check;
+# each command is pinned in its JSON and its --text form
 @pytest.mark.parametrize("tag, n, total, count, digests", [
-    ("n4", 4, 4, 40, ("da3ace915585e41c4ada6d18e709e674bd13eaeaff402cd0a0330779761c68fd",)),
-    ("inf", INF, 4, None, ("4c771c246d8ff1d45b34d065f0019177bbc96f75fbc91b6d7e58f4e35e9d11b6",
-                           "2b8993d170983b966eff2a87a812d36f1caf28f057ef59c53839f63872fec5c4")),
+    ("n4", 4, 4, 40, {
+        "product": "da3ace915585e41c4ada6d18e709e674bd13eaeaff402cd0a0330779761c68fd",
+        "product --text": "5fcf63e8166c87d82ffc77681bd842ec58de7c2b083769d6e9cc8562e823926f"}),
+    ("inf", INF, 4, None, {
+        "product": "4c771c246d8ff1d45b34d065f0019177bbc96f75fbc91b6d7e58f4e35e9d11b6",
+        "product --text": "c95e6b4e9cc7083f6e504e5fdf44c40b435004a5546f2d9518a9a5c35e57a313",
+        "rewrite --check": "2b8993d170983b966eff2a87a812d36f1caf28f057ef59c53839f63872fec5c4",
+        "rewrite --check --text":
+            "f7215108bf46e810a58da5f9724e34a613f5ada13c5397bcf1912b0b0161898c"}),
 ], ids=["n=4-Q-40-terms", "inf-Q-dense"])
 def test_engine_scale_product_bytes_are_pinned(tmp_path, tag, n, total, count, digests):
     rng = random.Random(f"engine-scale:{tag}")
@@ -404,15 +411,21 @@ def test_engine_scale_product_bytes_are_pinned(tmp_path, tag, n, total, count, d
         path = tmp_path / f"{side}.json"
         path.write_text(json.dumps(_seeded_q_element(rng, n, pool, count)))
         files.append(str(path))
-    code, out, _ = run_main(["product"] + files)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digests[0]
+    got = {}
+    for flags in ([], ["--text"]):
+        code, out, _ = run_main(["product"] + files + flags)
+        assert code == 0
+        got[" ".join(["product"] + flags)] = out
     if n is INF:
         z = tmp_path / "z.json"
-        z.write_text(out)
-        code, out, _ = run_main(["rewrite", "--check", str(z)])
-        assert code == 0 and '"check":"PASS"' in out
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[1]
+        z.write_text(got["product"])
+        for flags in ([], ["--text"]):
+            code, out, _ = run_main(["rewrite", "--check"] + flags + [str(z)])
+            assert code == 0
+            got[" ".join(["rewrite", "--check"] + flags)] = out
+        assert '"check":"PASS"' in got["rewrite --check"]
+        assert got["rewrite --check --text"].endswith("\ncheck: PASS\n")
+    assert {cmd: hashlib.sha256(out.encode()).hexdigest() for cmd, out in got.items()} == digests
 
 
 # sha256 of stdout of relations --n 2 --m 2 --max-degree 4,4: every relation

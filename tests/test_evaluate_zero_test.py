@@ -15,7 +15,7 @@ import multisym
 from conftest import run_main
 from multisym import relations
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import MsfElement
+from multisym.msf import MsfElement, _intern_alpha
 from multisym.polyring import NPoly
 from multisym.reference import relation_items
 from multisym.relations import verify_relation
@@ -166,7 +166,9 @@ def test_negative_image_coefficient_is_refused(monkeypatch):
     # orbit-sum structure constants are nonnegative; the packer checks it
     multisym.clear_caches()
     s = (sym(1, (1, 0)),)
-    bad = MsfElement._make(2, 2, ZZ, {(((1, 0), 1),): -1})
+    # e(y1:1) with coefficient -1, keyed by the id of its index as _d is
+    bad = MsfElement._make(2, 2, ZZ, {_intern_alpha((((1, 0), 1),)): -1})
+    assert bad.terms == {(((1, 0), 1),): -1}
     monkeypatch.setattr(rewrite_mod, "_evaluate_image_z", lambda k, n, m: bad)
     with pytest.raises(AssertionError, match="nonnegative"):
         _packed_evaluation(_intern(s), 2, 2, ZERO_TEST_BITS)

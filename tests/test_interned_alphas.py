@@ -7,7 +7,8 @@ here is checked against a tuple-keyed reference kept in this file: a dict
 from indices to ring elements, multiplied by the margin-table kernel and
 peeled by the recursion as both read when they were keyed by index
 tuples, expanded through the oracle's orbit sums, and written by the
-writers' tuple-keyed bodies.  Ids never leave a process: pickles and
+writers' tuple-keyed bodies over their earlier per-call sort
+(conftest.ref_sorted_rows).  Ids never leave a process: pickles and
 copies carry the indices, and clear_caches keeps the table, so a cache
 keyed by an id can never meet a second index under it.
 """
@@ -28,10 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multisym
-from conftest import alpha_pool, run_main
+from conftest import REF_JSON, REF_TEXT, alpha_pool, ref_pair_render, ref_sorted_rows, run_main
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import (_JSON, _TEXT, INF, MsfElement, _margin_tables, _pair_render,
-                          _sorted_rows, alpha_multidegree, alpha_weight, element_json_text)
+from multisym.msf import (INF, MsfElement, _margin_tables, alpha_multidegree, alpha_weight,
+                          element_json_text)
 from multisym.oracle import orbit_sum
 from multisym.polyring import NPoly, signed_text
 from multisym.rewrite import (GenPoly, _symmono_mul, evaluate, primitive_reduce,
@@ -133,13 +134,13 @@ def ref_expand(R, n, m: int, a: dict) -> NPoly:
 
 
 def ref_text(R, a: dict) -> str:
-    rows, frag = _sorted_rows(a, _pair_render, _TEXT)
+    rows, frag = ref_sorted_rows(a, ref_pair_render, REF_TEXT)
     return signed_text((R.format_coeff(c), "e(%s)" % ", ".join(map(frag, alpha)) if alpha else "")
                        for alpha, c in rows)
 
 
 def ref_json_text(R, n, m: int, a: dict) -> str:
-    rows, frag = _sorted_rows(a, _pair_render, _JSON)
+    rows, frag = ref_sorted_rows(a, ref_pair_render, REF_JSON)
     terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join(map(frag, alpha)),
                                                        R.format_coeff(c))
                       for alpha, c in rows])
@@ -204,7 +205,7 @@ def test_element_operations_match_the_tuple_reference(pair, k, bound):
         assert x.expand() == ref_expand(R, n, m, a)
     assert x.text() == ref_text(R, a)
     assert element_json_text(x) == ref_json_text(R, n, m, a)
-    assert x.sorted_terms() == _sorted_rows(a, _pair_render, _TEXT)[0]
+    assert x.sorted_terms() == ref_sorted_rows(a, ref_pair_render, REF_TEXT)[0]
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alpha_pool, degrees_upto, random_element, seeded
+from conftest import (REF_TEXT, alpha_pool, degrees_upto, random_element, ref_pair_render,
+                      ref_sorted_rows, seeded)
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import mono_mul
-from multisym.msf import (_TEXT, INF, AmbientMismatch, MsfElement, WeightExceedsAmbient,
-                          _expand_alpha, _intern_alpha, _pair_render, _sorted_rows, alpha_weight,
-                          alphas_of_multidegree, basis_alphas, e_alpha, element_from_json,
-                          element_to_json, make_alpha)
+from multisym.msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient, _expand_alpha,
+                          _intern_alpha, alpha_weight, alphas_of_multidegree, basis_alphas,
+                          e_alpha, element_from_json, element_to_json, make_alpha)
 from multisym.oracle import is_invariant, orbit_sum
 from multisym.polyring import NPoly
 from multisym.reference import (ek_of_f, expand, merge_repeats, parse_npoly, product,
@@ -362,9 +362,9 @@ def test_index_enumeration_takes_weight_bounds_from_zero():
 
 
 def writers_order(alphas) -> list:
-    """The canonical term order of the writers (_sorted_rows), then stable
-    by weight: the order the enumeration must give."""
-    rows = _sorted_rows(dict.fromkeys(alphas), _pair_render, _TEXT)[0]
+    """The writers' canonical term order (the earlier sort of conftest),
+    then stable by weight: the order the enumeration must give."""
+    rows = ref_sorted_rows(dict.fromkeys(alphas), ref_pair_render, REF_TEXT)[0]
     return sorted([alpha for alpha, _ in rows], key=alpha_weight)
 
 

@@ -1,17 +1,26 @@
-"""The one-pass sort keys order terms exactly as the nested keys did.
+"""The writers order terms exactly as the nested keys do, and spell them
+as json.dumps and a per-term text writer do.
 
 MsfElement.sorted_terms and GenPoly.sorted_terms fix the order of every
 printed and serialized term, so the byte-pinned outputs depend on it.
+Every writer reads the cached row of each id: the properties below write
+each element from empty rows, again from the rows the first write
+filled, and again after clear_caches, over Z, Q and Z/p for m = 1..3.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multisym
 from conftest import random_element, seeded
-from multisym.coeffring import QQ, ZZ
-from multisym.msf import INF, MsfElement, alpha_multidegree, alphas_of_multidegree
-from multisym.rewrite import rewrite
+from multisym.coeffring import QQ, ZZ, Zmod
+from multisym.msf import (INF, MsfElement, alpha_multidegree, alphas_of_multidegree,
+                          element_json_text, make_alpha)
+from multisym.rewrite import GenPoly, genpoly_json_text, genpoly_texts, rewrite
 
 
 def grlex(mu):
@@ -77,3 +86,159 @@ def test_term_key_orders_one_multidegree_as_nested_key():
     assert g.sorted_terms() == sorted(items, key=lambda t: nested_term_key(t[0], m))
     items = shuffled(x.terms.items(), "msf:one-degree")
     assert x.sorted_terms() == sorted(items, key=lambda t: nested_alpha_key(t[0], m))
+
+
+# ---- the writers against the nested keys and json.dumps --------------------
+
+WRITE_RINGS = [ZZ, QQ, Zmod(7)]
+BIG = 1 << 40
+
+
+def ref_signed(rows) -> str:
+    """A sum from (coefficient text, body) rows: a coefficient of 1 or -1
+    is left out before a body, a leading minus joins as " - "."""
+    out = ""
+    for cs, body in rows:
+        t = cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}"
+        out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
+    return out or "0"
+
+
+def ref_mono(mu) -> str:
+    return "*".join(f"y{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mu) if e)
+
+
+def ref_element_terms(x) -> list:
+    return sorted(x.terms.items(), key=lambda t: nested_alpha_key(t[0], x.m))
+
+
+def ref_element_writes(x) -> tuple:
+    fmt = x.ring.format_coeff
+    terms = ref_element_terms(x)
+    text = ref_signed((fmt(c), "e(%s)" % ", ".join(f"{ref_mono(mu)}:{k}" for mu, k in alpha)
+                       if alpha else "") for alpha, c in terms)
+    obj = {"m": x.m, "n": "inf" if x.n is INF else x.n, "ring": x.ring.to_string(),
+           "terms": [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in alpha],
+                      "coeff": fmt(c)} for alpha, c in terms]}
+    return terms, text, json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def ref_genpoly_terms(g) -> list:
+    return sorted(g.terms.items(), key=lambda t: nested_term_key(t[0], g.m))
+
+
+def ref_genpoly_writes(g, check) -> tuple:
+    fmt = g.ring.format_coeff
+    terms = ref_genpoly_terms(g)
+    text = ref_signed((fmt(c), "*".join("E[%d;(%s)]" % (i, ",".join(map(str, nu)))
+                                         + (f"^{e}" if e > 1 else "") for (i, nu), e in symmono))
+                      for symmono, c in terms)
+    obj = {"check": check, "m": g.m, "ring": g.ring.to_string(),
+           "terms": [{"coeff": fmt(c),
+                      "symbols": [{"exp": e, "i": i, "nu": list(nu)} for (i, nu), e in symmono]}
+                     for symmono, c in terms]}
+    if check is None:
+        del obj["check"]
+    return terms, text, json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def three_writes(write):
+    """write() from empty rows, from the rows it filled, and after clear_caches."""
+    multisym.clear_caches()
+    got = [write(), write()]
+    multisym.clear_caches()
+    return got + [write()]
+
+
+wide_exps = st.integers(0, 2) | st.integers(128, 300)
+mults = st.integers(1, 3) | st.integers(BIG, BIG + 5)
+
+
+@st.composite
+def monos(draw, m, exps):
+    mu = tuple(draw(st.lists(exps, min_size=m, max_size=m)))
+    return mu if any(mu) else (1,) + mu[1:]
+
+
+@st.composite
+def writer_elements(draw):
+    """Indices with their prefixes, the empty index, exponents of 128 and
+    more and multiplicities of 2^40 and more, in the inverse limit or the
+    least ambient that holds them."""
+    ring, m = draw(st.sampled_from(WRITE_RINGS)), draw(st.integers(1, 3))
+    alphas = set()
+    for _ in range(draw(st.integers(0, 4))):
+        mus = draw(st.lists(monos(m, wide_exps), min_size=1, max_size=3, unique=True))
+        alpha = make_alpha([(mu, draw(mults)) for mu in mus])
+        alphas.update(alpha[:j] for j in range(draw(st.integers(0, len(alpha) - 1)), len(alpha) + 1))
+    if draw(st.booleans()):
+        alphas.add(())
+    weights = [sum(k for _, k in alpha) for alpha in alphas]
+    n = INF if draw(st.booleans()) else max(weights, default=1) or 1
+    coeffs = st.sampled_from([1, -1, 2, -3, 5]).map(ring.embed)
+    if ring == QQ:
+        coeffs = coeffs | st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return MsfElement(n, m, ring, {alpha: draw(coeffs) for alpha in alphas})
+
+
+@st.composite
+def writer_genpolys(draw, m=None, ring=None):
+    """Symbol monomials with their prefixes and the empty one, indices and
+    nu exponents of 128 and more, and exponents of 2^40 and more."""
+    ring = ring or draw(st.sampled_from(WRITE_RINGS))
+    m = m or draw(st.integers(1, 3))
+    symmonos = set()
+    for _ in range(draw(st.integers(0, 4))):
+        syms = draw(st.lists(st.tuples(st.integers(1, 2) | st.integers(128, 130),
+                                       monos(m, wide_exps)), min_size=1, max_size=3, unique=True))
+        factors = sorted([(sym, draw(mults)) for sym in syms],
+                         key=lambda t: (sum(t[0][1]), t[0][1], t[0][0]))
+        symmono = tuple(factors)
+        symmonos.update(symmono[:j] for j in range(draw(st.integers(0, len(symmono) - 1)),
+                                                   len(symmono) + 1))
+    if draw(st.booleans()):
+        symmonos.add(())
+    coeffs = st.sampled_from([1, -1, 3, -4]).map(ring.embed)
+    return GenPoly(m, ring, {s: draw(coeffs) for s in symmonos})
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_elements())
+def test_element_writers_match_nested_order_and_json_dumps(x):
+    want = ref_element_writes(x)
+    for got in three_writes(lambda: (x.sorted_terms(), x.text(), element_json_text(x))):
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_genpolys(), st.sampled_from([None, "PASS", "FAIL"]))
+def test_genpoly_writers_match_nested_order_and_json_dumps(g, check):
+    want = ref_genpoly_writes(g, check)
+    for got in three_writes(lambda: (g.sorted_terms(), g.text(), genpoly_json_text(g, check))):
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(writer_genpolys(m), max_size=5)))
+def test_batched_genpoly_texts_match_nested_order(gs):
+    want = [ref_genpoly_writes(g, None)[1] for g in gs]
+    for got in three_writes(lambda: genpoly_texts(gs)):
+        assert got == want
+
+
+@pytest.mark.parametrize("ring", WRITE_RINGS)
+def test_fields_that_would_carry_keep_the_nested_order(ring):
+    """Totals of 128 and more take wider fields: packed at the base width,
+    multidegree (300, 0) would carry past (0, 301) of a larger total."""
+    one, two = ring.one, ring.embed(2)
+    x = MsfElement(INF, 2, ring, {(((1, 0), 300),): one, (((0, 1), 301),): two,
+                                  (((0, 1), 1), ((1, 0), BIG)): one, (((1, 0), BIG + 2),): two,
+                                  (((0, 1), 2),): one, (): two})
+    want = ref_element_writes(x)
+    for got in three_writes(lambda: (x.sorted_terms(), x.text(), element_json_text(x))):
+        assert got == want
+    g = GenPoly(2, ring, {(((1, (1, 0)), 300),): one, (((1, (0, 1)), 301),): two,
+                          (((1, (0, 1)), 1), ((1, (1, 0)), BIG)): one, (((2, (1, 0)), 5),): two})
+    want = ref_genpoly_writes(g, None)
+    for got in three_writes(lambda: (g.sorted_terms(), g.text(), genpoly_json_text(g))):
+        assert got == want
