@@ -359,7 +359,6 @@ class MsfElement(Sparse):
     Its terms are stored in _d under interned index ids (module docstring)."""
 
     __slots__ = ("n", "m", "ring", "_d")
-    _unit = 0
 
     def __init__(self, n, m: int, ring: Ring, terms=None):
         _check_slots(n)

@@ -102,21 +102,16 @@ def _ambient_text(ambient) -> str:
 class Sparse:
     """A finite map from keys to nonzero coefficients of one Ring.
 
-    A subclass stores its terms in ``_d`` (or overrides ``_raw``) and
-    supplies ``_ambient()``, its constructor arguments before ``terms`` as
-    a tuple; ``_make(*ambient, terms)``, the trusted constructor, which
-    stores canonical keys and nonzero ring elements as given; and
-    ``_degree(key)``, the multidegree of a key.  Sums, negation and scaling
-    accumulate into one dict and settle it into the ring once
-    (Ring.settle), so every result is canonical.
+    A subclass stores its terms in ``_d``, where 0 is the key of the
+    constant monomial, and supplies ``_ambient()``, its constructor
+    arguments before ``terms`` as a tuple; ``_make(*ambient, terms)``, the
+    trusted constructor, which stores canonical keys and nonzero ring
+    elements as given; and ``_degree(key)``, the multidegree of a key.
+    Sums, negation and scaling accumulate into one dict and settle it into
+    the ring once (Ring.settle), so every result is canonical.
     """
 
     __slots__ = ()
-    _unit = ()  # key of the constant monomial
-
-    @property
-    def _raw(self) -> dict:
-        return self._d
 
     def _like(self, raw: dict):
         """A result in self's ambient from canonical, settled terms."""
@@ -132,7 +127,7 @@ class Sparse:
 
     @property
     def is_zero(self) -> bool:
-        return not self._raw
+        return not self._d
 
     def _compat(self, other) -> None:
         a, b = self._ambient(), other._ambient()
@@ -142,15 +137,15 @@ class Sparse:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._ambient() == other._ambient() and self._raw == other._raw
+        return self._ambient() == other._ambient() and self._d == other._d
 
     __hash__ = None
 
     def __add__(self, other):
         self._compat(other)
-        out = dict(self._raw)
+        out = dict(self._d)
         get = out.get
-        for k, c in other._raw.items():
+        for k, c in other._d.items():
             out[k] = get(k, 0) + c
         return self._like(self.ring.settle(out, 1))
 
@@ -162,18 +157,18 @@ class Sparse:
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return self._like(self.ring.settle({k: c * v for k, v in self._raw.items()}, 1))
+        return self._like(self.ring.settle({k: c * v for k, v in self._d.items()}, 1))
 
     def __pow__(self, k: int):
-        return binary_power(self, k, lambda: self._like({self._unit: self.ring.one}))
+        return binary_power(self, k, lambda: self._like({0: self.ring.one}))
 
     def multidegree_component(self, a):
         """Terms of multidegree exactly a; summing over all a recovers self."""
         a, deg = tuple(a), self._degree
-        return self._like({k: c for k, c in self._raw.items() if deg(k) == a})
+        return self._like({k: c for k, c in self._d.items() if deg(k) == a})
 
     def multidegrees(self) -> set:
-        return set(map(self._degree, self._raw))
+        return set(map(self._degree, self._d))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
@@ -261,7 +256,6 @@ class NPoly(Sparse):
     """Sparse polynomial in the n*m variables x_i(j)."""
 
     __slots__ = ("n", "m", "ring", "_d", "_w")
-    _unit = 0
 
     def __init__(self, n: int, m: int, ring: Ring, terms=None):
         size = _checked_int(n, "slot count", 1) * _checked_int(m, "variable count", 1)

@@ -7,9 +7,8 @@ identity that must evaluate to zero once the cutoff is applied: a defining
 relation.
 
 Vanishing is checked along two independent routes.  Route 1 is the
-abstract product, through rewrite: evaluates_to_zero decides whether
-evaluate(g, n) is zero on its own packed orbit-sum images (see rewrite),
-sharing none of the packing code below.  Route 2 is genpoly_expand, which
+abstract product, through rewrite: evaluate(g, n).is_zero, the orbit-sum
+evaluation that rewrite --check also runs.  Route 2 is genpoly_expand, which
 multiplies concrete orbit-sum polynomials in the n-slot ring and shares
 no code with rewrite or the orbit-sum product.  genpoly_expand keeps its
 own caches of integer images, keyed by a generator monomial and the
@@ -49,7 +48,7 @@ from .coeffring import ZZ, Ring
 from .monomial import Mono, monomials_up_to
 from .msf import INF, _basis_symbol, alpha_weight, alphas_of_multidegree, e_alpha
 from .polyring import NPoly, _checked_int, _repack, key_width
-from .rewrite import GenPoly, evaluates_to_zero, rewrite
+from .rewrite import GenPoly, evaluate, rewrite
 
 __all__ = [
     "kernel_basis",
@@ -209,9 +208,8 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
     double-check vanishing.  The sum runs on packed images (module
     docstring).
     """
+    _checked_int(n, "slot count", 1)
     m = g.m
-    if n < 1:
-        raise ValueError("need n >= 1")
     R = g.ring
     cs, den = R.lift(g.terms)  # Z/p coefficients lie in [0, p), as _packed_sum needs
     groups: dict = {}
@@ -228,7 +226,6 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
 
 
 def verify_relation(g: GenPoly, n: int) -> bool:
-    """Vanishing along both routes: abstract evaluation and full expansion."""
-    if not evaluates_to_zero(g, n):
-        return False
-    return genpoly_expand(g, n).is_zero
+    """Vanishing along both routes: evaluate(g, n).is_zero (route 1), then
+    genpoly_expand(g, n).is_zero (route 2)."""
+    return evaluate(g, n).is_zero and genpoly_expand(g, n).is_zero

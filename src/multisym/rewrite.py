@@ -54,31 +54,14 @@ numerators over one denominator (Ring.lift), adds numerator times image
 into one dict of ints, and settles each sum into the ring once
 (Ring.settle).
 
-evaluates_to_zero answers whether evaluate(g, n) is zero without building
-it, on Kronecker-packed integers.  Two more caches serve it, again keyed
-by the ambient (n, m) and never by a ring: _orbit_coords, an append-only
-coordinate index of the orbit-sum index ids of each multidegree a, whose
-positions never move; and _packed_evaluation, keyed by id, each generator
-monomial's _evaluate_image_z image packed once into one int with a w-bit field per
-position of its multidegree's index.  Those coefficients are orbit-sum
-structure constants, and the packer checks that they are nonnegative.
-Clearing one of the two caches without the other would misplace fields;
-clear_caches empties both.  The coefficients are lifted (Ring.lift), in
-[0, p) over Z/p as every constructor reduces them.  Per multidegree, the
-width w is the least rung of 32, 64, 128, ... bits with
-sum |c| * (largest image coefficient) < 2^(w-1), so each field of the
-total T = sum c * packed image lies strictly inside +-2^(w-1).  Balanced
-digits being unique, over Z and Q the evaluation vanishes exactly when
-T == 0.  Over Z/p T need not be 0 for a true relation; its fields, all in
-[0, 2^(w-1)), are read back and each is tested mod p.  This code is
-route 1's own: relations packs route 2's images separately, so that one
-fault cannot pass the same wrong relation on both routes.
+evaluate is route 1 of relations.verify_relation: a relation vanishes
+there when evaluate(g, n).is_zero.  Route 2 (relations.genpoly_expand)
+shares none of this code, so that one fault cannot pass the same wrong
+relation on both routes.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -96,7 +79,6 @@ __all__ = [
     "primitive_reduce",
     "rewrite",
     "evaluate",
-    "evaluates_to_zero",
     "newton_p",
     "e_in_powersums",
     "plethysm_P",
@@ -176,7 +158,6 @@ class GenPoly(Sparse):
     stored in _d under interned symbol-monomial ids (module docstring)."""
 
     __slots__ = ("m", "ring", "_d")
-    _unit = 0
 
     def __init__(self, m: int, ring: Ring, terms=None):
         self.m = _checked_int(m, "variable count", 1)
@@ -218,10 +199,6 @@ class GenPoly(Sparse):
     def terms(self) -> TermsView:
         """The terms as a read-only mapping from symbol monomials."""
         return TermsView(self._d, _SYMMONOS.__getitem__, _IDS.get)
-
-    @property
-    def _raw(self) -> dict:
-        return self._d
 
     def _ambient(self) -> tuple:
         return (self.m, self.ring)
@@ -396,7 +373,7 @@ def _accumulate(x: Sparse, image) -> dict:
     """The terms of sum c * image(key) over x's terms, in x's ring;
     image(key) gives the (key, int) pairs of a cached integer image."""
     R = x.ring
-    cs, den = R.lift(x._raw)
+    cs, den = R.lift(x._d)
     out: dict = {}
     get = out.get
     for key, c in cs.items():
@@ -481,84 +458,6 @@ def evaluate(g: GenPoly, n) -> MsfElement:
     m = g.m
     return MsfElement._make(n, m, g.ring, _accumulate(
         g, lambda k: _evaluate_image_z(k, n, m)._d.items()))
-
-
-# the zero test of evaluate on Kronecker-packed images (module docstring)
-
-ZERO_TEST_BITS = 32  # the first rung of the doubling ladder of field widths
-
-# memoryview formats that read native w-bit unsigned fields, by w
-_NATIVE_FIELDS = {struct.calcsize(f) * 8: f for f in "IQ"}
-
-
-@cache
-def _orbit_coords(n, m: int, a: Mono) -> dict:
-    """The append-only coordinate index of the orbit-sum indices of
-    multidegree a in ambient (n, m): positions count up in order of first
-    appearance and never move, so an image packed while the index was
-    smaller stays valid."""
-    return {}
-
-
-@cache
-def _packed_evaluation(k: int, n, m: int, w: int):
-    """(packed, top, a) for the integer image of the symbol monomial of id
-    k in ambient n, or None when the image is zero.
-
-    a is the image's multidegree, top its largest coefficient, and packed
-    the int with the coefficient of each orbit sum in the w-bit field at
-    that index's position in a's index; packed is None when top does not
-    fit below the top bit of a field.
-    """
-    # the image itself stays cached: it is also the prefix of longer monomials
-    img = _evaluate_image_z(k, n, m)._d
-    if not img:
-        return None
-    a = _symmono_degree(_SYMMONOS[k], m)
-    if min(img.values()) < 0:
-        raise AssertionError("orbit-sum structure constants must be nonnegative")
-    top = max(img.values())
-    if top >> (w - 1):
-        return None, top, a
-    pos = _orbit_coords(n, m, a)
-    at = [pos.setdefault(ka, len(pos)) for ka in img]
-    fields = [0] * (max(at) + 1)
-    for i, v in zip(at, img.values()):
-        fields[i] = v
-    b = w // 8
-    return int.from_bytes(b"".join([v.to_bytes(b, "little") for v in fields]), "little"), top, a
-
-
-def _fields_of(total: int, w: int):
-    """The w-bit fields of a nonnegative int, in some order."""
-    b = w // 8
-    buf = total.to_bytes(-(-total.bit_length() // w) * b, sys.byteorder)
-    if w in _NATIVE_FIELDS:
-        return memoryview(buf).cast(_NATIVE_FIELDS[w])
-    return [int.from_bytes(buf[i:i + b], sys.byteorder) for i in range(0, len(buf), b)]
-
-
-def evaluates_to_zero(g: GenPoly, n) -> bool:
-    """Whether evaluate(g, n) is zero, decided on packed images without
-    building the evaluation (module docstring)."""
-    _check_slots(n)
-    m, p = g.m, g.ring.p
-    cs, _ = g.ring.lift(g._d)  # over Z/p already in [0, p)
-    groups: dict = {}
-    for k, c in cs.items():
-        img = _packed_evaluation(k, n, m, ZERO_TEST_BITS)
-        if img is not None:
-            groups.setdefault(img[2], []).append((k, c, img))
-    for terms in groups.values():
-        w = ZERO_TEST_BITS
-        bound = sum([abs(c) * img[1] for _, c, img in terms])
-        while bound >> (w - 1):
-            w *= 2
-        total = sum([c * (img[0] if w == ZERO_TEST_BITS else _packed_evaluation(k, n, m, w)[0])
-                     for k, c, img in terms])
-        if total and (p is None or any(v % p for v in _fields_of(total, w))):
-            return False
-    return True
 
 
 def genpoly_json_text(g: GenPoly, check: str | None = None) -> str:

@@ -1,7 +1,7 @@
 """The independent routes stay independent.
 
 The oracle is the ground truth of the differential checks, and route 1 of
-the vanishing check (rewrite.evaluates_to_zero) must not share route 2's
+the vanishing check (rewrite.evaluate) must not share route 2's
 code in relations: one fault there would otherwise pass the same wrong
 result on both sides.  Nor may route 2 or the oracle read the interned
 symbol-monomial ids that GenPoly stores: they read GenPoly.terms, keyed
@@ -75,7 +75,7 @@ def test_route_2_imports_only_the_public_rewrite():
     taken = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "rewrite"
              for alias in node.names}
-    assert taken == {"GenPoly", "evaluates_to_zero", "rewrite"}
+    assert taken == {"GenPoly", "evaluate", "rewrite"}
 
 
 @pytest.mark.parametrize("module", ["relations", "oracle"])
@@ -99,17 +99,15 @@ def test_module_never_names_the_index_table(module):
 
 def test_route_2_reads_generator_polynomials_through_terms(monkeypatch):
     """While relations are found and checked, no code in relations.py reads
-    a GenPoly's id-keyed dict, directly or through _raw."""
+    a GenPoly's id-keyed dict _d."""
     readers = []
-    for name in ("_d", "_raw"):
-        stored = GenPoly.__dict__[name]
+    stored = GenPoly.__dict__["_d"]
 
-        def spy(self, stored=stored):
-            readers.append(sys._getframe(1).f_code.co_filename)
-            return stored.__get__(self, GenPoly)
+    def spy(self):
+        readers.append(sys._getframe(1).f_code.co_filename)
+        return stored.__get__(self, GenPoly)
 
-        setter = getattr(stored, "__set__", None) if name == "_d" else None
-        monkeypatch.setattr(GenPoly, name, property(spy, setter))
+    monkeypatch.setattr(GenPoly, "_d", property(spy, stored.__set__))
     for ring in (ZZ, Zmod(3)):
         for _, g in relations_of(2, 2, (2, 2), ring):
             assert verify_relation(g, 2)
