@@ -69,6 +69,7 @@ _basis_symbol, so none of them names the table.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 from itertools import accumulate, chain, combinations, compress, filterfalse
 from math import comb
@@ -77,7 +78,7 @@ from operator import add, itemgetter
 from .coeffring import Ring
 from .monomial import Mono, monomials_up_to
 from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView, _checked_int,
-                       key_width, pack_key, signed_text)
+                       _guard_bits, key_width, pack_key, signed_text)
 
 INF = float("inf")
 
@@ -525,35 +526,56 @@ def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfEle
 
 @cache
 def _alphas_cached(m: int, a: Mono, max_weight) -> tuple:
+    """The indices of multidegree a and weight <= max_weight (None: any),
+    sorted by weight, then by their parts' (deg mu, mu, mult), a prefix
+    first: the writers' canonical order, since all share multidegree a.
+
+    A walk over the monomials mu <= a, largest first: each step gives the
+    next part a smaller monomial than the last and a multiplicity.  The
+    remainder r is packed in guard-bit fields (polyring), so
+    ((r | G) - mu) & G == G tests mu <= r in every entry at once.  Parts
+    left of degree at most deg mu cannot cover r once total(r) exceeds
+    the weight budget times deg mu, which ends the loop.  A part is coded
+    as grlex rank times s plus multiplicity, so one sort of flat int keys
+    (weight, codes in ascending order) gives the order.
+    """
     monos = monomials_up_to(m, a)
-    monos.reverse()  # largest first so indices come out sorted ascending
-
+    degs = [*map(sum, monos)]
+    w = key_width(max(a))
+    G = _guard_bits(m, w)
+    packed = [pack_key(mu, w) for mu in monos]
+    total = sum(a)
+    cap = total if max_weight is None else min(max_weight, total)
+    s = cap + 1
     found = []
+    acc = []  # codes of the parts so far, descending
 
-    def rec(idx, remaining, budget, acc):
-        if not any(remaining):
-            found.append(tuple(reversed(acc)))
-            return
-        if idx == len(monos) or budget == 0:
-            return
-        mu = monos[idx]
-        top = min(remaining[i] // mu[i] for i in range(m) if mu[i])
-        if budget is not None:
-            top = min(top, budget)
-        rec(idx + 1, remaining, budget, acc)
-        for mult in range(1, top + 1):
-            rem = tuple(remaining[i] - mult * mu[i] for i in range(m))
-            rec(idx + 1, rem,
-                None if budget is None else budget - mult,
-                acc + [(mu, mult)])
+    def walk(top, r, tot, weight):
+        # the parts after acc: ranks below top, remainder r of total tot
+        left = cap - weight
+        for rank in reversed(range(bisect_right(degs, tot, 0, top))):
+            d = degs[rank]
+            if tot > left * d:
+                return
+            mu = packed[rank]
+            rest, mult = r, 0
+            while mult < left and ((rest | G) - mu) & G == G:
+                rest -= mu
+                mult += 1
+                acc.append(rank * s + mult)
+                if rest:
+                    walk(rank, rest, tot - mult * d, weight + mult)
+                else:
+                    found.append((weight + mult, *reversed(acc)))
+                acc.pop()
 
-    rec(0, a, max_weight, [])
-    # every index found has multidegree a, so the writers' canonical order
-    # reduces to comparing key parts (deg mu, mu, mult) in turn, a prefix
-    # first: list order
-    found.sort(key=lambda alpha: [(sum(mu), mu, mult) for mu, mult in alpha])
-    found.sort(key=alpha_weight)
-    return tuple(found)
+    if total:
+        walk(len(monos), pack_key(a, w), total, 0)
+    else:
+        found.append((0,))
+    found.sort()
+    part = {c: (monos[c // s], c % s) for key in found for c in key[1:]}
+    return tuple([tuple(map(part.__getitem__, key[1:])) for key in found])
 
 
 def alphas_of_multidegree(m: int, a: Mono, max_weight=None) -> list:

@@ -40,6 +40,7 @@ multidegree at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 from itertools import repeat
 from operator import mul
@@ -60,9 +61,11 @@ __all__ = [
 
 
 def kernel_basis(n: int, m: int, a: Mono) -> list:
-    """All indices of multidegree a and weight above n."""
+    """All indices of multidegree a and weight above n: the suffix of the
+    weight-sorted list past weight n."""
     _checked_int(n, "slot count", 1)
-    return [al for al in alphas_of_multidegree(m, a) if alpha_weight(al) > n]
+    alphas = alphas_of_multidegree(m, a)
+    return alphas[bisect_right(alphas, n, key=alpha_weight):]
 
 
 def multidegrees_upto(max_a: Mono) -> list:
@@ -227,5 +230,6 @@ def genpoly_expand(g: GenPoly, n: int) -> NPoly:
 
 def verify_relation(g: GenPoly, n: int) -> bool:
     """Vanishing along both routes: evaluate(g, n).is_zero (route 1), then
-    genpoly_expand(g, n).is_zero (route 2)."""
+    genpoly_expand(g, n).is_zero (route 2), in a finite ambient n."""
+    _checked_int(n, "slot count", 1)
     return evaluate(g, n).is_zero and genpoly_expand(g, n).is_zero

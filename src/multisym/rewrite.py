@@ -45,6 +45,11 @@ _primitive_image_z, keyed by a symbol monomial's id, its primitive form in
 ambient n; and _evaluate_image_z, keyed the same way, the orbit-sum
 expansion of a generator monomial in ambient n, an MsfElement keyed by
 index ids; id 0 maps to the unit.
+The pair table (_id_products) holds ids only, no ring: row ka maps kb to
+the id of the product of their symbol monomials.  GenPoly.__mul__ and the
+peeling recursion's product by its pivot read it; a miss multiplies the
+monomials (_symmono_mul) and interns the product, so ids are still given
+in the order the products are first met.
 Both stages of rewrite thus add into dicts keyed by ints, and no symbol
 monomial is decoded between them.  clear_caches keeps the table, so an id
 in any cache still names the monomial it was computed for.  The ring
@@ -106,6 +111,36 @@ def _intern(symmono) -> int:
 def _decoded(d: dict) -> dict:
     """The terms of an id-keyed dict, keyed by symbol monomials."""
     return dict(zip(map(_SYMMONOS.__getitem__, d), d.values()))
+
+
+class _ProductRow(dict):
+    """One row of the pair table: kb -> id of the product of ka's symbol
+    monomial and kb's, filled on first use of each pair."""
+
+    __slots__ = ("ka",)
+
+    def __init__(self, ka: int):
+        self.ka = ka
+
+    def __missing__(self, kb: int) -> int:
+        k = self[kb] = _intern(_symmono_mul(_SYMMONOS[self.ka], _SYMMONOS[kb]))
+        return k
+
+
+class _ProductTable(dict):
+    """The pair table: ka -> its _ProductRow (module docstring)."""
+
+    __slots__ = ()
+
+    def __missing__(self, ka: int) -> _ProductRow:
+        row = self[ka] = _ProductRow(ka)
+        return row
+
+
+@cache
+def _id_products() -> _ProductTable:
+    """The pair table of products of symbol-monomial ids; ids only."""
+    return _ProductTable()
 
 
 def _symbol_key(sym):
@@ -218,11 +253,13 @@ class GenPoly(Sparse):
         self._compat(other)
         out = {}
         get = out.get
-        inner = list(other.terms.items())
-        for ka, ca in self.terms.items():
+        inner = list(other._d.items())
+        table = _id_products()
+        for ka, ca in self._d.items():
+            row = table[ka]
             for kb, cb in inner:
-                key = _intern(_symmono_mul(ka, kb))
-                out[key] = get(key, 0) + ca * cb
+                k = row[kb]
+                out[k] = get(k, 0) + ca * cb
         return self._like(self.ring.settle(out, 1))
 
     def symbols(self):
@@ -349,23 +386,25 @@ def _reduce_alpha(ka: int) -> tuple:
         return ((_intern((((a, mu), 1),)), 1),)
     mu_p, a_p = alpha[-1]  # largest support monomial
     rest = _intern_alpha(alpha[:-1])
-    pivot = (((a_p, mu_p), 1),)
+    pivot = _intern((((a_p, mu_p), 1),))
 
     acc: dict[int, int] = {}
+    table = _id_products()
     for k, c in _reduce_alpha(rest):
-        key = _intern(_symmono_mul(_SYMMONOS[k], pivot))
+        key = table[k][pivot]
         acc[key] = acc.get(key, 0) + c
-    prod = _alpha_product_z(_intern_alpha(alpha[-1:]), rest, None)
-    if dict(prod).get(ka) != 1:
-        raise AssertionError("peeled product must contain the index once")
     weight = _split(ka)[2]
-    for kg, mult in prod:
+    once = 0
+    for kg, mult in _alpha_product_z(_intern_alpha(alpha[-1:]), rest, None):
         if kg == ka:
+            once = mult
             continue
         if _split(kg)[2] >= weight:
             raise AssertionError("correction term fails to drop in weight")
         for k, c in _reduce_alpha(kg):
             acc[k] = acc.get(k, 0) - mult * c
+    if once != 1:
+        raise AssertionError("peeled product must contain the index once")
     return tuple((k, v) for k, v in acc.items() if v)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers: deterministic pseudo-random elements, degree boxes, the
-command line run in process, and the writers' earlier sort as a reference."""
+command line run in process, and the writers' earlier sort and the earlier
+index enumeration as references."""
 
 import contextlib
 import io
@@ -11,7 +12,8 @@ from operator import add, getitem, lshift
 
 from multisym.cli import main
 from multisym.coeffring import Ring
-from multisym.msf import INF, MsfElement, alphas_of_multidegree, mono_text
+from multisym.monomial import monomials_up_to
+from multisym.msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, mono_text
 from multisym.polyring import BASE_WIDTH, key_width
 
 
@@ -134,3 +136,37 @@ def ref_sorted_rows(terms, render, field: int) -> tuple:
     keys = map(sum, map(map, repeat(getitem), repeat(tables), map(map, repeat(rank), idx)))
     keyed = dict(zip(keys, zip(idx, terms.values())))
     return [*map(keyed.__getitem__, sorted(keyed))], dict(zip(parts, cols[field])).__getitem__
+
+
+# ---- the earlier index enumeration: a recursion through every monomial
+# mu <= a, multiplicity zero included; the reference of test_enumeration
+
+def ref_alphas(m: int, a: tuple, max_weight=None) -> tuple:
+    """The indices of multidegree a and weight <= max_weight (None: any),
+    sorted by weight, then by their parts' (deg mu, mu, mult), a prefix first."""
+    monos = monomials_up_to(m, a)
+    monos.reverse()  # largest first so indices come out sorted ascending
+
+    found = []
+
+    def rec(idx, remaining, budget, acc):
+        if not any(remaining):
+            found.append(tuple(reversed(acc)))
+            return
+        if idx == len(monos) or budget == 0:
+            return
+        mu = monos[idx]
+        top = min(remaining[i] // mu[i] for i in range(m) if mu[i])
+        if budget is not None:
+            top = min(top, budget)
+        rec(idx + 1, remaining, budget, acc)
+        for mult in range(1, top + 1):
+            rem = tuple(remaining[i] - mult * mu[i] for i in range(m))
+            rec(idx + 1, rem,
+                None if budget is None else budget - mult,
+                acc + [(mu, mult)])
+
+    rec(0, a, max_weight, [])
+    found.sort(key=lambda alpha: [(sum(mu), mu, mult) for mu, mult in alpha])
+    found.sort(key=alpha_weight)
+    return tuple(found)

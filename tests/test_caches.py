@@ -77,6 +77,8 @@ def test_clear_caches_empties_every_module_cache():
     assert msf._pair_render.cache_info().currsize > 0
     assert _factor_render.cache_info().currsize > 0
     assert msf._form_rows.cache_info().currsize > 0
+    assert rewrite_mod._id_products.cache_info().currsize > 0
+    assert rewrite_mod._id_products()
     multisym.clear_caches()
     caches = [obj for name, mod in sys.modules.items()
               if name.startswith("multisym.")
@@ -86,7 +88,7 @@ def test_clear_caches_empties_every_module_cache():
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
             "_pair_render", "_factor_render", "_form_rows", "_monomials_cached",
-            "_orbit_reps_cached"} <= names
+            "_orbit_reps_cached", "_id_products"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 

@@ -15,7 +15,7 @@ import multisym
 from conftest import run_main
 from multisym import relations
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import MsfElement
+from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.reference import relation_items
 from multisym.relations import FIELD_BITS, _expansion_z, genpoly_expand, verify_relation
@@ -136,6 +136,11 @@ def test_bad_ambient_is_refused():
         for check in (genpoly_expand, evaluate, verify_relation):
             with pytest.raises(ValueError):
                 check(g, n)
+    # evaluate takes the infinite ambient; verify_relation refuses it for a
+    # nonzero and a zero polynomial alike
+    for h in (g, g - g):
+        with pytest.raises(ValueError):
+            verify_relation(h, INF)
     assert _expansion_z.cache_info().currsize == before
 
 

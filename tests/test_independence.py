@@ -57,8 +57,9 @@ def test_module_does_not_import(module, forbidden):
     assert not imports & forbidden
 
 
-# the intern table of rewrite and what reads it
-TABLE_NAMES = {"_SYMMONOS", "_IDS", "_intern", "_decoded"}
+# the intern table of rewrite, its pair table of products, and what reads them
+TABLE_NAMES = {"_SYMMONOS", "_IDS", "_intern", "_decoded", "_id_products", "_ProductTable",
+               "_ProductRow"}
 
 
 def source_names(module: str) -> set:
@@ -83,6 +84,7 @@ def test_module_never_names_the_intern_table(module):
     names = source_names(module)
     assert "terms" in names  # the walk does see attributes
     assert not names & TABLE_NAMES
+    assert TABLE_NAMES <= source_names("rewrite")
 
 
 # msf's intern table of orbit-sum indices

@@ -172,6 +172,26 @@ def test_arithmetic_and_evaluate_match_the_tuple_reference(pair, k, n):
     assert (((4, (1,) * m), 9),) not in ga.terms
 
 
+def test_pair_table_holds_the_reference_products():
+    """Every entry of the pair table, filled by products, the peeling
+    recursion and the primitive forms, names the product of its two ids'
+    symbol monomials; an emptied table refills to the same products."""
+    multisym.clear_caches()
+    x = e_alpha([((1, 0), 2), ((1, 1), 1), ((0, 2), 1)], INF, 2, ZZ)
+    g = rewrite(x)
+    h = g * g + g ** 3
+    table = rewrite_mod._id_products()
+    assert sum(map(len, table.values())) > 20
+    symmono = rewrite_mod._SYMMONOS.__getitem__
+    for ka, row in table.items():
+        assert row.ka == ka
+        for kb, k in row.items():
+            assert symmono(k) == ref_symmono_mul(symmono(ka), symmono(kb))
+    multisym.clear_caches()
+    assert not rewrite_mod._id_products()
+    assert rewrite(x) == g and g * g + g ** 3 == h
+
+
 @st.composite
 def elements(draw):
     ring = draw(st.sampled_from(RINGS))
