@@ -10,14 +10,18 @@ alphabets share the type:
 * the classical e_i = E[i;(1)] of GenPoly(1, ZZ): newton_p (p_k in the
   e_i), e_in_powersums (e_h in the p_r) and plethysm_P (P_{h,k}).
 
-The pipeline has two stages.  reduce_to_monomial_es applies the peeling
-recursion: for an index with several support monomials, split off the
-largest one as e_a(mu) times the rest and subtract the lower-weight
-correction terms coming from the product formula; iterate.  The recursion
-is ambient-independent because every index involved keeps weight at most
-the input's.  primitive_reduce then replaces each symbol e_i(nu^k), k >= 2,
-by P_{i,k} with E[j;(1)] renamed E[j;nu], dropping E[j;nu] with j > n
-in a finite ambient.
+rewrite is one recursion, the peeling identity
+
+    e_alpha = e_rest * e_a(mu) - sum mult * e_beta,
+
+which splits off the largest support monomial mu of alpha and subtracts
+the lower-weight correction terms of the product formula.  primitive_reduce
+substitutes P_{i,k} at E[j;(1)] -> E[j;nu] for each e_i(nu^k), k >= 2, and
+zero for E[j;nu], j > n, in a finite ambient.  It is a ring map, so it
+commutes with the identity: the recursion substitutes each pivot e_a(mu)
+as it meets it and cancels at every level.  The indices met keep weight at
+most the input's and do not depend on n; without the substitution the
+recursion gives reduce_to_monomial_es.
 
 As in msf, the GenPoly constructor and reference.genpoly_from_json
 validate every symbol of every term, zero coefficients included: a symbol
@@ -39,10 +43,11 @@ depends on an id.
 Caching contract: every cache here holds integer images, keyed by the
 input and the ambient n (and m) but never by a coefficient ring.  The
 structure constants are integers, so one image serves Z, Q and every Z/p.
-_reduce_alpha, keyed by the id of alpha in msf's table of indices, gives
-e_alpha as (id, int) pairs in the symbols e_i(mu);
-_primitive_image_z, keyed by a symbol monomial's id, its primitive form in
-ambient n; and _evaluate_image_z, keyed the same way, the orbit-sum
+_reduce_alpha(id, n), keyed by the id of alpha in msf's table of indices
+and the ambient, gives e_alpha as a dict id -> int: its primitive form in
+ambient n, or with n None the monomial e's in symbols e_i(mu);
+_primitive_symbol_z(sym, n), one symbol's primitive form; and
+_evaluate_image_z, keyed by a symbol monomial's id, the orbit-sum
 expansion of a generator monomial in ambient n, an MsfElement keyed by
 index ids; id 0 maps to the unit.
 The pair table (_id_products) holds ids only, no ring: row ka maps kb to
@@ -50,14 +55,13 @@ the id of the product of their symbol monomials.  GenPoly.__mul__ and the
 peeling recursion's product by its pivot read it; a miss multiplies the
 monomials (_symmono_mul) and interns the product, so ids are still given
 in the order the products are first met.
-Both stages of rewrite thus add into dicts keyed by ints, and no symbol
-monomial is decoded between them.  clear_caches keeps the table, so an id
-in any cache still names the monomial it was computed for.  The ring
-enters last, in _accumulate, shared by reduce_to_monomial_es,
-primitive_reduce and evaluate: it lifts the coefficients to integer
-numerators over one denominator (Ring.lift), adds numerator times image
-into one dict of ints, and settles each sum into the ring once
-(Ring.settle).
+rewrite thus adds into dicts keyed by ints, and no symbol monomial is
+decoded on the way.  clear_caches keeps the table, so an id in any cache
+still names the monomial it was computed for.  The ring enters last, in
+_accumulate, shared by rewrite, reduce_to_monomial_es, primitive_reduce
+and evaluate: it lifts the coefficients to integer numerators over one
+denominator (Ring.lift), adds numerator times image into one dict of
+ints, and settles each sum into the ring once (Ring.settle).
 
 evaluate is route 1 of relations.verify_relation: a relation vanishes
 there when evaluate(g, n).is_zero.  Route 2 (relations.genpoly_expand)
@@ -70,6 +74,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count
+from math import prod
 
 from .coeffring import QQ, ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
@@ -373,26 +378,29 @@ def plethysm_P(h: int, k: int) -> GenPoly:
 # integer core of the peeling recursion, shared across coefficient rings
 
 @cache
-def _reduce_alpha(ka: int) -> tuple:
-    """e_alpha, alpha of id ka, as an integer combination of symbol monomials.
+def _reduce_alpha(ka: int, n) -> dict:
+    """e_alpha, alpha of id ka, as an integer combination of symbol
+    monomials: its primitive form in ambient n, or with n None the
+    monomial e's in symbols e_i(mu).
 
-    Returned as a tuple of (id, int) pairs so it can live in a cache.
+    A dict id -> int, smaller than a tuple of pairs; callers only read it.
     """
     alpha = _ALPHAS[ka]
     if not alpha:
-        return ((0, 1),)
-    if len(alpha) == 1:
-        mu, a = alpha[0]
-        return ((_intern((((a, mu), 1),)), 1),)
+        return {0: 1}
     mu_p, a_p = alpha[-1]  # largest support monomial
+    pivot = _primitive_symbol_z((a_p, mu_p), n)._d.items()
+    if len(alpha) == 1:
+        return dict(pivot)
     rest = _intern_alpha(alpha[:-1])
-    pivot = _intern((((a_p, mu_p), 1),))
 
     acc: dict[int, int] = {}
     table = _id_products()
-    for k, c in _reduce_alpha(rest):
-        key = table[k][pivot]
-        acc[key] = acc.get(key, 0) + c
+    for k, c in _reduce_alpha(rest, n).items():
+        row = table[k]
+        for kp, cp in pivot:
+            key = row[kp]
+            acc[key] = acc.get(key, 0) + c * cp
     weight = _split(ka)[2]
     once = 0
     for kg, mult in _alpha_product_z(_intern_alpha(alpha[-1:]), rest, None):
@@ -401,16 +409,16 @@ def _reduce_alpha(ka: int) -> tuple:
             continue
         if _split(kg)[2] >= weight:
             raise AssertionError("correction term fails to drop in weight")
-        for k, c in _reduce_alpha(kg):
+        for k, c in _reduce_alpha(kg, n).items():
             acc[k] = acc.get(k, 0) - mult * c
     if once != 1:
         raise AssertionError("peeled product must contain the index once")
-    return tuple((k, v) for k, v in acc.items() if v)
+    return {k: v for k, v in acc.items() if v}
 
 
 def _accumulate(x: Sparse, image) -> dict:
     """The terms of sum c * image(key) over x's terms, in x's ring;
-    image(key) gives the (key, int) pairs of a cached integer image."""
+    image(key) gives the (key, int) pairs of an integer image."""
     R = x.ring
     cs, den = R.lift(x._d)
     out: dict = {}
@@ -422,18 +430,22 @@ def _accumulate(x: Sparse, image) -> dict:
 
 
 def reduce_to_monomial_es(x: MsfElement) -> GenPoly:
-    """First stage: x as a polynomial in symbols e_i(mu), mu any monomial."""
-    return GenPoly._make(x.m, x.ring, _accumulate(x, _reduce_alpha))
+    """x as a polynomial in symbols e_i(mu), mu any monomial: the peeling
+    recursion alone."""
+    return GenPoly._make(x.m, x.ring, _accumulate(x, lambda k: _reduce_alpha(k, None).items()))
 
 
 @cache
 def _primitive_symbol_z(sym, n) -> GenPoly:
-    """The primitive form over Z of one symbol e_i(mu) in ambient n.
+    """The primitive form over Z of one symbol e_i(mu) in ambient n; with
+    n None, the symbol itself.
 
     For mu = nu^k, k >= 2, this is P_{i,k} at e_j -> E[j;nu]; symbols with
     index above a finite n are zero.
     """
     i, mu = sym
+    if n is None:
+        return GenPoly._make(len(mu), ZZ, {_intern(((sym, 1),)): 1})
     nu, k = primitive_decompose(mu)
     terms = {}
     if n is INF or i <= n:
@@ -448,34 +460,22 @@ def _primitive_symbol_z(sym, n) -> GenPoly:
     return GenPoly._make(len(mu), ZZ, terms)
 
 
-@cache
-def _primitive_image_z(k: int, n, m: int) -> GenPoly:
-    """The primitive form over Z of the symbol monomial of id k in ambient n."""
-    symmono = _SYMMONOS[k]
-    if not symmono:
-        return GenPoly.one(m, ZZ)
-    if len(symmono) > 1:
-        return (_primitive_image_z(_intern(symmono[:-1]), n, m)
-                * _primitive_image_z(_intern(symmono[-1:]), n, m))
-    (sym, e), = symmono
-    return _primitive_symbol_z(sym, n) ** e
-
-
 def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
-    """Second stage: only primitive symbol monomials survive.
+    """The ring map onto primitive symbols: each e_i(nu^k) with k >= 2
+    becomes P_{i,k} at e_j -> E[j;nu]; in a finite ambient all symbols
+    with index above n are zero and are dropped before substituting.
 
-    Each e_i(nu^k) with k >= 2 becomes P_{i,k} at e_j -> E[j;nu]; in a
-    finite ambient all symbols with index above n are zero and are dropped
-    before substituting.
+    rewrite applies this map inside the peeling; here it is applied to a
+    whole polynomial, one uncached product per term.
     """
-    m = p.m
-    return GenPoly._make(m, p.ring, _accumulate(
-        p, lambda k: _primitive_image_z(k, n, m)._d.items()))
+    one = GenPoly.one(p.m, ZZ)
+    return GenPoly._make(p.m, p.ring, _accumulate(p, lambda k: prod(
+        [_primitive_symbol_z(sym, n) ** e for sym, e in _SYMMONOS[k]], start=one)._d.items()))
 
 
 def rewrite(x: MsfElement) -> GenPoly:
     """x as a polynomial in the free generators E[i;nu], nu primitive."""
-    return primitive_reduce(reduce_to_monomial_es(x), x.n)
+    return GenPoly._make(x.m, x.ring, _accumulate(x, lambda k: _reduce_alpha(k, x.n).items()))
 
 
 @cache

@@ -21,7 +21,8 @@ from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.relations import genpoly_expand
-from multisym.rewrite import GenPoly, _factor_render, evaluate, genpoly_json_text, rewrite
+from multisym.rewrite import (GenPoly, _factor_render, evaluate, genpoly_json_text,
+                              reduce_to_monomial_es, rewrite)
 
 rewrite_mod = importlib.import_module("multisym.rewrite")
 FORMS = [msf._TEXT_FORM, msf._JSON_FORM, rewrite_mod._TEXT_FORM, rewrite_mod._JSON_FORM]
@@ -66,6 +67,26 @@ def test_warm_caches_agree_with_cold_across_rings_and_ambients(rings):
         assert pipeline(ring, n) == got
 
 
+def test_peeling_cache_is_keyed_by_ambient():
+    # x and its truncations share index ids; the peeling cache tells their
+    # primitive forms apart by the ambient alone (None: the monomial e's)
+    x = random_element(seeded("caches:ambient"), INF, 2, ZZ, 4, max_terms=8)
+    x = x + MsfElement(INF, 2, ZZ, {(((2, 0), 2),): 1, (((1, 1), 1), ((2, 2), 1)): 3})
+    jobs = [lambda: rewrite(x), lambda: rewrite(x.truncate(3)),
+            lambda: rewrite(x.truncate(2)), lambda: reduce_to_monomial_es(x)]
+    cold = []
+    for job in jobs:
+        multisym.clear_caches()
+        cold.append(job())
+    for order in (jobs, jobs[::-1]):
+        multisym.clear_caches()
+        warm = [job() for job in order]
+        assert warm == (cold if order is jobs else cold[::-1])
+    # e_2(y1^2) = P_{2,2} keeps E[3;y1] and E[4;y1] only above n = 2
+    y = x.truncate(2)
+    assert rewrite(y) != rewrite(MsfElement(INF, 2, ZZ, dict(y.terms.items())))
+
+
 def test_clear_caches_empties_every_module_cache():
     x, g, _, _ = pipeline(QQ, 3)
     pipeline(Zmod(3), INF)
@@ -86,9 +107,8 @@ def test_clear_caches_empties_every_module_cache():
     names = {c.__name__ for c in caches}
     assert {"_alpha_product_z", "_margin_tables", "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
-            "_primitive_image_z", "_evaluate_image_z", "_expansion_z",
-            "_pair_render", "_factor_render", "_form_rows", "_monomials_cached",
-            "_orbit_reps_cached", "_id_products"} <= names
+            "_evaluate_image_z", "_expansion_z", "_pair_render", "_factor_render",
+            "_form_rows", "_monomials_cached", "_orbit_reps_cached", "_id_products"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
 
 

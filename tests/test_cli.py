@@ -443,7 +443,7 @@ def test_relations_bytes_are_pinned(capsys, ring, digest):
 
 
 # sha256 of stdout of relations with one variable, where the plethysm images
-# of primitive_reduce make up most of each relation
+# P_{i,k} make up most of each relation
 @pytest.mark.parametrize("argv, digest", [
     ("--n 2 --m 1 --max-degree 10",
      "a510a232c22f95be384e17aa8af3ce69b7e52a58f73582485d8da8d57a5683f4"),

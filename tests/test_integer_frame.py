@@ -19,9 +19,8 @@ from multisym.msf import (_ALPHAS, INF, MsfElement, _alpha_product_z, _intern_al
                           alpha_weight, e_alpha)
 from multisym.polyring import NPoly
 from multisym.relations import _expansion_z, genpoly_expand
-from multisym.rewrite import (GenPoly, _evaluate_image_z, _primitive_image_z,
-                              _reduce_alpha, evaluate, primitive_reduce,
-                              reduce_to_monomial_es, rewrite)
+from multisym.rewrite import (_SYMMONOS, GenPoly, _evaluate_image_z, _reduce_alpha,
+                              evaluate, primitive_reduce, reduce_to_monomial_es, rewrite)
 
 M61 = 2**61 - 1
 M89 = 2**89 - 1
@@ -54,11 +53,11 @@ def ref_product(x: MsfElement, y: MsfElement) -> dict:
 
 
 def ref_rewrite(x: MsfElement) -> dict:
-    # the cached images are keyed by interned index and symbol-monomial ids
-    R = x.ring
-    first = ref_combine(R, [(c, _reduce_alpha(_intern_alpha(a))) for a, c in x.terms.items()])
-    return ref_combine(R, [(c, _primitive_image_z(k, x.n, x.m).terms.items())
-                           for k, c in first.items()])
+    # the cached images are keyed by interned index ids and the ambient,
+    # and give symbol-monomial ids
+    return ref_combine(x.ring, [(c, [(_SYMMONOS[k], v)
+                                     for k, v in _reduce_alpha(_intern_alpha(a), x.n).items()])
+                                for a, c in x.terms.items()])
 
 
 def ref_evaluate(g: GenPoly, n) -> dict:

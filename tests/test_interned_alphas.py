@@ -168,8 +168,9 @@ def element_pairs(draw):
     """Two tuple-keyed dicts in one ambient, zero coefficients included."""
     ring = draw(st.sampled_from(RINGS))
     n = draw(st.sampled_from([INF, 1, 2, 3]))
-    m = draw(st.integers(1, 2))
-    pool = alpha_pool(n, m, 3)
+    m = draw(st.integers(1, 3))
+    # deep plethysms at m = 1 reach the peeling's pivot
+    pool = alpha_pool(n, m, 8 if m == 1 else 3)
     sides = [{alpha: ring.embed(draw(st.integers(-3, 3)))
               for alpha in draw(st.lists(st.sampled_from(pool), max_size=4))}
              for _ in range(2)]
