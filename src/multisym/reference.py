@@ -7,13 +7,13 @@ it; the package serves its public names on first use (the PEP 562
 family e_{n+1}(f) generates the relation ideal, and char_zero_ideal_gens
 writes those generators in the free e_1 alphabet.  The classical
 symmetric functions in one alphabet, a polynomial in e_1, e_2, ... being
-a GenPoly(1, R) in the symbols E[i;(1)], check rewrite's newton_p,
-e_in_powersums and plethysm_P: concrete elementary polynomials,
-substitution, the elimination that rewrites a symmetric polynomial into
-the e-basis, and plethysm_P_by_elimination, which expands e_h(x^k) in
-h*k variables and eliminates.  That route is exponential in h*k, far too
-large already at h = k = 4, and serves only to cross-check plethysm_P at
-small sizes.
+a GenPoly(1, R) in the symbols E[i;(1)], check rewrite's newton_p and
+plethysm_P: concrete elementary polynomials, substitution, the
+elimination that rewrites a symmetric polynomial into the e-basis, and
+plethysm_P_by_elimination, which expands e_h(x^k) in h*k variables and
+eliminates.  That route shares no code with Newton's identity; it is
+exponential in h*k, far too large already at h = k = 4, and serves only
+to cross-check plethysm_P at small sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .msf import INF, AlphaIndex, MsfElement, alpha_weight
 from .oracle import is_invariant
 from .polyring import NPoly, _checked_int
 from .relations import kernel_basis, multidegrees_upto, relations_of
-from .rewrite import GenPoly, _symbol_key, e_in_powersums, rewrite
+from .rewrite import GenPoly, _symbol_key, rewrite
 
 __all__ = [
     "check_perm", "flat_index", "subst_slot", "sn_act", "parse_npoly",
@@ -313,17 +313,17 @@ def char_zero_ideal_gens(n: int, m: int, bound: int) -> list:
 
 
 def _e1_image(i: int, nu: Mono, m: int, R: Ring) -> GenPoly:
-    """e_i on the alphabet of nu-values in the E[1;nu^r]: e_in_powersums(i)
-    with p_r -> E[1;nu^r], each Fraction embedded as numerator times the
-    inverse of the denominator (ZeroDivisionError over Z/p with p <= i)."""
-    terms = {}
-    for part, c in e_in_powersums(i).items():
-        # part descends, and E[1;nu^r] ascends with r in the symbol order
-        symmono = tuple([((1, mono_pow(nu, r)), part.count(r)) for r in sorted(set(part))])
-        v = R.mul(R.embed(c.numerator), R.inv(R.embed(c.denominator)))
-        if not R.is_zero(v):
-            terms[symmono] = v
-    return GenPoly(m, R, terms)
+    """e_i on the alphabet of nu-values in its power sums E[1;nu^r], by
+    Newton's identity over the field R: h e_h = sum_{r=1..h} (-1)^{r-1}
+    E[1;nu^r] e_{h-r} (ZeroDivisionError over Z/p with p <= i)."""
+    es = [GenPoly.one(m, R)]
+    for h in range(1, i + 1):
+        acc = GenPoly.zero(m, R)
+        for r in range(1, h + 1):
+            t = GenPoly.symbol(1, mono_pow(nu, r), m, R) * es[h - r]
+            acc = acc + (t if r % 2 == 1 else -t)
+        es.append(acc.scale(R.inv(R.embed(h))))
+    return es[i]
 
 
 def genpoly_to_e1(g: GenPoly) -> GenPoly:

@@ -8,7 +8,7 @@ alphabets share the type:
 * the e_1 alphabet over the rationals, symbols E[1;mu] with mu arbitrary,
   used for the characteristic-zero relation generators;
 * the classical e_i = E[i;(1)] of GenPoly(1, ZZ): newton_p (p_k in the
-  e_i), e_in_powersums (e_h in the p_r) and plethysm_P (P_{h,k}).
+  e_i) and plethysm_P (P_{h,k}), both from Newton's identity.
 
 rewrite is one recursion, the peeling identity
 
@@ -71,12 +71,11 @@ relation on both routes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import count
 from math import prod
 
-from .coeffring import QQ, ZZ, Ring
+from .coeffring import ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
 from .msf import (_ALPHAS, _JSON, _TEXT, INF, MsfElement, _alpha_product_z, _check_slots,
                   _intern_alpha, _packed_degree, _rows, _sorted_items, _split, _written,
@@ -90,7 +89,6 @@ __all__ = [
     "rewrite",
     "evaluate",
     "newton_p",
-    "e_in_powersums",
     "plethysm_P",
     "genpoly_json_text",
     "genpoly_texts",
@@ -310,12 +308,11 @@ def genpoly_texts(gs) -> list:
 
 # one alphabet: the classical e_i are the symbols E[i;(1)] of GenPoly(1, ZZ)
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def newton_p(k: int) -> GenPoly:
     """The power sum p_k in the E[i;(1)] via the Newton recurrence
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
-    if k < 1:
-        raise ValueError("p_k needs k >= 1; p_0 depends on the variable count")
+    _checked_int(k, "power-sum index", 1)  # p_0 depends on the variable count
     if k == 1:
         return GenPoly.symbol(1, (1,), 1, ZZ)
     acc = GenPoly.zero(1, ZZ)
@@ -326,53 +323,27 @@ def newton_p(k: int) -> GenPoly:
     return acc + (ek if (k - 1) % 2 == 0 else -ek)
 
 
-@cache
-def e_in_powersums(h: int) -> dict:
-    """e_h as a rational combination of power-sum products.
-
-    Keys are partitions (descending tuples of the p-indices), values are
-    Fractions; from h * e_h = sum_{i=1..h} (-1)^{i-1} p_i e_{h-i}.
-    """
-    if h == 0:
-        return {(): Fraction(1)}
-    out: dict[tuple, Fraction] = {}
-    for i in range(1, h + 1):
-        sign = 1 if i % 2 == 1 else -1
-        for part, c in e_in_powersums(h - i).items():
-            key = tuple(sorted(part + (i,), reverse=True))
-            out[key] = out.get(key, Fraction(0)) + sign * c / h
-    return {k: c for k, c in out.items() if c}
-
-
-@cache
+@lru_cache(maxsize=None, typed=True)
 def plethysm_P(h: int, k: int) -> GenPoly:
     """The polynomial P_{h,k} with e_h(x_1^k, x_2^k, ...) = P_{h,k}(e_1, e_2, ...),
     e_i spelled E[i;(1)].
 
-    Computed through the power sums: e_h is a rational combination of
-    products of p_r, the substitution x -> x^k sends p_r to p_{rk}, and
-    newton_p writes those back in the e_i.  Homogeneous of degree h*k,
-    with integer coefficients although the detour is rational: the sums
-    are kept as integer numerators over one denominator.
+    Newton's identity in the variables x^k, whose r-th power sum is
+    p_{rk}: h P_{h,k} = sum_{r=1..h} (-1)^{r-1} p_{rk} P_{h-r,k}, with
+    newton_p writing p_{rk} in the e_i.  One integer recursion and an
+    exact division by h.  Homogeneous of degree h*k.
     """
-    if h < 0 or k < 1:
-        raise ValueError("need h >= 0 and k >= 1")
-    prods = {(): GenPoly.one(1, ZZ)}
-
-    def prod(part):  # prod newton_p(r*k) over part, sharing prefixes
-        if part not in prods:
-            prods[part] = prod(part[:-1]) * newton_p(part[-1] * k)
-        return prods[part]
-
-    cs, den = QQ.lift(e_in_powersums(h))
-    out: dict[int, int] = {}
-    get = out.get
-    for part, c in cs.items():
-        for key, v in prod(part)._d.items():
-            out[key] = get(key, 0) + c * v
-    if any(v % den for v in out.values()):
+    _checked_int(h, "plethysm degree", 0)
+    _checked_int(k, "plethysm power", 1)
+    if h == 0:
+        return GenPoly.one(1, ZZ)
+    acc = GenPoly.zero(1, ZZ)
+    for r in range(1, h + 1):
+        t = newton_p(r * k) * plethysm_P(h - r, k)
+        acc = acc + (t if r % 2 == 1 else -t)
+    if any(v % h for v in acc._d.values()):
         raise AssertionError(f"non-integral coefficient in P_{h},{k}")
-    return GenPoly._make(1, ZZ, {key: v // den for key, v in out.items() if v})
+    return GenPoly._make(1, ZZ, {key: v // h for key, v in acc._d.items()})
 
 
 # integer core of the peeling recursion, shared across coefficient rings
@@ -468,6 +439,7 @@ def primitive_reduce(p: GenPoly, n=INF) -> GenPoly:
     rewrite applies this map inside the peeling; here it is applied to a
     whole polynomial, one uncached product per term.
     """
+    _check_slots(n)
     one = GenPoly.one(p.m, ZZ)
     return GenPoly._make(p.m, p.ring, _accumulate(p, lambda k: prod(
         [_primitive_symbol_z(sym, n) ** e for sym, e in _SYMMONOS[k]], start=one)._d.items()))

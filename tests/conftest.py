@@ -1,20 +1,22 @@
 """Shared helpers: deterministic pseudo-random elements, degree boxes, the
-command line run in process, and the writers' earlier sort and the earlier
-index enumeration as references."""
+command line run in process, and the writers' earlier sort, the earlier
+index enumeration and the earlier power-sum plethysm as references."""
 
 import contextlib
 import io
 import itertools
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
 from operator import add, getitem, lshift
 
 from multisym.cli import main
-from multisym.coeffring import Ring
-from multisym.monomial import monomials_up_to
+from multisym.coeffring import QQ, ZZ, Ring
+from multisym.monomial import mono_pow, monomials_up_to
 from multisym.msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, mono_text
 from multisym.polyring import BASE_WIDTH, key_width
+from multisym.rewrite import GenPoly, newton_p
 
 
 def seeded(tag: str) -> random.Random:
@@ -170,3 +172,56 @@ def ref_alphas(m: int, a: tuple, max_weight=None) -> tuple:
     found.sort(key=lambda alpha: [(sum(mu), mu, mult) for mu, mult in alpha])
     found.sort(key=alpha_weight)
     return tuple(found)
+
+
+# ---- the earlier plethysm: e_h as a rational sum of power-sum products,
+# each product multiplied out in the e_i; the reference of test_symfun
+
+@cache
+def ref_e_in_powersums(h: int) -> dict:
+    """e_h as a rational combination of power-sum products: partitions
+    (descending tuples of the p-indices) to Fractions, from
+    h * e_h = sum_{i=1..h} (-1)^{i-1} p_i e_{h-i}."""
+    if h == 0:
+        return {(): Fraction(1)}
+    out = {}
+    for i in range(1, h + 1):
+        sign = 1 if i % 2 == 1 else -1
+        for part, c in ref_e_in_powersums(h - i).items():
+            key = tuple(sorted(part + (i,), reverse=True))
+            out[key] = out.get(key, Fraction(0)) + sign * c / h
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_plethysm_P(h: int, k: int) -> GenPoly:
+    """P_{h,k} through the power sums: ref_e_in_powersums(h) with
+    p_r -> p_{rk}, each written in the e_i by newton_p; the rational sum,
+    kept as integer numerators over one denominator, must be integral."""
+    prods = {(): GenPoly.one(1, ZZ)}
+
+    def prod(part):  # prod newton_p(r*k) over part, sharing prefixes
+        if part not in prods:
+            prods[part] = prod(part[:-1]) * newton_p(part[-1] * k)
+        return prods[part]
+
+    cs, den = QQ.lift(ref_e_in_powersums(h))
+    out = {}
+    for part, c in cs.items():
+        for symmono, v in prod(part).terms.items():
+            out[symmono] = out.get(symmono, 0) + c * v
+    assert not any(v % den for v in out.values())
+    return GenPoly(1, ZZ, {symmono: v // den for symmono, v in out.items()})
+
+
+def ref_e1_image(i: int, nu, m: int, R: Ring) -> GenPoly:
+    """e_i in the E[1;nu^r]: ref_e_in_powersums(i) with p_r -> E[1;nu^r],
+    each Fraction embedded as numerator times the inverse of its
+    denominator (ZeroDivisionError over Z/p with p <= i)."""
+    terms = {}
+    for part, c in ref_e_in_powersums(i).items():
+        # part descends, and E[1;nu^r] ascends with r in the symbol order
+        symmono = tuple([((1, mono_pow(nu, r)), part.count(r)) for r in sorted(set(part))])
+        v = R.mul(R.embed(c.numerator), R.inv(R.embed(c.denominator)))
+        if not R.is_zero(v):
+            terms[symmono] = v
+    return GenPoly(m, R, terms)

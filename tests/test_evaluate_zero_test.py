@@ -19,7 +19,7 @@ from multisym.msf import INF, MsfElement
 from multisym.polyring import NPoly
 from multisym.reference import relation_items
 from multisym.relations import FIELD_BITS, _expansion_z, genpoly_expand, verify_relation
-from multisym.rewrite import GenPoly, evaluate
+from multisym.rewrite import GenPoly, _primitive_symbol_z, evaluate, primitive_reduce
 
 M31 = 2**31 - 1  # prime
 RINGS = [ZZ, QQ, Zmod(2), Zmod(7), Zmod(1000003)]
@@ -132,8 +132,9 @@ def test_bad_ambient_is_refused():
     # every route refuses before it computes, so no image is cached under it
     g = genpoly(ZZ, 2, [(1, [sym(1, (1, 0))])])
     before = _expansion_z.cache_info().currsize
-    for n in (0, -1, True, 2.0, "2"):
-        for check in (genpoly_expand, evaluate, verify_relation):
+    symbols_before = _primitive_symbol_z.cache_info().currsize
+    for n in (0, -1, True, 2.0, "2", None):
+        for check in (genpoly_expand, evaluate, verify_relation, primitive_reduce):
             with pytest.raises(ValueError):
                 check(g, n)
     # evaluate takes the infinite ambient; verify_relation refuses it for a
@@ -142,6 +143,7 @@ def test_bad_ambient_is_refused():
         with pytest.raises(ValueError):
             verify_relation(h, INF)
     assert _expansion_z.cache_info().currsize == before
+    assert _primitive_symbol_z.cache_info().currsize == symbols_before
 
 
 @pytest.mark.parametrize("route", ["evaluate", "genpoly_expand"])

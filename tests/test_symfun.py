@@ -9,12 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import eval_at
+import multisym
+from conftest import eval_at, ref_e1_image, ref_plethysm_P
+from multisym import reference
+from multisym.cli import REWRITE_MAX_PLETHYSM
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.polyring import NPoly
 from multisym.reference import (elementary_npoly, epoly_substitute, epoly_to_npoly,
-                                plethysm_P_by_elimination, sn_act, to_e_basis)
-from multisym.rewrite import GenPoly, e_in_powersums, newton_p, plethysm_P
+                                genpoly_to_e1, plethysm_P_by_elimination, sn_act, to_e_basis)
+from multisym.rewrite import GenPoly, newton_p, plethysm_P
 
 
 def e(i, ring=ZZ):
@@ -55,28 +58,6 @@ def test_newton_numeric():
         pts = [tuple(rng.randint(-4, 4) for _ in range(N)) for _ in range(6)]
         for pt in pts:
             assert eval_at(got, pt) == sum(v ** k for v in pt)
-
-
-def test_e_in_powersums():
-    assert e_in_powersums(1) == {(1,): Fraction(1)}
-    assert e_in_powersums(2) == {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
-    # substituting numeric power sums for a concrete point recovers e_h
-    rng = random.Random("einp")
-    for h in (3, 4):
-        N = h + 1
-        pt = [rng.randint(-3, 3) for _ in range(N)]
-        val = sum(
-            c * _prod(Fraction(sum(v ** k for v in pt)) for k in lam)
-            for lam, c in e_in_powersums(h).items())
-        eh = eval_at(elementary_npoly(h, N, ZZ), pt)
-        assert val == eh
-
-
-def _prod(it):
-    out = Fraction(1)
-    for v in it:
-        out *= v
-    return out
 
 
 def test_elementary_npoly():
@@ -169,6 +150,57 @@ def test_powered_alphabet_numeric():
 def test_powered_alphabet_matches_elimination():
     for h, k in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         assert plethysm_P(h, k) == plethysm_P_by_elimination(h, k)
+
+
+def test_powered_alphabet_matches_the_power_sum_route():
+    # every P_{h,k} the plethysm budget admits
+    top = REWRITE_MAX_PLETHYSM
+    for k in range(1, top + 1):
+        for h in range(top // k + 1):
+            assert plethysm_P(h, k) == ref_plethysm_P(h, k)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+def test_classical_recursions_refuse_bools_and_non_ints(cached):
+    # a bad argument never finds the cache entry of the int it equals
+    multisym.clear_caches()
+    if cached:
+        newton_p(1), newton_p(2), plethysm_P(0, 2), plethysm_P(1, 2), plethysm_P(2, 2)
+    sizes = newton_p.cache_info().currsize, plethysm_P.cache_info().currsize
+    for k in (True, 1.0, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError):
+            newton_p(k)
+    for h, k in ((True, 2), (False, 2), (1.0, 2), (2.0, 2), ("2", 2), (-1, 2),
+                 (1, True), (2, 2.0), (2, 0)):
+        with pytest.raises(ValueError):
+            plethysm_P(h, k)
+    assert (newton_p.cache_info().currsize, plethysm_P.cache_info().currsize) == sizes
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("ring", [QQ, Zmod(5), Zmod(7)], ids=lambda r: r.to_string())
+def test_e1_alphabet_matches_the_power_sum_route(monkeypatch, ring):
+    # genpoly_to_e1 with Newton's identity, then with e_i's power-sum
+    # expansion: equal images, and the same ZeroDivisionError over Z/p, p <= i
+    cases = []
+    for m, nus in ((1, [(1,), (2,), (3,)]), (2, [(1, 0), (0, 1), (1, 1), (2, 1)])):
+        for i in range(1, 9):
+            for nu in nus:
+                s = GenPoly.symbol(i, nu, m, ring)
+                t = GenPoly.symbol(1 + i % 3, nus[-1], m, ring)
+                cases.append(s)
+                cases.append((s * s * t).scale(ring.embed(3)) - t + GenPoly.one(m, ring))
+    got = [_outcome(genpoly_to_e1, g) for g in cases]
+    monkeypatch.setattr(reference, "_e1_image", ref_e1_image)
+    assert got == [_outcome(genpoly_to_e1, g) for g in cases]
+    raised = got.count(ZeroDivisionError)
+    assert raised == 0 if ring == QQ else raised > 0
 
 
 def test_epoly_substitute_generic():
