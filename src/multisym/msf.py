@@ -47,21 +47,27 @@ coefficient ring; the structure constants are integers, so one entry
 serves Z, Q and every Z/p.  _split gives the (monomials, multiplicities,
 weight) of an id once, for the kernel, the weights of the product, the
 cutoffs and the expansion; _expand_alpha, keyed by id, n, m and a field
-width, gives the packed orbit-sum keys.  clear_caches keeps the table,
-so an id in any cache, here or in rewrite, still names the index it was
-computed for.
+width, gives the packed orbit-sum keys; _spelled_ids gives the (id,
+weight) of each index spelling element_from_json has accepted.
+clear_caches keeps the table, so an id in any cache, here or in rewrite,
+still names the index it was computed for.
 
 The writers sort ids by row (_rows), filled once per id and form per
-process: the multidegree packed in fields too wide to carry at its total,
-the parts' render records (a prefix first) and the fragment.  Rows hold
-no ring or ambient, so a write formats only the coefficients.
+process: a sort key and a fragment, each in a dict of the form.  The key
+is one bytes string, so the sort compares ids by memcmp: a head for the
+multidegree (its m + 1 one-byte fields at BASE_WIDTH, or 0x80 and the
+multidegree repacked in fields too wide to carry at its total), then the
+key fields of the parts' render records, a prefix first.  Rows hold no
+ring or ambient, so a write formats only the coefficients.
 
 Validation happens once, at the boundary: the MsfElement constructor,
 make_alpha, e_alpha and element_from_json check every index, and refuse a
-boolean as an exponent or multiplicity.  Arithmetic builds its results
-through the trusted MsfElement._make, a direct slot store of an id-keyed
-dict: its callers add integer numerators into one dict and settle it into
-the ring once (Ring.lift and Ring.settle, or polyring.Sparse for sums and
+boolean as an exponent or multiplicity; element_from_json validates each
+distinct all-int spelling once per process and checks its weight against
+the ambient on every load.  Arithmetic builds its results through the
+trusted MsfElement._make, a direct slot store of an id-keyed dict: its
+callers add integer numerators into one dict and settle it into the ring
+once (Ring.lift and Ring.settle, or polyring.Sparse for sums and
 scaling), and guarantee ids of canonical indices of weight at most n.
 Other modules build one basis symbol of a trusted index through
 _basis_symbol, so none of them names the table.
@@ -71,7 +77,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, combinations, compress, filterfalse
+from itertools import accumulate, chain, combinations, compress, filterfalse, repeat
 from math import comb
 from operator import add, itemgetter
 
@@ -182,12 +188,21 @@ def alpha_text(alpha: AlphaIndex) -> str:
 
 
 # Render records: everything the writers need of one support pair (here) or
-# one symbol factor (rewrite._factor_render).  A record is a flat tuple: the
-# fields of the part's key part come first, so records sort by key part; the
-# rest is read from the end: the part's multidegree, that multidegree
-# packed at BASE_WIDTH, and its text and JSON fragments.  Records hold no
-# ring or ambient.
-_DEGREE, _PACKED, _TEXT, _JSON = range(-4, 0)
+# one symbol factor (rewrite._factor_render), as a flat tuple: the fields of
+# the part's key part as one sort key (_key_field each), the part's
+# multidegree, that multidegree packed at BASE_WIDTH, and its text and JSON
+# fragments.  Records hold no ring or ambient.
+_KEY, _DEGREE, _PACKED, _TEXT, _JSON = range(5)
+
+
+def _key_field(v: int) -> bytes:
+    """A nonnegative int as one field of a bytes sort key: its length, then
+    its big-endian digits; a length of 255 or more is 0xff and then the
+    length as a field.  Prefix-free, and bytes order is integer order, so
+    joined fields compare as the tuple of their values does."""
+    digits = v.to_bytes((v.bit_length() + 7) // 8, "big")
+    size = len(digits)
+    return (bytes((size,)) if size < 255 else b"\xff" + _key_field(size)) + digits
 
 
 @cache
@@ -195,7 +210,8 @@ def _pair_render(pair) -> tuple:
     """Render record of a support pair (mu, mult); key part (deg mu, mu, mult)."""
     mu, mult = pair
     deg = tuple([e * mult for e in mu])
-    return (sum(mu), *mu, mult, deg, _packed_degree(deg, BASE_WIDTH), f"{mono_text(mu)}:{mult}",
+    return (b"".join(map(_key_field, (sum(mu), *mu, mult))), deg,
+            _packed_degree(deg, BASE_WIDTH), f"{mono_text(mu)}:{mult}",
             '{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult))
 
 
@@ -216,47 +232,57 @@ _JSON_FORM = (_ALPHAS.__getitem__, _pair_render, '{"alpha":[%s],"coeff":"', ",",
 
 
 @cache
-def _form_rows(form) -> dict:
-    """The row of each id written in one form (module docstring)."""
-    return {0: (0, (), form[-1])}
+def _form_rows(form) -> tuple:
+    """The rows of the ids written in one form (module docstring), as two
+    dicts: id -> sort key and id -> fragment."""
+    return {0: b""}, {0: form[-1]}
 
 
-def _rows(ids, form) -> dict:
+def _rows(ids, form) -> tuple:
     """The rows of a form, after each of ids that lacks its row gets it:
     one batch of C loops over the records of all their parts."""
-    rows = _form_rows(form)
-    new = [*filterfalse(rows.__contains__, ids)]
+    keys, frags = rows = _form_rows(form)
+    new = [*filterfalse(keys.__contains__, ids)]
     if new:
         decode, render, template, sep, field, _ = form
         parts = [*map(decode, new)]
-        # tuples only, so the cyclic collector stops tracking a row once seen
-        recs = tuple(map(render, chain.from_iterable(parts)))
+        recs = [*map(render, chain.from_iterable(parts))]
         ends = [*accumulate(map(len, parts))]
         cuts = [*map(slice, [0, *ends], ends)]
         packed = [*map(itemgetter(_PACKED), recs)]
-        keys = [*map(sum, map(packed.__getitem__, cuts))]
-        # from a total of 2^(BASE_WIDTH-1) on a field may carry: repack wider
-        wide = 1 << BASE_WIDTH * (len(recs[0][_DEGREE]) + 1) - 1
-        for i in compress(range(len(keys)), map(wide.__le__, keys)):
+        degrees = [*map(sum, map(packed.__getitem__, cuts))]
+        # the head: the packed multidegree's m + 1 one-byte fields, the top
+        # one below 0x80; from a total of 2^(BASE_WIDTH-1) on a field may
+        # carry, so such a multidegree is repacked wider and written after
+        # 0x80, above every narrow head
+        size = len(recs[0][_DEGREE]) + 1
+        wide = [*compress(range(len(degrees)), map((1 << BASE_WIDTH * size - 1).__le__, degrees))]
+        for i in wide:
+            degrees[i] = 0  # its head is set below
+        heads = [*map(int.to_bytes, degrees, repeat(size), repeat("big"))]
+        for i in wide:
             deg = [*map(sum, zip(*map(itemgetter(_DEGREE), recs[cuts[i]])))]
-            keys[i] = _packed_degree(deg, key_width(sum(deg)))
+            heads[i] = b"\x80" + _key_field(_packed_degree(deg, key_width(sum(deg))))
+        fields = [*map(itemgetter(_KEY), recs)]
+        parts_keys = map(b"".join, map(fields.__getitem__, cuts))
+        keys.update(zip(new, map(bytes.__add__, heads, parts_keys)))
         texts = [*map(itemgetter(field), recs)]
-        frags = map(template.__mod__, map(sep.join, map(texts.__getitem__, cuts)))
-        rows.update(zip(new, zip(keys, map(recs.__getitem__, cuts), frags)))
+        frags.update(zip(new, map(template.__mod__, map(sep.join, map(texts.__getitem__, cuts)))))
     return rows
 
 
 def _sorted_items(d: dict, form) -> list:
     """The (decoded key, coefficient) items of an id-keyed dict in canonical order."""
-    order = sorted(d, key=_rows(d, form).__getitem__)
+    order = sorted(d, key=_rows(d, form)[0].__getitem__)
     return [*zip(map(form[0], order), map(d.__getitem__, order))]
 
 
-def _written(d: dict, rows: dict, fmt, place=None) -> tuple:
+def _written(d: dict, rows: tuple, fmt, place=None) -> tuple:
     """(coefficient texts, fragments) of an id-keyed dict's terms sorted by
-    row, or by place, a position in a sorted superset; rows has each id."""
-    order = sorted(d, key=place or rows.__getitem__)
-    return map(fmt, map(d.__getitem__, order)), map(itemgetter(2), map(rows.__getitem__, order))
+    key, or by place, a position in a sorted superset; rows has each id."""
+    keys, frags = rows
+    order = sorted(d, key=place or keys.__getitem__)
+    return map(fmt, map(d.__getitem__, order)), map(frags.__getitem__, order)
 
 
 @cache
@@ -621,6 +647,16 @@ def element_to_json(x: MsfElement) -> dict:
     return json.loads(element_json_text(x))
 
 
+_ints_only = frozenset([int]).issuperset
+
+
+@cache
+def _spelled_ids() -> dict:
+    """The (id, weight) of each index spelling element_from_json accepted:
+    the tuple of its (*mono, mult) entries as the JSON lists them."""
+    return {}
+
+
 def element_from_json(d) -> MsfElement:
     if not isinstance(d, dict):
         raise ValueError("element must be a JSON object")
@@ -633,21 +669,28 @@ def element_from_json(d) -> MsfElement:
     if not isinstance(d["terms"], list):
         raise ValueError("terms must be a list")
     out = {}
+    spelled = _spelled_ids()
     for t in d["terms"]:
         if not isinstance(t, dict) or "alpha" not in t or "coeff" not in t \
                 or not isinstance(t["alpha"], list) or not isinstance(t["coeff"], str):
             raise ValueError(f"bad term {t!r}")
-        pairs = []
+        spelling = []
         for entry in t["alpha"]:
             if not isinstance(entry, dict) or "mono" not in entry or "mult" not in entry:
                 raise ValueError(f"bad index entry {entry!r}")
             mono = entry["mono"]
             if not isinstance(mono, list) or len(mono) != m:
                 raise ValueError(f"bad monomial {mono!r}")
-            pairs.append((tuple(mono), entry["mult"]))
-        alpha = make_alpha(pairs)
-        if n is not INF and alpha_weight(alpha) > n:
-            raise ValueError(f"index of weight {alpha_weight(alpha)} cannot live in ambient n={n}")
-        k = _intern_alpha(alpha)
+            spelling.append((*mono, entry["mult"]))
+        spelling = tuple(spelling)
+        # True == 1 and 2.0 == 2: only an all-int spelling may find an entry
+        ints = _ints_only(map(type, chain.from_iterable(spelling)))
+        hit = spelled.get(spelling) if ints else None
+        if hit is None:
+            alpha = make_alpha([(e[:-1], e[-1]) for e in spelling])
+            hit = spelled[spelling] = _intern_alpha(alpha), alpha_weight(alpha)
+        k, w = hit
+        if n is not INF and w > n:
+            raise ValueError(f"index of weight {w} cannot live in ambient n={n}")
         out[k] = out.get(k, 0) + ring.parse_coeff(t["coeff"])
     return MsfElement._make(n, m, ring, ring.settle(out, 1))

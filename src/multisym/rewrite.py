@@ -49,7 +49,9 @@ ambient n, or with n None the monomial e's in symbols e_i(mu);
 _primitive_symbol_z(sym, n), one symbol's primitive form; and
 _evaluate_image_z, keyed by a symbol monomial's id, the orbit-sum
 expansion of a generator monomial in ambient n, an MsfElement keyed by
-index ids; id 0 maps to the unit.
+index ids; id 0 maps to the unit.  It multiplies the images of the ids
+of all factors but the last and of the last, which _halves interns once
+per id.
 The pair table (_id_products) holds ids only, no ring: row ka maps kb to
 the id of the product of their symbol monomials.  GenPoly.__mul__ and the
 peeling recursion's product by its pivot read it; a miss multiplies the
@@ -78,8 +80,8 @@ from math import prod
 from .coeffring import ZZ, Ring
 from .monomial import Mono, grlex_key, is_primitive, primitive_decompose
 from .msf import (_ALPHAS, _JSON, _TEXT, INF, MsfElement, _alpha_product_z, _check_slots,
-                  _intern_alpha, _packed_degree, _rows, _sorted_items, _split, _written,
-                  e_alpha)
+                  _intern_alpha, _key_field, _packed_degree, _rows, _sorted_items, _split,
+                  _written, e_alpha)
 from .polyring import BASE_WIDTH, Sparse, TermsView, _checked_int, signed_text
 
 __all__ = [
@@ -172,7 +174,7 @@ def _factor_render(factor) -> tuple:
     (i, nu), e = factor
     nus = ",".join(map(str, nu))
     deg = tuple([x * i * e for x in nu])
-    return (sum(nu), *nu, i, e, deg, _packed_degree(deg, BASE_WIDTH),
+    return (b"".join(map(_key_field, (sum(nu), *nu, i, e))), deg, _packed_degree(deg, BASE_WIDTH),
             f"E[{i};({nus})]" + (f"^{e}" if e > 1 else ""),
             '{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, nus))
 
@@ -302,7 +304,7 @@ def genpoly_texts(gs) -> list:
         raise ValueError("batched texts need one variable count")
     ids = set().union(*[g._d for g in gs])
     rows = _rows(ids, _TEXT_FORM)
-    place = dict(zip(sorted(ids, key=rows.__getitem__), count())).__getitem__
+    place = dict(zip(sorted(ids, key=rows[0].__getitem__), count())).__getitem__
     return [signed_text(zip(*_written(g._d, rows, g.ring.format_coeff, place))) for g in gs]
 
 
@@ -451,14 +453,22 @@ def rewrite(x: MsfElement) -> GenPoly:
 
 
 @cache
+def _halves(k: int) -> tuple:
+    """(id of all factors but the last, id of the last factor) of the
+    symbol monomial of id k, interned once per id."""
+    symmono = _SYMMONOS[k]
+    return _intern(symmono[:-1]), _intern(symmono[-1:])
+
+
+@cache
 def _evaluate_image_z(k: int, n, m: int) -> MsfElement:
     """prod e_i(nu)**e over the symbol monomial of id k, over Z in ambient n."""
     symmono = _SYMMONOS[k]
     if not symmono:
         return MsfElement.one(n, m, ZZ)
     if len(symmono) > 1:
-        return (_evaluate_image_z(_intern(symmono[:-1]), n, m)
-                * _evaluate_image_z(_intern(symmono[-1:]), n, m))
+        head, last = _halves(k)
+        return _evaluate_image_z(head, n, m) * _evaluate_image_z(last, n, m)
     ((i, nu), e), = symmono
     return e_alpha([(nu, i)], n, m, ZZ, truncating=True) ** e
 

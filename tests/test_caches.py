@@ -100,6 +100,8 @@ def test_clear_caches_empties_every_module_cache():
     assert msf._form_rows.cache_info().currsize > 0
     assert rewrite_mod._id_products.cache_info().currsize > 0
     assert rewrite_mod._id_products()
+    assert msf.element_from_json(msf.element_to_json(x)) == x
+    assert msf._spelled_ids()
     multisym.clear_caches()
     caches = [obj for name, mod in sys.modules.items()
               if name.startswith("multisym.")
@@ -108,8 +110,10 @@ def test_clear_caches_empties_every_module_cache():
     assert {"_alpha_product_z", "_margin_tables", "_reduce_alpha", "_expand_alpha",
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_evaluate_image_z", "_expansion_z", "_pair_render", "_factor_render",
-            "_form_rows", "_monomials_cached", "_orbit_reps_cached", "_id_products"} <= names
+            "_form_rows", "_monomials_cached", "_orbit_reps_cached", "_id_products",
+            "_spelled_ids", "_halves"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
+    assert not msf._spelled_ids()
 
 
 def test_rows_written_over_z_write_q_and_zmod_p_as_a_fresh_process():
@@ -142,12 +146,12 @@ def test_rows_written_over_z_write_q_and_zmod_p_as_a_fresh_process():
     assert here == fresh
     kinds = set()
     stack = [msf._form_rows(form) for form in FORMS]
-    assert all(len(rows) > 1 for rows in stack)
+    assert all(len(keys) > 1 and keys.keys() == frags.keys() for keys, frags in stack)
     while stack:
         obj = stack.pop()
         kinds.add(type(obj))
         stack.extend(obj.values() if isinstance(obj, dict) else obj if isinstance(obj, tuple) else ())
-    assert kinds == {dict, tuple, int, str}
+    assert kinds == {dict, tuple, bytes, str}
 
 
 def test_relations_bytes_survive_clear_caches():

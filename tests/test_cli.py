@@ -156,6 +156,8 @@ def test_malformed_element_files_exit_3(tmp_path, capsys, breakage, command):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # the loader keeps no refused spelling: a second load is refused alike
+    assert run(capsys, argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("content", [

@@ -242,3 +242,63 @@ def test_fields_that_would_carry_keep_the_nested_order(ring):
     want = ref_genpoly_writes(g, None)
     for got in three_writes(lambda: (g.sorted_terms(), g.text(), genpoly_json_text(g))):
         assert got == want
+
+
+# ---- the bytes sort key: fields of several bytes and long length prefixes --
+
+LONG = 1 << 2100  # a 263-byte field: its length takes a prefix of its own
+FIELD_VALUES = [0, 1, 127, 128, 255, 256, 300, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, BIG,
+                (1 << 2024) - 1, 1 << 2024, (1 << 2032) - 1, 1 << 2032, (1 << 2040) - 1,
+                1 << 2040, LONG, LONG + 1, 1 << 2048 * 8]
+
+
+def test_key_fields_sort_as_integers_and_are_prefix_free():
+    from multisym.msf import _key_field
+
+    fields = [*map(_key_field, FIELD_VALUES)]
+    assert sorted(fields) == fields
+    assert len({*fields}) == len(fields)
+    assert not any(a != b and b.startswith(a) for a in fields for b in fields)
+    rng = random.Random("key-fields")
+    tuples = [tuple(rng.choice(FIELD_VALUES) for _ in range(rng.randint(0, 4)))
+              for _ in range(400)]
+    joined = {t: b"".join(map(_key_field, t)) for t in tuples}
+    assert sorted(tuples) == sorted(tuples, key=joined.__getitem__)
+
+
+@pytest.mark.parametrize("ring", WRITE_RINGS)
+def test_multibyte_fields_prefixes_and_mixed_widths_keep_the_nested_order(ring):
+    """Exponents of 256 and more, multiplicities of 2^16 and more and of
+    263 bytes, indices that are strict prefixes of others, and narrow and
+    wide multidegrees in one element; equal multidegrees are told apart
+    by those fields."""
+    c = [ring.embed(k) for k in (1, -1, 2, 3, -4)]
+    y1, y2, big1 = (1, 0), (0, 1), (256, 0)
+    supports = [
+        [(y2, 1)], [(y2, 1), (y1, 1)], [(y2, 1), (y1, 1), ((1, 1), 1)],
+        [(y1, 2)], [((2, 0), 1)], [(y1, 256)], [((128, 0), 2)], [(big1, 1)],
+        [(y1, 1 << 16)], [(y1, (1 << 16) + 2)], [(y1, 1 << 16), ((2, 0), 1)],
+        [((257, 1), 1)], [((1, 257), 1)], [(y2, 65536), ((300, 2), 65535)],
+        [(y1, 2 * LONG + 2)], [(y1, 2 * LONG), ((2, 0), 1)], [(y1, LONG)],
+        [(y1, (1 << 2032) - 1)], [(y1, 1 << 2032)], []]
+    x = MsfElement(INF, 2, ring, {make_alpha(s): c[k % 5] for k, s in enumerate(supports)})
+    want = ref_element_writes(x)
+    for got in three_writes(lambda: (x.sorted_terms(), x.text(), element_json_text(x))):
+        assert got == want
+    factors = [((1, y2), 1), ((1, y1), 1), ((2, y1), 1), ((1, y1), 2), ((256, y1), 1),
+               ((1, big1), 1), ((1, y1), 1 << 16), ((1, y1), (1 << 16) + 2),
+               ((2, y1), 1 << 15), ((1, y1), 2 * LONG), ((2, y1), LONG), ((1, (1, 257)), 1)]
+    rng = random.Random(f"multibyte:{ring.to_string()}")
+    symmonos = {()}
+    for _ in range(60):
+        picked = rng.sample(factors, rng.randint(1, 3))
+        if len({sym for sym, _ in picked}) < len(picked):
+            continue
+        s = tuple(sorted(picked, key=lambda t: (sum(t[0][1]), t[0][1], t[0][0])))
+        symmonos.update(s[:j] for j in range(1, len(s) + 1))
+    g = GenPoly(2, ring, {s: c[k % 5] for k, s in enumerate(sorted(symmonos, key=repr))})
+    assert len(g.terms) > 30
+    want = ref_genpoly_writes(g, None)
+    for got in three_writes(lambda: (g.sorted_terms(), g.text(), genpoly_json_text(g))):
+        assert got == want
+    assert three_writes(lambda: genpoly_texts([g, g * g.one(2, ring)])) == [[want[1]] * 2] * 3
