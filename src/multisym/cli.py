@@ -23,13 +23,14 @@ from functools import cache
 from math import comb, factorial, perm
 
 from .coeffring import ZZ, Ring
-from .monomial import monomials_of_total_degree
+from .monomial import monomials_of_total_degree, multidegrees_upto
 from .msf import (INF, AmbientMismatch, MsfElement, _basis_symbol, _split,
                   alpha_multidegree, basis_alphas, element_from_json, element_json_text)
 from .polyring import NPoly, key_width, npoly_text, pack_key
-from .rewrite import GenPoly, evaluate, genpoly_json_text, genpoly_texts, rewrite
-from .relations import multidegrees_upto, relations_of, verify_relation
-from . import oracle
+# registered by the package, each run on first attribute access (see
+# multisym/__init__.py); the package attribute rewrite is the function
+from . import linalg, oracle, relations as rel
+rw = sys.modules["multisym.rewrite"]
 
 __all__ = ["main", "run"]
 
@@ -150,19 +151,26 @@ def _capped_prod(factors, cap: int) -> int:
     return out
 
 
+@cache
+def _table_words(avec: tuple, bvec: tuple, cap: int) -> int:
+    """The margin-table words (see PRODUCT_MAX_TABLE_WORDS) of multiplying
+    indices of multiplicity vectors avec and bvec; over cap once they pass it."""
+    k, h = len(avec), len(bvec)
+    total = sum(avec) + sum(bvec)
+    bits = (total - max(avec + bvec, default=0)) * total.bit_length()
+    tables = min(_capped_prod((min(a, b) + 1 for a in avec for b in bvec), cap),
+                 _capped_prod((comb(a + h, h) for a in avec), cap),
+                 _capped_prod((comb(b + k, k) for b in bvec), cap))
+    return tables * (1 + bits // 64)
+
+
 def _check_product_size(x: MsfElement, y: MsfElement) -> None:
     """Refuse x * y when its margin tables would exceed PRODUCT_MAX_TABLE_WORDS."""
     cap = PRODUCT_MAX_TABLE_WORDS
     work = 0
     for avec in {_split(k)[1] for k in x._d}:
         for bvec in {_split(k)[1] for k in y._d}:
-            k, h = len(avec), len(bvec)
-            total = sum(avec) + sum(bvec)
-            bits = (total - max(avec + bvec, default=0)) * total.bit_length()
-            tables = min(_capped_prod((min(a, b) + 1 for a in avec for b in bvec), cap),
-                         _capped_prod((comb(a + h, h) for a in avec), cap),
-                         _capped_prod((comb(b + k, k) for b in bvec), cap))
-            work += tables * (1 + bits // 64)
+            work += _table_words(avec, bvec, cap)
             if work > cap:
                 raise _CliError(EXIT_PARSE, f"multiplying needs over {cap} words of margin tables")
 
@@ -222,29 +230,37 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+@cache
+def _top_component(k: int) -> int:
+    """The largest multidegree component of the index of id k."""
+    monos, mults, _ = _split(k)
+    return max(map(sum, zip(*[[e * mult for e in mu] for mu, mult in zip(monos, mults)])),
+               default=0)
+
+
 def _cmd_rewrite(args) -> int:
     x = _load_element(args.x)
-    top = max((max(alpha_multidegree(a, x.m)) for a in x.terms), default=0)
+    top = max(map(_top_component, x._d), default=0)
     if top > REWRITE_MAX_PLETHYSM:
         raise _CliError(EXIT_PARSE, f"rewrite is limited to plethysm degree {REWRITE_MAX_PLETHYSM},"
                         f" and an index has a multidegree component of {top}")
     if args.check and x.n is not INF:
         _check_expansion_size(x)
-    g = rewrite(x)
+    g = rw.rewrite(x)
     check = None
     if args.check:
-        back = evaluate(g, x.n)
+        back = rw.evaluate(g, x.n)
         if x.n is INF:
             ok = back == x
         else:
             ok = back.expand() == x.expand()
         check = "PASS" if ok else "FAIL"
     if args.text:
-        sys.stdout.write(_render(GenPoly.text, g) + "\n")
+        sys.stdout.write(_render(rw.GenPoly.text, g) + "\n")
         if check:
             sys.stdout.write(f"check: {check}\n")
     else:
-        _print_json(g, lambda g: genpoly_json_text(g, check))
+        _print_json(g, lambda g: rw.genpoly_json_text(g, check))
     if check == "FAIL":
         return EXIT_CHECK
     return EXIT_OK
@@ -257,17 +273,17 @@ def _cmd_relations(args) -> int:
     max_a = _parse_degrees(args.max_degree, m)
     entries = []
     for a in multidegrees_upto(max_a):
-        items = relations_of(n, m, a, ring)
+        items = rel.relations_of(n, m, a, ring)
         if not items:
             continue
         gs = [g for _, g in items]
         entries.append({
             "multidegree": list(a),
             "count": len(items),
-            "verified": all([verify_relation(g, n) for g in gs]),  # every relation checked
+            "verified": all([rel.verify_relation(g, n) for g in gs]),  # every relation checked
             "relations": [{"alpha": [{"mono": list(mu), "mult": mult} for mu, mult in alpha],
                            "genpoly": text}
-                          for (alpha, _), text in zip(items, genpoly_texts(gs))],
+                          for (alpha, _), text in zip(items, rw.genpoly_texts(gs))],
         })
     all_ok = all(e["verified"] for e in entries)
     _print_json({
@@ -309,10 +325,6 @@ def _basis_upto(n: int, m: int, deg: int) -> list:
 
 
 def _verify_basis_rank(n, m, deg, ring):
-    # over Z and Q the rank is linalg.rank_over_q; Z/p ranks in the ring itself.
-    # Only verify ranks, so the other commands never import linalg.
-    from .linalg import rank_of, rank_over_q
-
     checked = failures = 0
     for a in _multidegrees_total_upto(m, deg):
         alphas = basis_alphas(n, m, a)
@@ -327,7 +339,9 @@ def _verify_basis_rank(n, m, deg, ring):
         rows = [{cols[k]: c for k, c in
                  _basis_symbol(alpha, n, m, ZZ).expand()._keys_at(w).items()}
                 for alpha in alphas]
-        rank = rank_over_q(rows, len(cols)) if ring.p is None else rank_of(rows, len(cols), ring)
+        # over Z and Q the rank is linalg.rank_over_q; Z/p ranks in the ring itself
+        rank = (linalg.rank_over_q(rows, len(cols)) if ring.p is None
+                else linalg.rank_of(rows, len(cols), ring))
         if rank < len(rows):
             failures += 1
     return checked, failures
@@ -356,12 +370,12 @@ def _verify_homomorphism(n, m, deg, ring, pairs=40):
 
 def _verify_round_trip(n, m, deg, ring):
     xs = [_basis_symbol(alpha, n, m, ring) for alpha in _basis_upto(n, m, deg)]
-    return len(xs), sum([evaluate(rewrite(x), n) != x for x in xs])
+    return len(xs), sum([rw.evaluate(rw.rewrite(x), n) != x for x in xs])
 
 
 def _verify_relations(n, m, deg, ring):
-    gs = [g for a in _multidegrees_total_upto(m, deg) for _, g in relations_of(n, m, a, ring)]
-    return len(gs), sum([g.is_zero or not verify_relation(g, n) for g in gs])
+    gs = [g for a in _multidegrees_total_upto(m, deg) for _, g in rel.relations_of(n, m, a, ring)]
+    return len(gs), sum([g.is_zero or not rel.verify_relation(g, n) for g in gs])
 
 
 def _cmd_verify(args) -> int:

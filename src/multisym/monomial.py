@@ -30,6 +30,7 @@ __all__ = [
     "compositions",
     "monomials_of_total_degree",
     "monomials_up_to",
+    "multidegrees_upto",
     "deg_leq",
 ]
 
@@ -118,6 +119,11 @@ def monomials_up_to(m: int, bound: Mono) -> list[Mono]:
     out = [mu for mu in _cartesian(*(range(b + 1) for b in bound)) if any(mu)]
     out.sort(key=grlex_key)
     return out
+
+
+def multidegrees_upto(max_a: Mono) -> list:
+    """Componentwise bounded multidegrees, ordered by total then entries."""
+    return [(0,) * len(max_a)] + monomials_up_to(len(max_a), max_a)
 
 
 def deg_leq(a: Mono, b: Mono) -> bool:

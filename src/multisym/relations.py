@@ -46,7 +46,7 @@ from itertools import repeat
 from operator import mul
 
 from .coeffring import ZZ, Ring
-from .monomial import Mono, monomials_up_to
+from .monomial import Mono, multidegrees_upto
 from .msf import INF, _basis_symbol, alpha_weight, alphas_of_multidegree, e_alpha
 from .polyring import NPoly, _checked_int, _repack, key_width
 from .rewrite import GenPoly, evaluate, rewrite
@@ -66,11 +66,6 @@ def kernel_basis(n: int, m: int, a: Mono) -> list:
     _checked_int(n, "slot count", 1)
     alphas = alphas_of_multidegree(m, a)
     return alphas[bisect_right(alphas, n, key=alpha_weight):]
-
-
-def multidegrees_upto(max_a: Mono) -> list:
-    """Componentwise bounded multidegrees, ordered by total then entries."""
-    return [(0,) * len(max_a)] + monomials_up_to(len(max_a), max_a)
 
 
 def relations_of(n: int, m: int, a: Mono, ring: Ring) -> list:

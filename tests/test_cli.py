@@ -228,12 +228,13 @@ PLETHYSM = "limited to plethysm degree 16"
     (["rewrite"], "inf", [[((3000,), 1)]], PLETHYSM),
     (["rewrite", "--check", "--text"], "inf", [[((3000,), 1)]], PLETHYSM),
     (["rewrite"], "inf", [[((17,), 1)]], PLETHYSM),
+    (["rewrite"], "inf", [[((2,), 9)]], PLETHYSM),  # the multiplicity counts
     (["rewrite"], 3, [[((1,), 1)], [((1,), 2), ((2,), 1)], [((9,), 1), ((10,), 1)]], PLETHYSM),
 ], ids=["e(y1)-n=2^70", "text", "check", "constant", "weight-n", "e(y1^3000)",
-        "e(y1^3000)-check", "e(y1^17)", "peeling-reaches-19"])
+        "e(y1^3000)-check", "e(y1^17)", "e(y1^2:9)", "peeling-reaches-19"])
 def test_over_budget_requests_exit_3_before_computing(tmp_path, capsys, monkeypatch,
                                                      argv, n, pairs_by_term, message):
-    monkeypatch.setattr(cli, "rewrite", _not_started)
+    monkeypatch.setattr(cli.rw, "rewrite", _not_started)
     monkeypatch.setattr(MsfElement, "expand", _not_started)
     x = _element(tmp_path, n, 1, pairs_by_term)
     start = time.perf_counter()

@@ -9,7 +9,9 @@ by the symbol monomials themselves.  The front end, route 2 and the
 oracle never name msf's table of index ids either; they build basis
 symbols through msf._basis_symbol.  The command line front end never
 imports the reference module, so no CLI process compiles it.  Read from
-the source, so a lazy import inside a function counts too.
+the source, so a lazy import inside a function counts too, and so do the
+package's registrations of modules that run on first use (_lazy("name"))
+and a lookup of one in sys.modules.
 """
 
 import ast
@@ -44,6 +46,13 @@ def package_imports(module: str) -> set:
         elif isinstance(node, ast.Import):
             names.update(alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("multisym."))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_lazy"):  # a registration in __init__
+            names.add(node.args[0].value)
+        elif (isinstance(node, ast.Subscript) and ast.unparse(node.value) == "sys.modules"
+              and isinstance(node.slice, ast.Constant)
+              and node.slice.value.startswith("multisym.")):
+            names.add(node.slice.value.split(".")[1])
     return names
 
 
@@ -129,7 +138,10 @@ def test_cli_path_never_imports_reference():
             todo.extend(package_imports(module))
     assert reached == {"cli", "coeffring", "monomial", "msf", "polyring", "rewrite",
                        "relations", "linalg", "oracle"}
-    assert "reference" in package_imports("__init__")  # the walk sees a lazy import
+    # cli takes rewrite from sys.modules, as the package attribute is the function
+    assert {"rewrite", "relations", "linalg", "oracle"} <= package_imports("cli")
+    # the walk sees a lazy import and each registration
+    assert {"reference", "rewrite", "relations", "linalg", "oracle"} <= package_imports("__init__")
 
 
 def test_no_package_attribute_shadows_a_submodule():

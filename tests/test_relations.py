@@ -1,9 +1,11 @@
 """The kernel of the map onto n slots: explicit relations and coverage."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import degrees_upto
-from multisym import linalg
+from multisym import clear_caches, linalg
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, alpha_weight, alphas_of_multidegree, e_alpha
 from multisym.polyring import NPoly
@@ -93,6 +95,36 @@ def test_relations_change_base():
                                            if c % ring.p}
             count += len(over_z)
     assert count == 560
+
+
+@st.composite
+def shapes(draw):
+    """(n, m, box) with n, m <= 3 and a box of at most 27 multidegrees."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    box = draw(st.lists(st.integers(0, (10, 4, 2)[m - 1]), min_size=m, max_size=m))
+    return n, m, tuple(box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes(), st.sampled_from([QQ, F2, Zmod(3), Zmod(7)]), st.booleans())
+def test_relations_change_base_over_drawn_shapes(shape, ring, ring_first):
+    """test_relations_change_base over drawn shapes; when ring_first, the
+    ring's relations come from empty caches, before the Z ones."""
+    n, m, box = shape
+    degrees = multidegrees_upto(box)
+    if ring_first:
+        clear_caches()
+    got = [relations_of(n, m, a, ring) for a in degrees]
+    over_z = [relations_of(n, m, a, ZZ) for a in degrees]
+    for items, items_z in zip(got, over_z):
+        assert [al for al, _ in items] == [al for al, _ in items_z]
+        for (_, g), (_, gz) in zip(items, items_z):
+            assert g.ring == ring
+            if ring == QQ:
+                assert g.terms == gz.terms
+            else:
+                assert not g.is_zero
+                assert g.terms == {s: c % ring.p for s, c in gz.terms.items() if c % ring.p}
 
 
 def test_relations_vanish_small():
