@@ -30,6 +30,7 @@ __all__ = ["Ring", "ZZ", "QQ", "Zmod", "is_prime", "PRIME_BOUND"]
 # Canonical coefficient strings: ASCII digits, an optional sign, and for the
 # rationals an optional denominator; no spaces or underscores.
 _COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_MODULUS_RE = re.compile(r"[0-9]+")  # the p of "Zmod:<p>": ASCII digits, no sign
 
 # Deterministic Miller-Rabin witnesses: the primes up to 41 decide
 # primality exactly below PRIME_BOUND, the least odd composite that is a
@@ -122,10 +123,13 @@ class Ring:
         if s == "Q":
             return QQ
         if s.startswith("Zmod:"):
+            digits = s[len("Zmod:"):]
             try:
-                p = int(s[len("Zmod:"):])
-            except ValueError:
-                raise ValueError(f"bad modulus in ring string {s!r}") from None
+                p = int(digits) if _MODULUS_RE.fullmatch(digits) else None
+            except ValueError:  # over the interpreter's digit limit
+                p = None
+            if p is None:
+                raise ValueError(f"bad modulus in ring string {s!r}")
             return Ring("Zp", p)
         raise ValueError(f"unknown ring string {s!r} (expected Z, Q or Zmod:<p>)")
 

@@ -532,19 +532,17 @@ def _expand_alpha(k: int, n: int, m: int, w: int) -> tuple:
                   for placed in map(sum, combinations(map(here.__getitem__, avail), mult))])
 
 
-def e_alpha(support, n, m: int, ring: Ring, truncating: bool = False) -> "MsfElement":
+def e_alpha(support, n, m: int, ring: Ring) -> "MsfElement":
     """The basis symbol with multiplicity map given by support pairs.
 
-    In finite ambient a weight above n either raises WeightExceedsAmbient or,
-    with truncating=True, gives the zero element.
+    In finite ambient a weight above n raises WeightExceedsAmbient: the
+    symbol vanishes there, and a caller that wants its zero tests the weight.
     """
     alpha = make_alpha(support)
     for mu, _ in alpha:
         if len(mu) != m:
             raise ValueError(f"support monomial {mu} not in {m} variables")
     if n is not INF and alpha_weight(alpha) > n:
-        if truncating:
-            return MsfElement.zero(n, m, ring)
         raise WeightExceedsAmbient(
             f"weight {alpha_weight(alpha)} symbol vanishes for n={n}")
     return _basis_symbol(alpha, n, m, ring)

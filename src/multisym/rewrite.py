@@ -50,20 +50,21 @@ _primitive_symbol_z(sym, n), one symbol's primitive form; and
 _evaluate_image_z, keyed by a symbol monomial's id, the orbit-sum
 expansion of a generator monomial in ambient n, an MsfElement keyed by
 index ids; id 0 maps to the unit.  It multiplies the images of the ids
-of all factors but the last and of the last, which _halves interns once
-per id.
-The pair table (_id_products) holds ids only, no ring: row ka maps kb to
-the id of the product of their symbol monomials.  GenPoly.__mul__ and the
-peeling recursion's product by its pivot read it; a miss multiplies the
-monomials (_symmono_mul) and interns the product, so ids are still given
-in the order the products are first met.
+of all factors but the last and of the last.
+The pair table (_id_products) holds ids only, no ring: a plain dict whose
+plain-dict row ka maps kb to the id of the product of their symbol
+monomials.  _products, the one product of id-keyed dicts, is its only
+reader, behind GenPoly.__mul__ and the peeling recursion's product by its
+pivot; a miss multiplies the monomials (_symmono_mul) and interns the
+product, so ids are still given in the order the products are first met.
 rewrite thus adds into dicts keyed by ints, and no symbol monomial is
-decoded on the way.  clear_caches keeps the table, so an id in any cache
-still names the monomial it was computed for.  The ring enters last, in
-_accumulate, shared by rewrite, reduce_to_monomial_es, primitive_reduce
-and evaluate: it lifts the coefficients to integer numerators over one
-denominator (Ring.lift), adds numerator times image into one dict of
-ints, and settles each sum into the ring once (Ring.settle).
+decoded on the way.  clear_caches empties the pair table but keeps the
+intern table, so an id in any cache still names the monomial it was
+computed for.  The ring enters last, in _accumulate, shared by rewrite,
+reduce_to_monomial_es, primitive_reduce and evaluate: it lifts the
+coefficients to integer numerators over one denominator (Ring.lift), adds
+numerator times image into one dict of ints, and settles each sum into
+the ring once (Ring.settle).
 
 evaluate is route 1 of relations.verify_relation: a relation vanishes
 there when evaluate(g, n).is_zero.  Route 2 (relations.genpoly_expand)
@@ -118,34 +119,30 @@ def _decoded(d: dict) -> dict:
     return dict(zip(map(_SYMMONOS.__getitem__, d), d.values()))
 
 
-class _ProductRow(dict):
-    """One row of the pair table: kb -> id of the product of ka's symbol
-    monomial and kb's, filled on first use of each pair."""
-
-    __slots__ = ("ka",)
-
-    def __init__(self, ka: int):
-        self.ka = ka
-
-    def __missing__(self, kb: int) -> int:
-        k = self[kb] = _intern(_symmono_mul(_SYMMONOS[self.ka], _SYMMONOS[kb]))
-        return k
-
-
-class _ProductTable(dict):
-    """The pair table: ka -> its _ProductRow (module docstring)."""
-
-    __slots__ = ()
-
-    def __missing__(self, ka: int) -> _ProductRow:
-        row = self[ka] = _ProductRow(ka)
-        return row
-
-
 @cache
-def _id_products() -> _ProductTable:
+def _id_products() -> dict:
     """The pair table of products of symbol-monomial ids; ids only."""
-    return _ProductTable()
+    return {}
+
+
+def _products(xd: dict, yd: dict) -> dict:
+    """The sums of c * c' over the product ids of all pairs of terms of two
+    id-keyed dicts, zero sums kept; a pair met first fills its entry of the
+    pair table (module docstring)."""
+    out: dict = {}
+    get = out.get
+    inner = list(yd.items())
+    table = _id_products()
+    for ka, ca in xd.items():
+        row = table.get(ka)
+        if row is None:
+            row = table[ka] = {}
+        for kb, cb in inner:
+            k = row.get(kb)
+            if k is None:
+                k = row[kb] = _intern(_symmono_mul(_SYMMONOS[ka], _SYMMONOS[kb]))
+            out[k] = get(k, 0) + ca * cb
+    return out
 
 
 def _symbol_key(sym):
@@ -256,16 +253,7 @@ class GenPoly(Sparse):
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         self._compat(other)
-        out = {}
-        get = out.get
-        inner = list(other._d.items())
-        table = _id_products()
-        for ka, ca in self._d.items():
-            row = table[ka]
-            for kb, cb in inner:
-                k = row[kb]
-                out[k] = get(k, 0) + ca * cb
-        return self._like(self.ring.settle(out, 1))
+        return self._like(self.ring.settle(_products(self._d, other._d), 1))
 
     def symbols(self):
         out = set()
@@ -362,18 +350,11 @@ def _reduce_alpha(ka: int, n) -> dict:
     if not alpha:
         return {0: 1}
     mu_p, a_p = alpha[-1]  # largest support monomial
-    pivot = _primitive_symbol_z((a_p, mu_p), n)._d.items()
+    pivot = _primitive_symbol_z((a_p, mu_p), n)._d
     if len(alpha) == 1:
         return dict(pivot)
     rest = _intern_alpha(alpha[:-1])
-
-    acc: dict[int, int] = {}
-    table = _id_products()
-    for k, c in _reduce_alpha(rest, n).items():
-        row = table[k]
-        for kp, cp in pivot:
-            key = row[kp]
-            acc[key] = acc.get(key, 0) + c * cp
+    acc = _products(_reduce_alpha(rest, n), pivot)
     weight = _split(ka)[2]
     once = 0
     for kg, mult in _alpha_product_z(_intern_alpha(alpha[-1:]), rest, None):
@@ -453,24 +434,18 @@ def rewrite(x: MsfElement) -> GenPoly:
 
 
 @cache
-def _halves(k: int) -> tuple:
-    """(id of all factors but the last, id of the last factor) of the
-    symbol monomial of id k, interned once per id."""
-    symmono = _SYMMONOS[k]
-    return _intern(symmono[:-1]), _intern(symmono[-1:])
-
-
-@cache
 def _evaluate_image_z(k: int, n, m: int) -> MsfElement:
     """prod e_i(nu)**e over the symbol monomial of id k, over Z in ambient n."""
     symmono = _SYMMONOS[k]
     if not symmono:
         return MsfElement.one(n, m, ZZ)
     if len(symmono) > 1:
-        head, last = _halves(k)
-        return _evaluate_image_z(head, n, m) * _evaluate_image_z(last, n, m)
+        return (_evaluate_image_z(_intern(symmono[:-1]), n, m)
+                * _evaluate_image_z(_intern(symmono[-1:]), n, m))
     ((i, nu), e), = symmono
-    return e_alpha([(nu, i)], n, m, ZZ, truncating=True) ** e
+    if n is not INF and i > n:  # e_i(nu) vanishes
+        return MsfElement.zero(n, m, ZZ)
+    return e_alpha([(nu, i)], n, m, ZZ) ** e
 
 
 def evaluate(g: GenPoly, n) -> MsfElement:

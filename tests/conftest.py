@@ -17,6 +17,10 @@ from multisym.monomial import mono_pow, monomials_up_to
 from multisym.msf import INF, MsfElement, alpha_weight, alphas_of_multidegree, mono_text
 from multisym.polyring import BASE_WIDTH, key_width
 from multisym.rewrite import GenPoly, newton_p
+# run every lazily loaded module now, so none first runs while a test patches a name it imports
+from multisym.linalg import RankTracker
+from multisym.oracle import orbit_sum
+from multisym.relations import genpoly_expand
 
 
 def seeded(tag: str) -> random.Random:

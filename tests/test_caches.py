@@ -111,7 +111,7 @@ def test_clear_caches_empties_every_module_cache():
             "_alphas_cached", "newton_p", "plethysm_P", "_primitive_symbol_z",
             "_evaluate_image_z", "_expansion_z", "_pair_render", "_factor_render",
             "_form_rows", "_monomials_cached", "_orbit_reps_cached", "_id_products",
-            "_spelled_ids", "_halves", "_table_words", "_top_component"} <= names
+            "_spelled_ids", "_table_words", "_top_component"} <= names
     assert all(c.cache_info().currsize == 0 for c in caches)
     assert not msf._spelled_ids()
 

@@ -143,6 +143,10 @@ def test_modulus_beyond_the_primality_bound_exits_3(tmp_path, capsys, argv):
     lambda d: d["terms"][0].update(coeff="1\n"),
     lambda d: d["terms"][0].update(coeff="\u0661"),  # ARABIC-INDIC DIGIT ONE
     lambda d: d["terms"][0].update(coeff="\uff17"),  # FULLWIDTH DIGIT SEVEN
+    lambda d: d.update(ring="Zmod: 7"),
+    lambda d: d.update(ring="Zmod:+7"),
+    lambda d: d.update(ring="Zmod:\u0667"),  # ARABIC-INDIC DIGIT SEVEN
+    lambda d: d.update(ring="Zmod:1_000_003"),
 ])
 @pytest.mark.parametrize("command", ["expand", "product"])
 def test_malformed_element_files_exit_3(tmp_path, capsys, breakage, command):

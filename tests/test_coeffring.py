@@ -21,7 +21,8 @@ def test_string_round_trip():
 
 
 def test_from_string_rejects_junk():
-    for s in ["z", "GF2", "Zmod:4", "Zmod:1", "Zmod:-7", "Zmod:x", ""]:
+    for s in ["z", "GF2", "Zmod:4", "Zmod:1", "Zmod:-7", "Zmod:x", "",
+              "Zmod: 7", "Zmod:+7", "Zmod:\u0667", "Zmod:1_000_003"]:  # U+0667 ARABIC-INDIC SEVEN
         with pytest.raises(ValueError):
             Ring.from_string(s)
 

@@ -67,8 +67,7 @@ def test_module_does_not_import(module, forbidden):
 
 
 # the intern table of rewrite, its pair table of products, and what reads them
-TABLE_NAMES = {"_SYMMONOS", "_IDS", "_intern", "_decoded", "_id_products", "_ProductTable",
-               "_ProductRow"}
+TABLE_NAMES = {"_SYMMONOS", "_IDS", "_intern", "_decoded", "_id_products", "_products"}
 
 
 def source_names(module: str) -> set:

@@ -43,7 +43,10 @@ def naive_evaluate(g: GenPoly, n) -> MsfElement:
         for (i, nu), e in symmono:
             if term.is_zero:
                 break
-            term = term * (e_alpha([(nu, i)], n, m, R, truncating=True) ** e)
+            if n is not INF and i > n:  # e_i(nu) vanishes
+                term = MsfElement.zero(n, m, R)
+            else:
+                term = term * (e_alpha([(nu, i)], n, m, R) ** e)
         total = total + term.scale(c)
     return total
 
