@@ -17,9 +17,12 @@ process without usable bytecode pays on every start; with the bytecode
 cached it is nil.  The package attributes relations, oracle and linalg
 are those modules; multisym.rewrite is the function, as every other
 exported name of rewrite and relations, served on first use.  The
-reference routines and library conveniences that no command reaches live
-in multisym.reference, which is not registered: it loads on first use of
-one of its names.
+paper's results as library functions (ek_of_f, char_zero_ideal_gens,
+coverage_rank, ...) and the parsers, which no command reaches, live in
+multisym.reference, which is not registered: it loads on first use of
+one of its names.  The classical e-basis elimination, the S_n slot
+helpers and the merge rule written out on its own are references the
+tests compare against, and live with the tests.
 """
 
 import sys
@@ -64,12 +67,12 @@ _DEFERRED = {
 __all__ = [
     "Ring", "ZZ", "QQ", "Zmod",
     "mono_mul", "mono_cmp", "grlex_key", "primitive_decompose",
-    "NPoly", "subst_slot", "sn_act", "npoly_text", "parse_npoly",
+    "NPoly", "npoly_text", "parse_npoly",
     "INF", "MsfElement", "AmbientMismatch", "WeightExceedsAmbient",
-    "make_alpha", "e_alpha", "product", "expand", "truncate", "merge_repeats",
+    "make_alpha", "e_alpha", "product", "expand", "truncate",
     "ek_of_f", "alphas_of_multidegree", "basis_alphas",
     "element_to_json", "element_from_json",
-    "newton_p", "plethysm_P", "to_e_basis",
+    "newton_p", "plethysm_P",
     "GenPoly", "reduce_to_monomial_es", "primitive_reduce", "rewrite", "evaluate",
     "free_monomial_count",
     "kernel_basis", "relation_polys", "verify_relation", "genpoly_expand",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from functools import cache
 from math import comb, factorial, perm
@@ -189,10 +190,26 @@ def _check_ambient(n: int, m: int, deg: int | None = None) -> None:
                         else "need n >= 1, m >= 1 and a nonnegative degree")
 
 
+# an integer flag, or one entry of a degree list: ASCII digits with an
+# optional minus sign, as coefficients and the Zmod: modulus are spelled
+_FLAG_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _flag_int(s: str) -> int:
+    """The argparse type of the integer flags; int() alone would also take
+    underscores, surrounding spaces, a plus sign and non-ASCII digits."""
+    if _FLAG_INT_RE.fullmatch(s):
+        try:
+            return int(s)
+        except ValueError:  # over the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {s!r}")
+
+
 def _parse_degrees(s: str, m: int) -> tuple:
     try:
-        parts = tuple(int(t) for t in s.split(","))
-    except ValueError:
+        parts = tuple(_flag_int(t) for t in s.split(","))
+    except argparse.ArgumentTypeError:
         raise _CliError(EXIT_PARSE, f"bad degree list {s!r}")
     if len(parts) != m or any(d < 0 for d in parts):
         raise _CliError(EXIT_PARSE, f"need {m} nonnegative degrees, got {s!r}")
@@ -446,22 +463,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rewrite)
 
     p = sub.add_parser("relations", help="defining relations up to a multidegree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--m", type=_flag_int, required=True)
     p.add_argument("--max-degree", required=True, help="d1,...,dm")
     p.add_argument("--ring", default="Z")
     p.set_defaults(fn=_cmd_relations)
 
     p = sub.add_parser("basis", help="basis indices up to a multidegree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--m", type=_flag_int, required=True)
     p.add_argument("--max-degree", required=True, help="d1,...,dm")
     p.set_defaults(fn=_cmd_basis)
 
     p = sub.add_parser("verify", help="run the differential property suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-total-degree", type=int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--m", type=_flag_int, required=True)
+    p.add_argument("--max-total-degree", type=_flag_int, required=True)
     p.add_argument("--ring", default="Z")
     p.set_defaults(fn=_cmd_verify)
 

@@ -20,7 +20,8 @@ slot-major layout, x_i(j) living at flat index (j-1)*m + (i-1).
 Slot-major makes the slot permutation action a block permutation of the
 key.  Two shapes stand for the classical rings: ``NPoly(1, m)`` is
 R[y_1,...,y_m], one slot of m variables, and ``NPoly(N, 1)`` holds the
-polynomials in N variables that S_N permutes by ``reference.sn_act``.
+polynomials in N variables, its N slots of one variable each, which S_N
+permutes.
 
 Internally an NPoly stores each monomial as one packed integer: the
 variable at flat index k owns a bit field of fixed width w starting at bit

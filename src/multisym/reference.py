@@ -1,19 +1,18 @@
-"""Reference routines and library conveniences that no command reaches.
+"""The paper's results as library functions, and the parsers; no command
+reaches them.
 
 No `multisym` subcommand calls anything here, and no module the command
 line front end imports imports this one, so a CLI process never compiles
 it; the package serves its public names on first use (the PEP 562
 `__getattr__` in `multisym`).  Over the rationals the single symbol
-family e_{n+1}(f) generates the relation ideal, and char_zero_ideal_gens
-writes those generators in the free e_1 alphabet.  The classical
-symmetric functions in one alphabet, a polynomial in e_1, e_2, ... being
-a GenPoly(1, R) in the symbols E[i;(1)], check rewrite's newton_p and
-plethysm_P: concrete elementary polynomials, substitution, the
-elimination that rewrites a symmetric polynomial into the e-basis, and
-plethysm_P_by_elimination, which expands e_h(x^k) in h*k variables and
-eliminates.  That route shares no code with Newton's identity; it is
-exponential in h*k, far too large already at h = k = 4, and serves only
-to cross-check plethysm_P at small sizes.
+family e_{n+1}(f) generates the relation ideal: ek_of_f evaluates e_k at
+a polynomial, and char_zero_ideal_gens writes those generators in the
+free e_1 alphabet (genpoly_to_e1).  coverage_rank is the certificate
+that the e_{n+k}(f) span each kernel, free_monomial_count counts the
+monomials of the free generator ring, and relation_items lists the
+defining relations.  parse_npoly reads npoly_text's form, and
+genpoly_from_json the JSON form of a generator polynomial.  Integer
+arguments are checked on entry, as the engine checks its own.
 """
 
 from __future__ import annotations
@@ -21,66 +20,27 @@ from __future__ import annotations
 import random
 import re
 from functools import cache
-from itertools import combinations
-from math import factorial
 
-from .coeffring import QQ, ZZ, Ring
+from .coeffring import QQ, Ring
 from .linalg import rank_over_q
 from .monomial import (Mono, compositions, deg_leq, grlex_key, is_primitive, mono_pow,
                        monomials_of_total_degree, monomials_up_to)
-from .msf import INF, AlphaIndex, MsfElement, alpha_weight
-from .oracle import is_invariant
+from .msf import INF, MsfElement, alpha_weight
 from .polyring import NPoly, _checked_int
 from .relations import kernel_basis, multidegrees_upto, relations_of
 from .rewrite import GenPoly, _symbol_key, rewrite
 
 __all__ = [
-    "check_perm", "flat_index", "subst_slot", "sn_act", "parse_npoly",
-    "merge_repeats", "product", "expand", "truncate", "ek_of_f",
+    "flat_index", "parse_npoly", "product", "expand", "truncate", "ek_of_f",
     "genpoly_from_json", "free_monomial_count",
     "relation_items", "relation_polys", "char_zero_ideal_gens", "genpoly_to_e1",
     "coverage_rank",
-    "elementary_npoly", "epoly_to_npoly", "epoly_substitute", "to_e_basis",
-    "plethysm_P_by_elimination",
 ]
-
-
-def check_perm(sigma, n: int) -> None:
-    """sigma must be a tuple of the 1-based images (sigma[j-1] = image of j)."""
-    if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
 
 
 def flat_index(i: int, j: int, m: int) -> int:
     """Flat position of x_i(j), both 1-based."""
     return (j - 1) * m + (i - 1)
-
-
-def subst_slot(f: NPoly, j: int, n: int) -> NPoly:
-    """The substitution x_i(1) -> x_i(j), landing the one-slot polynomial f
-    in the n-slot ring: each packed key moves up by j-1 slots."""
-    if f.n != 1:
-        raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
-    _checked_int(n, "slot count", 1)
-    if _checked_int(j, "slot index", 1) > n:
-        raise ValueError(f"slot index {j} outside 1..{n}")
-    shift = (j - 1) * f.m * f._w
-    return NPoly._packed(n, f.m, f.ring, {k << shift: c for k, c in f._d.items()}, f._w)
-
-
-def sn_act(sigma, p: NPoly) -> NPoly:
-    """Slot permutation x_i(j) -> x_i(sigma(j)); sigma[j-1] is the image of j."""
-    check_perm(sigma, p.n)
-    m = p.m
-    out = {}
-    for mono, c in p.terms.items():
-        key = [0] * len(mono)
-        for j in range(p.n):
-            dst = (sigma[j] - 1) * m
-            src = j * m
-            key[dst:dst + m] = mono[src:src + m]
-        out[tuple(key)] = c
-    return NPoly(p.n, p.m, p.ring, out)
 
 
 def parse_npoly(s: str, n: int, m: int, ring: Ring) -> NPoly:
@@ -120,35 +80,6 @@ def parse_npoly(s: str, n: int, m: int, ring: Ring) -> NPoly:
     return total
 
 
-# integer core of the merge rule: equal argument monomials collapse and pick
-# up the multinomial coefficient (sum of mults)! / prod(mult_i!)
-
-def _merge_int(args) -> tuple[AlphaIndex, int]:
-    groups: dict[Mono, list[int]] = {}
-    for mu, mult in args:
-        if mult == 0:
-            continue
-        groups.setdefault(mu, []).append(mult)
-    mult_factor = 1
-    support = []
-    for mu, parts in groups.items():
-        tot = sum(parts)
-        if len(parts) > 1:
-            c = factorial(tot)
-            for p in parts:
-                c //= factorial(p)
-            mult_factor *= c
-        support.append((mu, tot))
-    support.sort(key=lambda t: grlex_key(t[0]))
-    return tuple(support), mult_factor
-
-
-def merge_repeats(args, ring: Ring):
-    """Public form of the merge rule: canonical index plus an R-scalar."""
-    alpha, k = _merge_int(args)
-    return alpha, ring.embed(k)
-
-
 def product(x: MsfElement, y: MsfElement) -> MsfElement:
     return x * y
 
@@ -174,8 +105,9 @@ def ek_of_f(f: NPoly, k: int, n) -> MsfElement:
     m = f.m
     if f.n != 1:
         raise ValueError(f"need a one-slot polynomial, got {f.n} slots")
-    if k < 0:
-        raise ValueError("negative k")
+    _checked_int(k, "e_k degree", 0)
+    if n is not INF:
+        _checked_int(n, "slot count", 1)
     if not R.is_zero(f.terms.get((0,) * m, R.zero)):
         raise ValueError("argument must have zero constant term")
     if k == 0:
@@ -232,6 +164,16 @@ def genpoly_from_json(d) -> GenPoly:
     return GenPoly(m, ring, out)
 
 
+def _checked_degrees(m: int, a, what: str) -> tuple:
+    """a as a tuple of m nonnegative integers, m >= 1."""
+    a = tuple(a)
+    if len(a) != _checked_int(m, "variable count", 1):
+        raise ValueError(f"{what} length must equal m")
+    for d in a:
+        _checked_int(d, f"{what} component", 0)
+    return a
+
+
 @cache
 def _free_symbols(m: int, a: Mono) -> tuple:
     """Symbols (i, nu) with nu primitive and multidegree i*deg(nu) <= a."""
@@ -252,9 +194,7 @@ def free_monomial_count(m: int, a) -> int:
     polynomial ring on the symbols E[i;nu] with nu primitive, grading
     each symbol by i*deg(nu).
     """
-    a = tuple(a)
-    if len(a) != m:
-        raise ValueError("multidegree length must equal m")
+    a = _checked_degrees(m, a, "multidegree")
     if not any(a):
         return 1
     degs = [mono_pow(nu, i) for i, nu in _free_symbols(m, a)]
@@ -278,8 +218,8 @@ def free_monomial_count(m: int, a) -> int:
 
 def relation_items(n: int, m: int, max_a: Mono, ring: Ring) -> list:
     """(multidegree, index, relation) triples up to max_a, in order."""
-    if len(max_a) != m:
-        raise ValueError("bound length must equal m")
+    _checked_int(n, "slot count", 1)
+    max_a = _checked_degrees(m, max_a, "bound")
     return [(a, alpha, g) for a in multidegrees_upto(max_a)
             for alpha, g in relations_of(n, m, a, ring)]
 
@@ -296,6 +236,9 @@ def char_zero_ideal_gens(n: int, m: int, bound: int) -> list:
     Empty when bound < n+1, since every coefficient of e_{n+1}(f) has
     total degree at least n+1.
     """
+    _checked_int(n, "slot count", 1)
+    _checked_int(m, "variable count", 1)
+    _checked_int(bound, "total degree bound", 0)
     out = []
     for d in range(1, bound + 1):
         terms = {}
@@ -379,92 +322,3 @@ def coverage_rank(n: int, m: int, a: Mono):
             samples.append(row)
         achieved += rank_over_q(samples, len(block))
     return achieved, dim
-
-
-def elementary_npoly(i: int, N: int, ring: Ring) -> NPoly:
-    """The i-th elementary symmetric polynomial in the N variables x_1(1..N)."""
-    if i < 0:
-        raise ValueError("negative index")
-    if i > N:
-        return NPoly.zero(N, 1, ring)
-    terms = {}
-    for sel in combinations(range(N), i):
-        mu = tuple(1 if t in sel else 0 for t in range(N))
-        terms[mu] = ring.one
-    return NPoly(N, 1, ring, terms)
-
-
-def epoly_to_npoly(ep: GenPoly, N: int, ring: Ring) -> NPoly:
-    """Substitute the concrete elementary polynomials in N variables for
-    the E[i;(1)]; ep lives over Z or over ring itself."""
-    return epoly_substitute(ep, lambda i: elementary_npoly(i, N, ring), NPoly.one(N, 1, ring),
-                            lambda c, x: x.scale(ring.embed(c)))
-
-
-def epoly_substitute(ep: GenPoly, value_of, one, scalar):
-    """Generic evaluation: E[i;(1)] -> value_of(i), in any commutative target.
-
-    one is the unit of the target; scalar(c, x) scales a target value by a
-    coefficient of ep.
-    """
-    if ep.m != 1 or any(nu != (1,) for _, nu in ep.symbols()):
-        raise ValueError("need a polynomial in the symbols E[i;(1)]")
-    total = None
-    for symmono, c in ep.terms.items():
-        term = one
-        for (i, _), e in symmono:
-            for _ in range(e):
-                term = term * value_of(i)
-        term = scalar(c, term)
-        total = term if total is None else total + term
-    if total is None:
-        return scalar(0, one)
-    return total
-
-
-def to_e_basis(f: NPoly) -> GenPoly:
-    """Rewrite a symmetric polynomial in N variables into the e-basis, a
-    GenPoly(1, f.ring) in the symbols E[i;(1)].
-
-    f lives in N slots of one variable each, x_1(1..N), which S_N permutes.
-    Classical elimination: repeatedly kill the lex-leading term lambda by
-    subtracting c * prod_i e_i^(lambda_i - lambda_{i+1}).  Input degree must
-    not exceed N, the range where the e-basis expression is stable.
-    """
-    if f.m != 1:
-        raise ValueError(f"need one variable per slot, got {f.m}")
-    N = f.n
-    ring = f.ring
-    deg = max((sum(mu) for mu in f.terms), default=-1)
-    if deg > N:
-        raise ValueError(f"degree {deg} exceeds the {N}-variable faithful range")
-    if not is_invariant(f, N):
-        raise ValueError("input polynomial is not symmetric")
-    rest = f
-    out = {}
-    while not rest.is_zero:
-        lam = max(rest.terms)  # lex leading, y_1 heaviest
-        if any(lam[i] < lam[i + 1] for i in range(N - 1)):
-            raise AssertionError("leading exponent of a symmetric polynomial must decrease")
-        c = rest.terms[lam]
-        # each step kills a smaller leading term, so every key comes once
-        exps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
-        key = tuple([((i, (1,)), e) for i, e in enumerate(exps, 1) if e])
-        out[key] = c
-        rest = rest - epoly_to_npoly(GenPoly(1, ring, {key: c}), N, ring)
-    return GenPoly(1, ring, out)
-
-
-def plethysm_P_by_elimination(h: int, k: int) -> GenPoly:
-    """Reference route for P_{h,k}: expand e_h(x^k) in h*k variables and
-    eliminate.  Exponential in h*k; for cross-checks only."""
-    if h < 0 or k < 1:
-        raise ValueError("need h >= 0 and k >= 1")
-    if h == 0:
-        return GenPoly.one(1, ZZ)
-    N = h * k
-    terms = {}
-    for sel in combinations(range(N), h):
-        mu = tuple(k if t in sel else 0 for t in range(N))
-        terms[mu] = 1
-    return to_e_basis(NPoly(N, 1, ZZ, terms))

@@ -15,10 +15,11 @@ from multisym.monomial import grlex_key, is_primitive, monomials_up_to
 from multisym.msf import INF, MsfElement, alphas_of_multidegree, basis_alphas, e_alpha
 from multisym.oracle import count_orbits, monomials_of_multidegree
 from multisym.polyring import NPoly
-from multisym.reference import (coverage_rank, ek_of_f, epoly_substitute, expand,
-                                free_monomial_count, parse_npoly, product)
+from multisym.reference import (coverage_rank, ek_of_f, expand, free_monomial_count,
+                                parse_npoly, product)
 from multisym.relations import kernel_basis, verify_relation
 from multisym.rewrite import GenPoly, evaluate, plethysm_P, rewrite
+from refimpl import epoly_substitute
 
 F2 = Zmod(2)
 

@@ -99,7 +99,17 @@ def test_relations_rejects_empty_ambient(capsys, n, m, degrees):
      "error: bad degree list '1,x'\n"),
     (["verify", "--n", "2", "--m", "2", "--max-total-degree", "-1"],
      "error: need n >= 1, m >= 1 and a nonnegative degree\n"),
-], ids=["relations-list", "basis-list", "verify-negative"])
+    # each entry is ASCII digits with an optional minus sign, nothing int() also takes
+    (["relations", "--n", "1", "--m", "1", "--max-degree", "1_0"],
+     "error: bad degree list '1_0'\n"),
+    (["relations", "--n", "1", "--m", "1", "--max-degree", "\u0663"],
+     "error: bad degree list '\u0663'\n"),
+    (["basis", "--n", "2", "--m", "1", "--max-degree", " 4"],
+     "error: bad degree list ' 4'\n"),
+    (["basis", "--n", "2", "--m", "2", "--max-degree", "1,+1"],
+     "error: bad degree list '1,+1'\n"),
+], ids=["relations-list", "basis-list", "verify-negative", "underscore", "arabic-indic",
+        "space", "plus"])
 def test_bad_degrees_exit_3_with_one_line(capsys, argv, err):
     assert run(capsys, argv) == (3, "", err)
 
@@ -695,6 +705,13 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     ["relations", "--n", "abc", "--m", "1", "--max-degree", "1"],
     ["product", "x.json"],
     ["basis", "--n", "2", "--m", "2", "--max-degree", "1,1", "line\nbreak"],
+    # integer flags take ASCII digits with an optional minus sign only
+    ["relations", "--n", "\u0661", "--m", "1", "--max-degree", "1"],  # ARABIC-INDIC ONE
+    ["relations", "--n", "1", "--m", "1_0", "--max-degree", "1"],
+    ["basis", "--n", " 2", "--m", "1", "--max-degree", "4"],
+    ["basis", "--n", "2", "--m", "+1", "--max-degree", "4"],
+    ["verify", "--n", "2", "--m", "1", "--max-total-degree", "\uff12"],  # FULLWIDTH TWO
+    ["verify", "--n", "2", "--m", "1", "--max-total-degree", "2 "],
 ])
 def test_bad_flags_exit_3_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,9 @@ symbols through msf._basis_symbol.  The command line front end never
 imports the reference module, so no CLI process compiles it.  Read from
 the source, so a lazy import inside a function counts too, and so do the
 package's registrations of modules that run on first use (_lazy("name"))
-and a lookup of one in sys.modules.
+and a lookup of one in sys.modules.  The references the tests compare
+against live under tests/ (refimpl), and no module of the package imports
+from there.
 """
 
 import ast
@@ -23,11 +25,14 @@ import sys
 import pytest
 
 import multisym
+import refimpl
+from multisym import reference
 from multisym.coeffring import ZZ, Zmod
 from multisym.relations import relations_of, verify_relation
 from multisym.rewrite import GenPoly
 
 SRC = pathlib.Path(multisym.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def package_imports(module: str) -> set:
@@ -155,3 +160,33 @@ def test_no_package_attribute_shadows_a_submodule():
             shadowed.add(name)
     assert shadowed == {"rewrite"}
     assert set(multisym.__all__) & names == {"rewrite"}
+
+
+def test_package_never_imports_the_tests():
+    """No module of the package imports a module of tests/, anywhere in it."""
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    assert {"conftest", "refimpl"} <= test_modules
+    for path in SRC.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert imported, path.name  # the walk does see the module's own imports
+        assert not imported & test_modules, path.name
+
+
+# the references moved out of multisym.reference into tests/refimpl.py
+MOVED = ["check_perm", "subst_slot", "sn_act", "_merge_int", "merge_repeats",
+         "elementary_npoly", "epoly_to_npoly", "epoly_substitute", "to_e_basis",
+         "plethysm_P_by_elimination"]
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_reference_lives_only_in_the_tests(name):
+    assert callable(getattr(refimpl, name))
+    assert not hasattr(reference, name)
+    assert name not in reference.__all__ and name not in multisym.__all__
+    with pytest.raises(AttributeError):
+        getattr(multisym, name)

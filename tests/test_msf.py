@@ -16,9 +16,9 @@ from multisym.msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient
                           e_alpha, element_from_json, element_to_json, make_alpha)
 from multisym.oracle import is_invariant, orbit_sum
 from multisym.polyring import NPoly
-from multisym.reference import (ek_of_f, expand, merge_repeats, parse_npoly, product,
-                                subst_slot, truncate)
+from multisym.reference import ek_of_f, expand, parse_npoly, product, truncate
 from multisym.rewrite import GenPoly, evaluate
+from refimpl import merge_repeats, subst_slot
 
 F2 = Zmod(2)
 Y1, Y2 = (1, 0), (0, 1)

@@ -10,7 +10,8 @@ import multisym
 from conftest import eval_at
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.polyring import NPoly, npoly_multidegree, npoly_text
-from multisym.reference import check_perm, flat_index, parse_npoly, sn_act, subst_slot
+from multisym.reference import flat_index, parse_npoly
+from refimpl import check_perm, sn_act, subst_slot
 
 
 def x(i, j, n, m, ring=ZZ):

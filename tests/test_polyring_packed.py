@@ -12,7 +12,8 @@ import pytest
 
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.polyring import BASE_WIDTH, NPoly, npoly_text
-from multisym.reference import parse_npoly, sn_act
+from multisym.reference import parse_npoly
+from refimpl import sn_act
 
 RINGS = (ZZ, QQ, Zmod(5))
 

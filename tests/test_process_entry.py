@@ -153,8 +153,8 @@ def test_cli_import_leaves_reference_unloaded(tmp_path):
         "import multisym\n"
         "print(all([getattr(multisym, name) is not None for name in multisym.__all__]))\n"
         "from multisym import *\n"
-        "from multisym.reference import to_e_basis as direct\n"
-        "print(to_e_basis is direct, set(multisym.__all__) <= set(dir()) & set(dir(multisym)))\n")
+        "from multisym.reference import coverage_rank as direct\n"
+        "print(coverage_rank is direct, set(multisym.__all__) <= set(dir()) & set(dir(multisym)))\n")
     res = subprocess.run([sys.executable, "-c", script, str(x)], cwd=tmp_path,
                          env=_child_env(), capture_output=True, timeout=120)
     assert (res.returncode, res.stdout.decode()) == (0, (

@@ -17,7 +17,7 @@ import pytest
 from conftest import seeded
 from multisym.monomial import mono_mul
 from multisym.msf import _ALPHAS, _alpha_product_z, _intern_alpha, make_alpha
-from multisym.reference import _merge_int
+from refimpl import _merge_int
 
 
 def product_z(alpha, beta, cap) -> dict:

@@ -10,7 +10,8 @@ from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import INF, alpha_weight, alphas_of_multidegree, e_alpha
 from multisym.polyring import NPoly
 from multisym.reference import (char_zero_ideal_gens, coverage_rank, ek_of_f,
-                                genpoly_to_e1, relation_items, relation_polys)
+                                free_monomial_count, genpoly_to_e1, relation_items,
+                                relation_polys)
 from multisym.relations import (genpoly_expand, kernel_basis, multidegrees_upto,
                                 relations_of, verify_relation)
 from multisym.rewrite import GenPoly, evaluate, rewrite
@@ -42,6 +43,32 @@ def test_kernel_and_relations_refuse_bad_slot_counts(n):
         kernel_basis(n, 2, (1, 1))
     with pytest.raises(ValueError):
         relations_of(n, 2, (1, 1), ZZ)
+
+
+Y = NPoly.variable(1, 1, 1, 2, ZZ)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: free_monomial_count(2, (-1, 3)), "multidegree component"),  # unchecked, 0
+    (lambda: free_monomial_count(1, (True,)), "multidegree component"),  # unchecked, 1
+    (lambda: free_monomial_count(0, ()), "variable count"),
+    (lambda: relation_items(1, 1, (-2,), ZZ), "bound component"),  # unchecked, []
+    (lambda: relation_items(1, 1, (2.0,), ZZ), "bound component"),  # unchecked, a TypeError
+    (lambda: relation_items(0, 1, (2,), ZZ), "slot count"),
+    (lambda: relation_polys(1, True, (2,), ZZ), "variable count"),
+    (lambda: ek_of_f(Y, True, 2), "e_k degree"),  # unchecked, "bad multiplicity True"
+    (lambda: ek_of_f(Y, -1, 2), "e_k degree"),
+    (lambda: ek_of_f(Y, 1, 0), "slot count"),
+    (lambda: char_zero_ideal_gens(0, 1, 3), "slot count"),  # unchecked, 3 generators
+    (lambda: char_zero_ideal_gens(1, 1, 2.5), "total degree bound"),  # unchecked, a TypeError
+    (lambda: char_zero_ideal_gens(1, 0, 2), "variable count"),
+], ids=["count-negative", "count-bool", "count-no-variables", "items-negative",
+        "items-float", "items-no-slots", "polys-bool-m", "ek-bool-k", "ek-negative-k",
+        "ek-no-slots", "gens-no-slots", "gens-float-bound", "gens-no-variables"])
+def test_reference_functions_check_integer_arguments(call, what):
+    """Each refuses a bad integer argument on entry, naming it."""
+    with pytest.raises(ValueError, match=f"^bad {what} "):
+        call()
 
 
 def test_kernel_basis_examples():

@@ -15,9 +15,10 @@ from multisym import reference
 from multisym.cli import REWRITE_MAX_PLETHYSM
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.polyring import NPoly
-from multisym.reference import (elementary_npoly, epoly_substitute, epoly_to_npoly,
-                                genpoly_to_e1, plethysm_P_by_elimination, sn_act, to_e_basis)
+from multisym.reference import genpoly_to_e1
 from multisym.rewrite import GenPoly, newton_p, plethysm_P
+from refimpl import (elementary_npoly, epoly_substitute, epoly_to_npoly,
+                     plethysm_P_by_elimination, sn_act, to_e_basis)
 
 
 def e(i, ring=ZZ):
