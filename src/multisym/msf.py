@@ -83,8 +83,8 @@ from operator import add, itemgetter
 
 from .coeffring import Ring
 from .monomial import Mono, monomials_up_to
-from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView, _checked_int,
-                       _guard_bits, key_width, pack_key, signed_text)
+from .polyring import (BASE_WIDTH, AmbientMismatch, NPoly, Sparse, TermsView, _checked_degrees,
+                       _checked_int, _guard_bits, key_width, pack_key, signed_text)
 
 INF = float("inf")
 
@@ -609,11 +609,7 @@ def alphas_of_multidegree(m: int, a: Mono, max_weight=None) -> list:
     components and the bound are checked here, not in the cache, where
     (True, 2) would find the entry of (1, 2).
     """
-    a = tuple(a)
-    if len(a) != m:
-        raise ValueError("multidegree length must equal m")
-    for d in a:
-        _checked_int(d, "multidegree component", 0)
+    a = _checked_degrees(m, a, "multidegree")
     if max_weight is not None:
         _checked_int(max_weight, "weight bound", 0)
     return list(_alphas_cached(m, a, max_weight))

@@ -18,7 +18,7 @@ from itertools import permutations, product
 
 from .coeffring import Ring
 from .monomial import Mono, compositions
-from .polyring import NPoly
+from .polyring import NPoly, _checked_degrees, _checked_int
 
 __all__ = [
     "orbit_sum",
@@ -50,10 +50,8 @@ def orbit_sum(mono, n: int, m: int, ring: Ring) -> NPoly:
 def monomials_of_multidegree(n: int, m: int, a: Mono) -> tuple:
     """All flat monomials of the n-slot ring with the given multidegree,
     sorted; the column index for rank checks."""
-    a = tuple(a)
-    if len(a) != m:
-        raise ValueError("multidegree length must equal m")
-    return _monomials_cached(n, m, a)
+    _checked_int(n, "slot count", 1)
+    return _monomials_cached(n, m, _checked_degrees(m, a, "multidegree"))
 
 
 @cache
@@ -72,10 +70,8 @@ def _monomials_cached(n: int, m: int, a: Mono) -> tuple:
 
 def _orbit_reps(n: int, m: int, a: Mono) -> tuple:
     """One sorted block tuple per orbit of monomials of multidegree a."""
-    a = tuple(a)
-    if len(a) != m:
-        raise ValueError("multidegree length must equal m")
-    return _orbit_reps_cached(n, m, a)
+    _checked_int(n, "slot count", 1)
+    return _orbit_reps_cached(n, m, _checked_degrees(m, a, "multidegree"))
 
 
 @cache

@@ -91,6 +91,16 @@ def _checked_int(v, what: str, least: int) -> int:
     return v
 
 
+def _checked_degrees(m: int, a, what: str) -> tuple:
+    """a as a tuple of m nonnegative integers, m >= 1."""
+    a = tuple(a)
+    if len(a) != _checked_int(m, "variable count", 1):
+        raise ValueError(f"{what} length must equal m")
+    for d in a:
+        _checked_int(d, f"{what} component", 0)
+    return a
+
+
 class AmbientMismatch(ValueError):
     """Operands live in different ambients (n, m or coefficient ring)."""
 
@@ -304,9 +314,9 @@ class NPoly(Sparse):
     @classmethod
     def variable(cls, i: int, j: int, n: int, m: int, ring: Ring) -> "NPoly":
         """x_i(j), family i in 1..m, slot j in 1..n."""
-        if not 1 <= i <= m:
+        if _checked_int(i, "family index", 1) > m:
             raise ValueError(f"family index {i} outside 1..{m}")
-        if not 1 <= j <= n:
+        if _checked_int(j, "slot index", 1) > n:
             raise ValueError(f"slot index {j} outside 1..{n}")
         exps = [0] * (n * m)
         exps[(j - 1) * m + (i - 1)] = 1

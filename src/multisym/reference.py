@@ -26,7 +26,7 @@ from .linalg import rank_over_q
 from .monomial import (Mono, compositions, deg_leq, grlex_key, is_primitive, mono_pow,
                        monomials_of_total_degree, monomials_up_to)
 from .msf import INF, MsfElement, alpha_weight
-from .polyring import NPoly, _checked_int
+from .polyring import NPoly, _checked_degrees, _checked_int
 from .relations import kernel_basis, multidegrees_upto, relations_of
 from .rewrite import GenPoly, _symbol_key, rewrite
 
@@ -51,7 +51,7 @@ def parse_npoly(s: str, n: int, m: int, ring: Ring) -> NPoly:
     # split into signed terms at top level
     s = s.replace("-", "+-")
     parts = [t.strip() for t in s.split("+") if t.strip()]
-    var_re = re.compile(r"^x(\d+)\((\d+)\)(?:\^(\d+))?$")
+    var_re = re.compile(r"^x([0-9]+)\(([0-9]+)\)(?:\^([0-9]+))?$")
     total = NPoly.zero(n, m, ring)
     for part in parts:
         neg = part.startswith("-")
@@ -162,16 +162,6 @@ def genpoly_from_json(d) -> GenPoly:
         c = ring.parse_coeff(t["coeff"])
         out[key] = ring.add(out.get(key, ring.zero), c)
     return GenPoly(m, ring, out)
-
-
-def _checked_degrees(m: int, a, what: str) -> tuple:
-    """a as a tuple of m nonnegative integers, m >= 1."""
-    a = tuple(a)
-    if len(a) != _checked_int(m, "variable count", 1):
-        raise ValueError(f"{what} length must equal m")
-    for d in a:
-        _checked_int(d, f"{what} component", 0)
-    return a
 
 
 @cache

@@ -13,7 +13,8 @@ the source, so a lazy import inside a function counts too, and so do the
 package's registrations of modules that run on first use (_lazy("name"))
 and a lookup of one in sys.modules.  The references the tests compare
 against live under tests/ (refimpl), and no module of the package imports
-from there.
+from there; no test module defines a reference (a top-level ref_*,
+naive_* or nested_* function) under a name another one defines.
 """
 
 import ast
@@ -190,3 +191,27 @@ def test_moved_reference_lives_only_in_the_tests(name):
     assert name not in reference.__all__ and name not in multisym.__all__
     with pytest.raises(AttributeError):
         getattr(multisym, name)
+
+
+REFERENCE_PREFIXES = ("ref_", "naive_", "nested_")
+
+
+def duplicate_references(sources: dict) -> dict:
+    """The top-level ref_*, naive_* and nested_* function names that more
+    than one module defines, with the modules, from {module: source}."""
+    where = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith(REFERENCE_PREFIXES)):
+                where.setdefault(node.name, set()).add(module)
+    return {name: modules for name, modules in where.items() if len(modules) > 1}
+
+
+def test_each_reference_is_defined_in_one_test_module():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in TESTS.glob("*.py")}
+    copy = "def ref_add(R, a, b):\n    return a\n"
+    # the walk does see a second definition
+    assert duplicate_references({"refimpl": sources["refimpl"], "copy": copy}) == {
+        "ref_add": {"refimpl", "copy"}}
+    assert duplicate_references(sources) == {}

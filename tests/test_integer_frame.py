@@ -52,7 +52,7 @@ def ref_product(x: MsfElement, y: MsfElement) -> dict:
     return ref_combine(R, pairs)
 
 
-def ref_rewrite(x: MsfElement) -> dict:
+def ref_rewrite_cached(x: MsfElement) -> dict:
     # the cached images are keyed by interned index ids and the ambient,
     # and give symbol-monomial ids
     return ref_combine(x.ring, [(c, [(_SYMMONOS[k], v)
@@ -60,12 +60,12 @@ def ref_rewrite(x: MsfElement) -> dict:
                                 for a, c in x.terms.items()])
 
 
-def ref_evaluate(g: GenPoly, n) -> dict:
+def ref_evaluate_cached(g: GenPoly, n) -> dict:
     return ref_combine(g.ring, [(c, _evaluate_image_z(k, n, g.m).terms.items())
                                 for k, c in g._d.items()])
 
 
-def ref_expand(g: GenPoly, n) -> dict:
+def ref_expand_cached(g: GenPoly, n) -> dict:
     return ref_combine(g.ring, [(c, _expansion_z(s, n, g.m).terms.items())
                                 for s, c in g.terms.items()])
 
@@ -140,11 +140,11 @@ def test_rewrite_and_evaluate_match_the_fraction_reference(ring, n):
     for _ in range(4):
         x = random_element(rng, n, 2, ring)
         g = rewrite(x)
-        assert g.terms == ref_rewrite(x)
+        assert g.terms == ref_rewrite_cached(x)
         assert_types(ring, g.terms.values())
         assert_types(ring, reduce_to_monomial_es(x).terms.values())
         back = evaluate(g, n)
-        assert back.terms == ref_evaluate(g, n)
+        assert back.terms == ref_evaluate_cached(g, n)
         assert_types(ring, back.terms.values())
         if n is INF:
             assert back == x
@@ -157,7 +157,7 @@ def test_genpoly_expand_matches_the_fraction_reference(ring, n):
     for _ in range(3):
         g = rewrite(random_element(rng, INF, 2, ring, terms=3))
         p = genpoly_expand(g, n)
-        assert dict(p.terms.items()) == ref_expand(g, n)
+        assert dict(p.terms.items()) == ref_expand_cached(g, n)
         assert_types(ring, p.terms.values())
 
 
@@ -169,9 +169,9 @@ def test_large_coprime_denominators_in_every_site():
     assert z.terms == ref_product(x, x)
     assert z.terms[((Y1, 2),)] == Fraction(2, M61 * M61)
     g = rewrite(z)
-    assert g.terms == ref_rewrite(z)
+    assert g.terms == ref_rewrite_cached(z)
     assert evaluate(g, INF) == z
-    assert dict(genpoly_expand(g, 3).terms.items()) == ref_expand(g, 3)
+    assert dict(genpoly_expand(g, 3).terms.items()) == ref_expand_cached(g, 3)
     assert genpoly_expand(g, 3) == z.truncate(3).expand()
     # NPoly products lift too
     p, q = a.truncate(2).expand(), b.truncate(2).expand()

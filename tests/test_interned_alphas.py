@@ -3,19 +3,18 @@
 An MsfElement stores its terms under small-int ids from one append-only
 table per process, and the product kernel, the peeling recursion, the
 expansion and the evaluation images are keyed by those ids.  Everything
-here is checked against a tuple-keyed reference kept in this file: a dict
-from indices to ring elements, multiplied by the margin-table kernel and
-peeled by the recursion as both read when they were keyed by index
-tuples, expanded through the oracle's orbit sums, and written by the
-writers' tuple-keyed bodies over their earlier per-call sort
-(conftest.ref_sorted_rows).  Ids never leave a process: pickles and
-copies carry the indices, and clear_caches keeps the table, so a cache
-keyed by an id can never meet a second index under it.
+here is checked against a tuple-keyed reference: a dict from indices to
+ring elements, added and multiplied by refimpl's term-dict arithmetic
+with the margin-table kernel kept in this file, peeled by the recursion
+as both read when they were keyed by index tuples, expanded through the
+oracle's orbit sums, and written by refimpl's writers' spec.  Ids never
+leave a process: pickles and copies carry the indices, and clear_caches
+keeps the table, so a cache keyed by an id can never meet a second index
+under it.
 """
 
 import copy
 import importlib
-import itertools
 import os
 import pickle
 import subprocess
@@ -29,14 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multisym
-from conftest import REF_JSON, REF_TEXT, alpha_pool, ref_pair_render, ref_sorted_rows, run_main
+from conftest import alpha_pool, run_main
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.msf import (INF, MsfElement, _margin_tables, alpha_multidegree, alpha_weight,
                           element_json_text)
 from multisym.oracle import orbit_sum
-from multisym.polyring import NPoly, signed_text
-from multisym.rewrite import (GenPoly, _symmono_mul, evaluate, primitive_reduce,
-                              reduce_to_monomial_es, rewrite)
+from multisym.polyring import NPoly
+from multisym.rewrite import GenPoly, evaluate, primitive_reduce, reduce_to_monomial_es, rewrite
+from refimpl import (ref_add, ref_element_writes, ref_mul, ref_pow, ref_settled,
+                     ref_symmono_mul)
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(3)]
 msf_mod = importlib.import_module("multisym.msf")
@@ -83,7 +83,7 @@ def ref_reduce_alpha(alpha) -> dict:
     pivot = (((a_p, mu_p), 1),)
     acc = {}
     for s, c in ref_reduce_alpha(rest).items():
-        key = _symmono_mul(s, pivot)
+        key = ref_symmono_mul(s, pivot)
         acc[key] = acc.get(key, 0) + c
     prod = ref_alpha_product_z(((mu_p, a_p),), rest, None)
     assert prod.get(alpha) == 1
@@ -95,34 +95,13 @@ def ref_reduce_alpha(alpha) -> dict:
     return {s: v for s, v in acc.items() if v}
 
 
-def settled(R, d: dict) -> dict:
-    return {k: c for k, c in d.items() if not R.is_zero(c)}
+def kernel_times(n):
+    """The product of two indices by the reference kernel, in ambient n."""
+    cap = None if n is INF else n
+    return lambda ka, kb: ref_alpha_product_z(ka, kb, cap)
 
 
-def ref_add(R, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = R.add(out.get(k, R.zero), c)
-    return settled(R, out)
-
-
-def ref_mul(R, n, a: dict, b: dict) -> dict:
-    out = {}
-    for (ka, ca), (kb, cb) in itertools.product(a.items(), b.items()):
-        cap = None if n is INF else n
-        for gamma, mult in ref_alpha_product_z(ka, kb, cap).items():
-            out[gamma] = R.add(out.get(gamma, R.zero), R.mul(R.mul(ca, cb), R.embed(mult)))
-    return settled(R, out)
-
-
-def ref_pow(R, n, a: dict, k: int) -> dict:
-    out = {(): R.one}
-    for _ in range(k):
-        out = ref_mul(R, n, out, a)
-    return out
-
-
-def ref_expand(R, n, m: int, a: dict) -> NPoly:
+def ref_expand_by_orbit_sums(R, n, m: int, a: dict) -> NPoly:
     """The orbit sums of the oracle: each index placed in the first slots."""
     out = NPoly.zero(n, m, R)
     for alpha, c in a.items():
@@ -133,30 +112,15 @@ def ref_expand(R, n, m: int, a: dict) -> NPoly:
     return out
 
 
-def ref_text(R, a: dict) -> str:
-    rows, frag = ref_sorted_rows(a, ref_pair_render, REF_TEXT)
-    return signed_text((R.format_coeff(c), "e(%s)" % ", ".join(map(frag, alpha)) if alpha else "")
-                       for alpha, c in rows)
-
-
-def ref_json_text(R, n, m: int, a: dict) -> str:
-    rows, frag = ref_sorted_rows(a, ref_pair_render, REF_JSON)
-    terms = ",".join(['{"alpha":[%s],"coeff":"%s"}' % (",".join(map(frag, alpha)),
-                                                       R.format_coeff(c))
-                      for alpha, c in rows])
-    n = '"inf"' if n is INF else n
-    return f'{{"m":{m},"n":{n},"ring":"{R.to_string()}","terms":[{terms}]}}'
-
-
-def ref_evaluate(R, n, m: int, g: dict) -> dict:
+def ref_evaluate_by_kernel(R, n, m: int, g: dict) -> dict:
     """prod e_i(nu)**e over each symbol monomial, multiplied out by the
     reference kernel."""
-    out = {}
+    out, times = {}, kernel_times(n)
     for symmono, c in g.items():
         image = {(): R.one}
         for (i, nu), e in symmono:
             factor = {((nu, i),): R.one} if n is INF or i <= n else {}
-            image = ref_mul(R, n, image, ref_pow(R, n, factor, e))
+            image = ref_mul(R, image, ref_pow(R, factor, e, (), times), times)
         out = ref_add(R, out, {k: R.mul(c, v) for k, v in image.items()})
     return out
 
@@ -184,15 +148,15 @@ def element_pairs(draw):
 def test_element_operations_match_the_tuple_reference(pair, k, bound):
     R, n, m, a, b = pair
     x, y = MsfElement(n, m, R, a), MsfElement(n, m, R, b)
-    a, b = settled(R, a), settled(R, b)
+    a, b = ref_settled(R, a), ref_settled(R, b)
     assert x.terms == a and dict(x.terms.items()) == a and len(x.terms) == len(a)
     for alpha, c in a.items():
         assert x.terms[alpha] == c and alpha in x.terms
     assert dict((x + y).terms.items()) == ref_add(R, a, b)
-    assert dict((x * y).terms.items()) == ref_mul(R, n, a, b)
-    assert dict((x ** k).terms.items()) == ref_pow(R, n, a, k)
+    assert dict((x * y).terms.items()) == ref_mul(R, a, b, kernel_times(n))
+    assert dict((x ** k).terms.items()) == ref_pow(R, a, k, (), kernel_times(n))
     assert (x == y) is (a == b)
-    assert x * y == y * x == MsfElement(n, m, R, ref_mul(R, n, a, b))
+    assert x * y == y * x == MsfElement(n, m, R, ref_mul(R, a, b, kernel_times(n)))
     for target in (INF, 1, 2, 3):
         if n is INF or (target is not INF and target <= n):
             assert dict(x.truncate(target).terms.items()) == {
@@ -203,10 +167,11 @@ def test_element_operations_match_the_tuple_reference(pair, k, bound):
         assert dict(x.multidegree_component(deg).terms.items()) == {
             al: c for al, c in a.items() if alpha_multidegree(al, m) == deg}
     if n is not INF:
-        assert x.expand() == ref_expand(R, n, m, a)
-    assert x.text() == ref_text(R, a)
-    assert element_json_text(x) == ref_json_text(R, n, m, a)
-    assert x.sorted_terms() == ref_sorted_rows(a, ref_pair_render, REF_TEXT)[0]
+        assert x.expand() == ref_expand_by_orbit_sums(R, n, m, a)
+    terms, text, json_text = ref_element_writes(x)
+    assert x.text() == text
+    assert element_json_text(x) == json_text
+    assert x.sorted_terms() == terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,15 +180,15 @@ def test_rewrite_and_evaluate_match_the_tuple_reference(pair):
     R, n, m, a, _ = pair
     x = MsfElement(n, m, R, a)
     first = {}
-    for alpha, c in settled(R, a).items():
+    for alpha, c in ref_settled(R, a).items():
         for s, v in ref_reduce_alpha(alpha).items():
             first[s] = R.add(first.get(s, R.zero), R.mul(c, R.embed(v)))
-    first = settled(R, first)
+    first = ref_settled(R, first)
     assert dict(reduce_to_monomial_es(x).terms.items()) == first
     g = rewrite(x)
     assert g == primitive_reduce(GenPoly(m, R, first), n)
     back = evaluate(g, n)
-    assert dict(back.terms.items()) == ref_evaluate(R, n, m, dict(g.terms.items()))
+    assert dict(back.terms.items()) == ref_evaluate_by_kernel(R, n, m, dict(g.terms.items()))
     if n is INF:
         assert back == x
     else:

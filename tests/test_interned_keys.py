@@ -1,13 +1,14 @@
 """GenPoly on interned symbol-monomial ids.
 
 A GenPoly stores its terms under small-int ids from one append-only
-table per process, and rewrite's cached integer images are keyed by those
-ids.  Everything here is checked against a tuple-keyed reference kept in
-this file: a dict from symbol monomials to ring elements, multiplied with
-the sorted merge of symbol monomials, a peeling recursion and a
-substitution of its own.  Ids never leave a process: pickles and copies
-carry the symbol monomials, and clear_caches keeps the table, so a cache
-keyed by an id can never meet a second monomial under it.
+table per process, and rewrite's cached integer images are keyed by
+those ids.  Everything here is checked against a tuple-keyed reference:
+a dict from symbol monomials to ring elements, added and multiplied by
+refimpl's term-dict arithmetic with the sorted merge of symbol
+monomials, a peeling recursion kept in this file, and refimpl's
+evaluate.  Ids never leave a process: pickles and copies carry the
+symbol monomials, and clear_caches keeps the table, so a cache keyed by
+an id can never meet a second monomial under it.
 """
 
 import copy
@@ -29,8 +30,9 @@ from conftest import alpha_pool, run_main
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key, primitive_decompose
 from multisym.msf import _ALPHAS, INF, MsfElement, _alpha_product_z, _intern_alpha, e_alpha
-from multisym.rewrite import (GenPoly, evaluate, genpoly_json_text, plethysm_P,
-                              rewrite)
+from multisym.rewrite import GenPoly, evaluate, genpoly_json_text, plethysm_P, rewrite
+from refimpl import (ref_add, ref_evaluate, ref_mul, ref_pow, ref_settled, ref_symmono_mul,
+                     ref_symmono_times)
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(3)]
 rewrite_mod = importlib.import_module("multisym.rewrite")
@@ -38,49 +40,13 @@ rewrite_mod = importlib.import_module("multisym.rewrite")
 
 # ---- the tuple-keyed reference ---------------------------------------------
 
-def ref_symmono_mul(a, b) -> tuple:
-    """Product of two symbol monomials, each a sorted tuple of (symbol, exp);
-    a's order stands unless b brings a new symbol."""
-    if not a or not b:
-        return a or b
-    d = dict(a)
-    size = len(d)
-    for sym, e in b:
-        d[sym] = d.get(sym, 0) + e
-    if len(d) == size:
-        return tuple(d.items())
-    return tuple(sorted(d.items(), key=lambda t: (sum(t[0][1]), t[0][1], t[0][0])))
-
-
-def ref_add(R, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = R.add(out.get(k, R.zero), c)
-    return {k: c for k, c in out.items() if not R.is_zero(c)}
-
-
-def ref_mul(R, a: dict, b: dict) -> dict:
-    out = {}
-    for (ka, ca), (kb, cb) in itertools.product(a.items(), b.items()):
-        k = ref_symmono_mul(ka, kb)
-        out[k] = R.add(out.get(k, R.zero), R.mul(ca, cb))
-    return {k: c for k, c in out.items() if not R.is_zero(c)}
-
-
-def ref_pow(R, a: dict, k: int) -> dict:
-    out = {(): R.one}
-    for _ in range(k):
-        out = ref_mul(R, out, a)
-    return out
-
-
 @cache
 def ref_peel(alpha) -> tuple:
     """e_alpha in the symbols e_i(mu), over Z: the peeling recursion."""
     if len(alpha) <= 1:
         return tuple({tuple([((a, mu), 1) for mu, a in alpha]): 1}.items())
     (mu, a), rest = alpha[-1], alpha[:-1]
-    acc = ref_mul(ZZ, dict(ref_peel(rest)), {(((a, mu), 1),): 1})
+    acc = ref_mul(ZZ, dict(ref_peel(rest)), {(((a, mu), 1),): 1}, ref_symmono_times)
     for k, mult in _alpha_product_z(_intern_alpha(((mu, a),)), _intern_alpha(rest), None):
         if _ALPHAS[k] != alpha:
             acc = ref_add(ZZ, acc, {s: -mult * c for s, c in ref_peel(_ALPHAS[k])})
@@ -107,21 +73,9 @@ def ref_rewrite(x: MsfElement) -> dict:
             image = {(): R.one}
             for sym, e in symmono:
                 p = {s: R.embed(w) for s, w in ref_primitive_symbol(sym, x.n)}
-                image = ref_mul(R, image, ref_pow(R, p, e))
+                image = ref_mul(R, image, ref_pow(R, p, e, (), ref_symmono_times),
+                                ref_symmono_times)
             out = ref_add(R, out, {k: R.mul(R.mul(c, R.embed(v)), w) for k, w in image.items()})
-    return out
-
-
-def ref_evaluate(R, terms: dict, n, m: int) -> MsfElement:
-    out = MsfElement.zero(n, m, R)
-    for symmono, c in terms.items():
-        image = MsfElement.one(n, m, R)
-        for (i, nu), e in symmono:
-            if n is not INF and i > n:  # e_i(nu) vanishes
-                image = MsfElement.zero(n, m, R)
-            else:
-                image = image * e_alpha([(nu, i)], n, m, R) ** e
-        out = out + image.scale(c)
     return out
 
 
@@ -143,10 +97,6 @@ def tuple_terms(draw, ring, m: int) -> dict:
     return terms
 
 
-def nonzero(R, terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if not R.is_zero(c)}
-
-
 @st.composite
 def genpoly_pairs(draw):
     ring = draw(st.sampled_from(RINGS))
@@ -162,14 +112,14 @@ def genpoly_pairs(draw):
 def test_arithmetic_and_evaluate_match_the_tuple_reference(pair, k, n):
     R, m, a, b = pair
     ga, gb = GenPoly(m, R, a), GenPoly(m, R, b)
-    a, b = nonzero(R, a), nonzero(R, b)
+    a, b = ref_settled(R, a), ref_settled(R, b)
     assert ga.terms == a and dict(ga.terms.items()) == a and len(ga.terms) == len(a)
     assert dict((ga + gb).terms.items()) == ref_add(R, a, b)
-    assert dict((ga * gb).terms.items()) == ref_mul(R, a, b)
-    assert dict((ga ** k).terms.items()) == ref_pow(R, a, k)
+    assert dict((ga * gb).terms.items()) == ref_mul(R, a, b, ref_symmono_times)
+    assert dict((ga ** k).terms.items()) == ref_pow(R, a, k, (), ref_symmono_times)
     assert (ga == gb) is (a == b)
-    assert ga * gb == gb * ga == GenPoly(m, R, ref_mul(R, a, b))
-    assert evaluate(ga, n) == ref_evaluate(R, a, n, m)
+    assert ga * gb == gb * ga == GenPoly(m, R, ref_mul(R, a, b, ref_symmono_times))
+    assert evaluate(ga, n) == ref_evaluate(ga, n)
     for symmono, c in a.items():
         assert ga.terms[symmono] == c and symmono in ga.terms
     assert (((4, (1,) * m), 9),) not in ga.terms

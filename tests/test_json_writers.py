@@ -2,10 +2,11 @@
 
 element_json_text, genpoly_json_text and the CLI's expansion writer build
 canonical JSON (sorted keys, no spaces) directly from the sorted terms.
-The dict builders below are the reference: each text must equal
-json.dumps(reference, sort_keys=True, separators=(",", ":")), over Z, Q
-(negative and integer-valued fractions) and Z/p, in finite and infinite
-ambients, for empty elements and for constant terms.
+The dict forms of refimpl's writers' spec, terms in the nested-key order,
+are the reference: each text must equal json.dumps(reference,
+sort_keys=True, separators=(",", ":")), over Z, Q (negative and
+integer-valued fractions) and Z/p, in finite and infinite ambients, for
+empty elements and for constant terms.
 """
 
 import itertools
@@ -25,43 +26,10 @@ from multisym.msf import (INF, MsfElement, e_alpha, element_json_text,
                           element_to_json)
 from multisym.rewrite import (GenPoly, evaluate, genpoly_json_text,
                               genpoly_to_json, rewrite)
+from refimpl import (ref_element_dict, ref_element_writes, ref_genpoly_dict, ref_genpoly_writes,
+                     ref_npoly_writes)
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(7), Zmod(1000003)]
-
-
-def canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def ref_element(x: MsfElement) -> dict:
-    return {
-        "n": "inf" if x.n is INF else x.n,
-        "m": x.m,
-        "ring": x.ring.to_string(),
-        "terms": [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in alpha],
-                   "coeff": x.ring.format_coeff(c)}
-                  for alpha, c in x.sorted_terms()],
-    }
-
-
-def ref_genpoly(g: GenPoly, check=None) -> dict:
-    d = {
-        "m": g.m,
-        "ring": g.ring.to_string(),
-        "terms": [{"symbols": [{"i": i, "nu": list(nu), "exp": e}
-                               for (i, nu), e in symmono],
-                   "coeff": g.ring.format_coeff(c)}
-                  for symmono, c in g.sorted_terms()],
-    }
-    if check is not None:
-        d["check"] = check
-    return d
-
-
-def ref_npoly(p) -> dict:
-    return {"n": p.n, "m": p.m, "ring": p.ring.to_string(),
-            "terms": [{"exps": list(mono), "coeff": p.ring.format_coeff(c)}
-                      for mono, c in p.sorted_terms()]}
 
 
 @st.composite
@@ -105,16 +73,15 @@ def genpolys(draw):
 @settings(max_examples=150, deadline=None)
 @given(elements())
 def test_element_text_equals_dumps_of_dict_form(x):
-    ref = ref_element(x)
-    assert element_json_text(x) == canon(ref)
-    assert element_to_json(x) == ref
+    assert element_json_text(x) == ref_element_writes(x)[2]
+    assert element_to_json(x) == ref_element_dict(x)
 
 
 @settings(max_examples=150, deadline=None)
 @given(genpolys(), st.sampled_from([None, "PASS", "FAIL"]))
 def test_genpoly_text_equals_dumps_of_dict_form(g, check):
-    assert genpoly_json_text(g, check) == canon(ref_genpoly(g, check))
-    assert genpoly_to_json(g) == ref_genpoly(g)
+    assert genpoly_json_text(g, check) == ref_genpoly_writes(g, check)[2]
+    assert genpoly_to_json(g) == ref_genpoly_dict(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,23 +90,23 @@ def test_expansion_text_equals_dumps_of_dict_form(x):
     if x.n is INF:
         return
     p = x.expand()
-    assert cli._npoly_json_text(p) == canon(ref_npoly(p))
+    assert cli._npoly_json_text(p) == ref_npoly_writes(p)[2]
 
 
 @pytest.mark.parametrize("ring", RINGS)
 @pytest.mark.parametrize("n", [INF, 2])
 def test_empty_element_and_constant_terms(ring, n):
     zero = MsfElement.zero(n, 2, ring)
-    assert element_json_text(zero) == canon(ref_element(zero))
+    assert element_json_text(zero) == ref_element_writes(zero)[2]
     assert '"terms":[]' in element_json_text(zero)
     c = MsfElement(n, 2, ring, {(): ring.embed(-5)})
-    assert element_json_text(c) == canon(ref_element(c))
+    assert element_json_text(c) == ref_element_writes(c)[2]
     assert '"alpha":[]' in element_json_text(c)
     g0 = GenPoly.zero(2, ring)
     g = GenPoly(2, ring, {(): ring.embed(-3), ((((1, (1, 0)), 2),)): ring.one})
     for h in (g0, g):
         for check in (None, "PASS"):
-            assert genpoly_json_text(h, check) == canon(ref_genpoly(h, check))
+            assert genpoly_json_text(h, check) == ref_genpoly_writes(h, check)[2]
     assert genpoly_json_text(g).count('"symbols":[]') == 1
 
 
@@ -148,12 +115,12 @@ def test_integer_valued_and_negative_fractions_are_written_reduced():
                                 (((2,), 1),): Fraction(-4, 6)})
     text = element_json_text(x)
     assert '"coeff":"2"' in text and '"coeff":"-2/3"' in text
-    assert text == canon(ref_element(x))
+    assert text == ref_element_writes(x)[2]
 
 
 def _write(tmp_path, name, x):
     p = tmp_path / name
-    p.write_text(canon(ref_element(x)))
+    p.write_text(ref_element_writes(x)[2])
     return str(p)
 
 
@@ -172,16 +139,16 @@ def test_cli_outputs_equal_dumps_of_dict_forms(tmp_path, capsys, ring):
     px, pf = _write(tmp_path, "x.json", x), _write(tmp_path, "f.json", xf)
 
     assert main(["product", px, px]) == 0
-    assert capsys.readouterr().out == canon(ref_element(x * x)) + "\n"
+    assert capsys.readouterr().out == ref_element_writes(x * x)[2] + "\n"
 
     assert main(["rewrite", "--check", px]) == 0
     out = capsys.readouterr().out
-    assert out == canon(ref_genpoly(rewrite(x), "PASS")) + "\n"
+    assert out == ref_genpoly_writes(rewrite(x), "PASS")[2] + "\n"
     assert json.loads(out)["check"] == "PASS"
     assert evaluate(rewrite(x), INF) == x
 
     assert main(["rewrite", pf]) == 0
-    assert capsys.readouterr().out == canon(ref_genpoly(rewrite(xf))) + "\n"
+    assert capsys.readouterr().out == ref_genpoly_writes(rewrite(xf))[2] + "\n"
 
     assert main(["expand", pf]) == 0
-    assert capsys.readouterr().out == canon(ref_npoly(xf.expand())) + "\n"
+    assert capsys.readouterr().out == ref_npoly_writes(xf.expand())[2] + "\n"

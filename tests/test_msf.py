@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (REF_TEXT, alpha_pool, degrees_upto, random_element, ref_pair_render,
-                      ref_sorted_rows, seeded)
+from conftest import alpha_pool, degrees_upto, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import mono_mul
 from multisym.msf import (INF, AmbientMismatch, MsfElement, WeightExceedsAmbient, _expand_alpha,
@@ -18,7 +17,7 @@ from multisym.oracle import is_invariant, orbit_sum
 from multisym.polyring import NPoly
 from multisym.reference import ek_of_f, expand, parse_npoly, product, truncate
 from multisym.rewrite import GenPoly, evaluate
-from refimpl import merge_repeats, subst_slot
+from refimpl import merge_repeats, nested_alpha_key, subst_slot
 
 F2 = Zmod(2)
 Y1, Y2 = (1, 0), (0, 1)
@@ -362,11 +361,10 @@ def test_index_enumeration_takes_weight_bounds_from_zero():
     assert alphas_of_multidegree(2, (1, 1), None) == alphas_of_multidegree(2, (1, 1), 2)
 
 
-def writers_order(alphas) -> list:
-    """The writers' canonical term order (the earlier sort of conftest),
-    then stable by weight: the order the enumeration must give."""
-    rows = ref_sorted_rows(dict.fromkeys(alphas), ref_pair_render, REF_TEXT)[0]
-    return sorted([alpha for alpha, _ in rows], key=alpha_weight)
+def writers_order(alphas, m: int) -> list:
+    """By weight, then the writers' canonical term order (the nested key
+    of refimpl): the order the enumeration must give."""
+    return sorted(alphas, key=lambda alpha: (alpha_weight(alpha), nested_alpha_key(alpha, m)))
 
 
 @pytest.mark.parametrize("m, top", [(1, 9), (2, 5), (3, 3)])
@@ -374,7 +372,7 @@ def test_index_enumeration_keeps_the_writers_order(m, top):
     for a in degrees_upto(m, top):
         for cap in (None, 1, 2, 3):
             got = alphas_of_multidegree(m, a, cap)
-            assert got == writers_order(got[::-1]), (a, cap)
+            assert got == writers_order(got[::-1], m), (a, cap)
 
 
 def naive_orbit_keys(alpha, n, m, w) -> tuple:

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from multisym import oracle
+from multisym import msf, oracle
 from multisym.coeffring import QQ, ZZ, Zmod
+from multisym.msf import alphas_of_multidegree, basis_alphas
 from multisym.oracle import (count_orbits, invariant_basis, is_invariant,
                              monomials_of_multidegree, orbit_sum)
 from multisym.polyring import NPoly
-from multisym.reference import parse_npoly
+from multisym.reference import coverage_rank, parse_npoly
 
 
 def test_orbit_sum_examples():
@@ -130,3 +131,24 @@ def test_monomial_enumeration_is_cached_and_immutable():
     # orbit counts read the same enumeration
     assert count_orbits(2, 2, (2, 1)) == 3
     assert oracle._monomials_cached.cache_info().hits >= 2
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: basis_alphas(2, True, (2,)), "variable count"),  # unchecked, a basis
+    (lambda: coverage_rank(2, 1.0, (3,)), "variable count"),  # unchecked, (1, 1)
+    (lambda: alphas_of_multidegree(1.0, (2,)), "variable count"),  # unchecked, a TypeError
+    (lambda: count_orbits(2, 1, (2.0,)), "multidegree component"),  # unchecked, 2
+    (lambda: count_orbits(True, 1, (2,)), "slot count"),  # unchecked, 1
+    (lambda: invariant_basis(2, 1, (-1,), ZZ), "multidegree component"),  # unchecked, []
+    (lambda: monomials_of_multidegree(0, 1, (2,)), "slot count"),
+], ids=["basis-bool-m", "coverage-float-m", "alphas-float-m", "orbits-float-degree",
+        "orbits-bool-n", "invariants-negative-degree", "monomials-no-slots"])
+def test_multidegree_arguments_are_checked_before_any_cache(call, what):
+    """The engine and the oracle check a multidegree and its ambient with
+    one checker, before any cache is filled."""
+    caches = [msf._alphas_cached, oracle._monomials_cached, oracle._orbit_reps_cached]
+    for c in caches:
+        c.cache_clear()
+    with pytest.raises(ValueError, match=f"^bad {what} "):
+        call()
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]

@@ -192,6 +192,10 @@ def test_parse_errors():
         parse_npoly("x1(3)", 2, 2, ZZ)  # slot out of range
     with pytest.raises(ValueError):
         parse_npoly("x1(1) +* x1(2)", 2, 2, ZZ)
+    # indices and exponents are ASCII digits, as the CLI's integers are
+    for text in ("x\u0661(1)^\u0662", "x1(\u0661)", "x1(1)^\u0662", "x\uff11(1)", "x1(1)^\u00b2"):
+        with pytest.raises(ValueError):
+            parse_npoly(text, 1, 1, ZZ)
 
 
 

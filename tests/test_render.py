@@ -1,15 +1,15 @@
 """The writers built on cached render records give the bytes and the order
-of the per-term writers they replaced.
+of the writers' spec.
 
 MsfElement.text, GenPoly.text, element_json_text, genpoly_json_text and
-both sorted_terms sort by one integer key per term and write fragments
-taken from ring-free caches of one support pair (msf._pair_render) or one
+both sorted_terms sort by one key per term and write fragments taken
+from ring-free caches of one support pair (msf._pair_render) or one
 symbol factor (rewrite._factor_render); npoly_text keeps its own writer.
-The reference below is the earlier code, kept verbatim apart from taking
-the object as an argument: each writer must give the same text over Z, Q
-and Z/p, for m = 1..3, n = inf and 1..3, coefficients +-1, constant terms
-and empty elements, and the records filled by one ring must not change
-what another ring writes.
+The reference is the writers' spec of refimpl (nested sort keys,
+per-term spellings, json.dumps): each writer must give the same text
+over Z, Q and Z/p, for m = 1..3, n = inf and 1..3, coefficients +-1,
+constant terms and empty elements, and the records filled by one ring
+must not change what another ring writes.
 """
 
 import hashlib
@@ -30,153 +30,10 @@ from multisym.msf import (INF, MsfElement, alpha_text, alphas_of_multidegree,
 from multisym.polyring import npoly_text
 from multisym.rewrite import (GenPoly, genpoly_json_text, genpoly_texts, newton_p, plethysm_P,
                               rewrite)
+from refimpl import (nested_alpha_key, ref_alpha_text, ref_element_writes, ref_genpoly_writes,
+                     ref_npoly_writes)
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(7), Zmod(1000003)]
-
-
-# ---- reference: the per-term writers as they were -------------------------
-
-def ref_alpha_key(alpha, m: int) -> tuple:
-    total = 0
-    key = [0, 0]
-    scaled = []
-    for mu, mult in alpha:
-        s = sum(mu)
-        total += s * mult
-        key += (s, mu, mult)
-        scaled.append(mu if mult == 1 else [e * mult for e in mu])
-    key[0] = total
-    key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * m
-    return tuple(key)
-
-
-def ref_mono_text(mu) -> str:
-    if not any(mu):
-        return "1"
-    return "*".join(
-        f"y{i+1}" + (f"^{e}" if e > 1 else "")
-        for i, e in enumerate(mu) if e
-    )
-
-
-def ref_alpha_text(alpha) -> str:
-    if not alpha:
-        return "1"
-    return "e(" + ", ".join(f"{ref_mono_text(mu)}:{mult}" for mu, mult in alpha) + ")"
-
-
-def ref_msf_sorted_terms(x):
-    m = x.m
-    return sorted(x.terms.items(), key=lambda t: ref_alpha_key(t[0], m))
-
-
-def ref_msf_text(x) -> str:
-    if not x.terms:
-        return "0"
-    R = x.ring
-    bits = []
-    for alpha, c in ref_msf_sorted_terms(x):
-        body = ref_alpha_text(alpha)
-        cs = R.format_coeff(c)
-        if alpha:
-            t = body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}")
-        else:
-            t = cs
-        bits.append(t)
-    out = bits[0]
-    for t in bits[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
-
-
-def ref_element_json_text(x) -> str:
-    fmt = x.ring.format_coeff
-    terms = ",".join([
-        '{"alpha":[%s],"coeff":"%s"}' % (
-            ",".join(['{"mono":[%s],"mult":%d}' % (",".join(map(str, mu)), mult)
-                      for mu, mult in alpha]),
-            fmt(c))
-        for alpha, c in ref_msf_sorted_terms(x)])
-    n = '"inf"' if x.n is INF else x.n
-    return f'{{"m":{x.m},"n":{n},"ring":"{x.ring.to_string()}","terms":[{terms}]}}'
-
-
-def ref_term_key(symmono, m: int) -> tuple:
-    total = 0
-    key = [0, 0]
-    scaled = []
-    for (i, nu), e in symmono:
-        s = sum(nu)
-        total += s * i * e
-        key += (s, nu, i, e)
-        scaled.append([x * i * e for x in nu])
-    key[0] = total
-    key[1] = tuple(map(sum, zip(*scaled))) if scaled else (0,) * m
-    return tuple(key)
-
-
-def ref_genpoly_sorted_terms(g):
-    return sorted(g.terms.items(), key=lambda t: ref_term_key(t[0], g.m))
-
-
-def ref_genpoly_text(g) -> str:
-    if not g.terms:
-        return "0"
-    R = g.ring
-    bits = []
-    for symmono, c in ref_genpoly_sorted_terms(g):
-        vs = "*".join(
-            "E[%d;(%s)]" % (i, ",".join(str(x) for x in nu))
-            + (f"^{e}" if e > 1 else "")
-            for (i, nu), e in symmono
-        )
-        cs = R.format_coeff(c)
-        if vs:
-            t = vs if cs == "1" else (f"-{vs}" if cs == "-1" else f"{cs}*{vs}")
-        else:
-            t = cs
-        bits.append(t)
-    out = bits[0]
-    for t in bits[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
-
-
-def ref_genpoly_json_text(g, check=None) -> str:
-    fmt = g.ring.format_coeff
-    terms = ",".join([
-        '{"coeff":"%s","symbols":[%s]}' % (
-            fmt(c),
-            ",".join(['{"exp":%d,"i":%d,"nu":[%s]}' % (e, i, ",".join(map(str, nu)))
-                      for (i, nu), e in symmono]))
-        for symmono, c in ref_genpoly_sorted_terms(g)])
-    head = "" if check is None else f'"check":"{check}",'
-    return f'{{{head}"m":{g.m},"ring":"{g.ring.to_string()}","terms":[{terms}]}}'
-
-
-def ref_npoly_text(p) -> str:
-    if not p.terms:
-        return "0"
-    R = p.ring
-    bits = []
-    for mono, c in p.sorted_terms():
-        vs = []
-        for flat, e in enumerate(mono):
-            if e:
-                i = flat % p.m + 1
-                j = flat // p.m + 1
-                vs.append(f"x{i}({j})" + (f"^{e}" if e > 1 else ""))
-        body = "*".join(vs)
-        cs = R.format_coeff(c)
-        if body:
-            txt = body if cs == "1" else (f"-{body}" if cs == "-1" else f"{cs}*{body}")
-        else:
-            txt = cs
-        bits.append(txt)
-    out = bits[0]
-    for t in bits[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
 
 
 # ---- strategies -----------------------------------------------------------
@@ -218,20 +75,22 @@ def genpolys(draw, m=None):
 
 
 def assert_element_written_as_before(x):
-    assert x.sorted_terms() == ref_msf_sorted_terms(x)
-    assert x.text() == ref_msf_text(x)
-    assert element_json_text(x) == ref_element_json_text(x)
-    keys = [ref_alpha_key(alpha, x.m) for alpha, _ in x.sorted_terms()]
+    terms, text, json_text = ref_element_writes(x)
+    assert x.sorted_terms() == terms
+    assert x.text() == text
+    assert element_json_text(x) == json_text
+    keys = [nested_alpha_key(alpha, x.m) for alpha, _ in x.sorted_terms()]
     assert keys == sorted(set(keys))  # strictly rising under the reference key
     for alpha in x.terms:
         assert alpha_text(alpha) == ref_alpha_text(alpha)
 
 
 def assert_genpoly_written_as_before(g):
-    assert g.sorted_terms() == ref_genpoly_sorted_terms(g)
-    assert g.text() == ref_genpoly_text(g)
+    terms, text, _ = ref_genpoly_writes(g)
+    assert g.sorted_terms() == terms
+    assert g.text() == text
     for check in (None, "PASS", "FAIL"):
-        assert genpoly_json_text(g, check) == ref_genpoly_json_text(g, check)
+        assert genpoly_json_text(g, check) == ref_genpoly_writes(g, check)[2]
 
 
 # ---- tests ----------------------------------------------------------------
@@ -255,7 +114,7 @@ def test_batched_texts_match_reference(gs):
     # mixed sizes and rings, empty and constant ones included
     m = gs[0].m if gs else 2
     gs += [GenPoly.zero(m, ZZ), GenPoly.const(Fraction(-1, 2), m, QQ)]
-    want = [ref_genpoly_text(g) for g in gs]
+    want = [ref_genpoly_writes(g)[1] for g in gs]
     assert genpoly_texts(gs) == want
     assert [g.text() for g in gs] == want
     assert genpoly_texts([]) == []
@@ -269,7 +128,7 @@ def test_rewrite_and_expansion_writers_match_reference(x):
     assert_genpoly_written_as_before(rewrite(x))
     if x.n is not INF:
         p = x.expand()
-        assert npoly_text(p) == ref_npoly_text(p)
+        assert npoly_text(p) == ref_npoly_writes(p)[1]
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -286,7 +145,7 @@ def test_empty_constant_and_unit_coefficients(ring, n):
     for x in cases:
         assert_element_written_as_before(x)
         if n is not INF:
-            assert npoly_text(x.expand()) == ref_npoly_text(x.expand())
+            assert npoly_text(x.expand()) == ref_npoly_writes(x.expand())[1]
     sym = (((1, (1, 0)), 2),)
     for g in [GenPoly.zero(2, ring), GenPoly.one(2, ring),
               GenPoly(2, ring, {(): minus}), GenPoly(2, ring, {sym: minus, (): one}),
@@ -306,7 +165,7 @@ def test_newton_and_plethysm_written_as_before():
 def test_basis_order_matches_reference(m, a):
     msf._alphas_cached.cache_clear()
     got = alphas_of_multidegree(m, a)
-    assert got == sorted(got, key=lambda al: (msf.alpha_weight(al), ref_alpha_key(al, m)))
+    assert got == sorted(got, key=lambda al: (msf.alpha_weight(al), nested_alpha_key(al, m)))
     assert len(got) > 5
 
 
@@ -324,8 +183,7 @@ def test_warm_records_write_every_ring_as_cold(x, rings):
     for y, g, got in zip(images, gs, warm):
         multisym.clear_caches()
         assert got == (y.text(), element_json_text(y), g.text(), genpoly_json_text(g))
-        assert got == (ref_msf_text(y), ref_element_json_text(y),
-                       ref_genpoly_text(g), ref_genpoly_json_text(g))
+        assert got == ref_element_writes(y)[1:] + ref_genpoly_writes(g)[1:]
 
 
 def test_records_are_keyed_by_pair_or_factor_alone():
@@ -337,8 +195,8 @@ def test_records_are_keyed_by_pair_or_factor_alone():
     sizes = None
     for R in RINGS:
         x = MsfElement(INF, 2, R, {(((0, 1), 1), ((1, 0), 2)): R.embed(3)})
-        assert x.text() == ref_msf_text(x)
-        assert rewrite(x).text() == ref_genpoly_text(rewrite(x))
+        assert x.text() == ref_element_writes(x)[1]
+        assert rewrite(x).text() == ref_genpoly_writes(rewrite(x))[1]
         now = [c.cache_info().currsize for c in caches]
         assert sizes in (None, now) and all(now)
         sizes = now

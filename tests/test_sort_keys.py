@@ -1,5 +1,6 @@
 """The writers order terms exactly as the nested keys do, and spell them
-as json.dumps and a per-term text writer do.
+as json.dumps and a per-term text writer do (the writers' spec of
+refimpl).
 
 MsfElement.sorted_terms and GenPoly.sorted_terms fix the order of every
 printed and serialized term, so the byte-pinned outputs depend on it.
@@ -8,7 +9,6 @@ each element from empty rows, again from the rows the first write
 filled, and again after clear_caches, over Z, Q and Z/p for m = 1..3.
 """
 
-import json
 import random
 
 import pytest
@@ -18,27 +18,9 @@ from hypothesis import strategies as st
 import multisym
 from conftest import random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
-from multisym.msf import (INF, MsfElement, alpha_multidegree, alphas_of_multidegree,
-                          element_json_text, make_alpha)
+from multisym.msf import INF, MsfElement, alphas_of_multidegree, element_json_text, make_alpha
 from multisym.rewrite import GenPoly, genpoly_json_text, genpoly_texts, rewrite
-
-
-def grlex(mu):
-    return (sum(mu), mu)
-
-
-def nested_alpha_key(alpha, m):
-    a = alpha_multidegree(alpha, m)
-    return (sum(a), a, tuple((grlex(mu), mult) for mu, mult in alpha))
-
-
-def nested_term_key(symmono, m):
-    d = [0] * m
-    for (i, nu), e in symmono:
-        for t, x in enumerate(nu):
-            d[t] += i * x * e
-    d = tuple(d)
-    return (sum(d), d, tuple(((grlex(nu), i), e) for (i, nu), e in symmono))
+from refimpl import nested_alpha_key, nested_term_key, ref_element_writes, ref_genpoly_writes
 
 
 def shuffled(items, tag):
@@ -92,54 +74,6 @@ def test_term_key_orders_one_multidegree_as_nested_key():
 
 WRITE_RINGS = [ZZ, QQ, Zmod(7)]
 BIG = 1 << 40
-
-
-def ref_signed(rows) -> str:
-    """A sum from (coefficient text, body) rows: a coefficient of 1 or -1
-    is left out before a body, a leading minus joins as " - "."""
-    out = ""
-    for cs, body in rows:
-        t = cs if not body else body if cs == "1" else "-" + body if cs == "-1" else f"{cs}*{body}"
-        out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
-    return out or "0"
-
-
-def ref_mono(mu) -> str:
-    return "*".join(f"y{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mu) if e)
-
-
-def ref_element_terms(x) -> list:
-    return sorted(x.terms.items(), key=lambda t: nested_alpha_key(t[0], x.m))
-
-
-def ref_element_writes(x) -> tuple:
-    fmt = x.ring.format_coeff
-    terms = ref_element_terms(x)
-    text = ref_signed((fmt(c), "e(%s)" % ", ".join(f"{ref_mono(mu)}:{k}" for mu, k in alpha)
-                       if alpha else "") for alpha, c in terms)
-    obj = {"m": x.m, "n": "inf" if x.n is INF else x.n, "ring": x.ring.to_string(),
-           "terms": [{"alpha": [{"mono": list(mu), "mult": k} for mu, k in alpha],
-                      "coeff": fmt(c)} for alpha, c in terms]}
-    return terms, text, json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def ref_genpoly_terms(g) -> list:
-    return sorted(g.terms.items(), key=lambda t: nested_term_key(t[0], g.m))
-
-
-def ref_genpoly_writes(g, check) -> tuple:
-    fmt = g.ring.format_coeff
-    terms = ref_genpoly_terms(g)
-    text = ref_signed((fmt(c), "*".join("E[%d;(%s)]" % (i, ",".join(map(str, nu)))
-                                         + (f"^{e}" if e > 1 else "") for (i, nu), e in symmono))
-                      for symmono, c in terms)
-    obj = {"check": check, "m": g.m, "ring": g.ring.to_string(),
-           "terms": [{"coeff": fmt(c),
-                      "symbols": [{"exp": e, "i": i, "nu": list(nu)} for (i, nu), e in symmono]}
-                     for symmono, c in terms]}
-    if check is None:
-        del obj["check"]
-    return terms, text, json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def three_writes(write):

@@ -266,9 +266,12 @@ def test_msf_constructors_reject_booleans(pairs):
     lambda: MsfElement(INF, True, ZZ),
     lambda: MsfElement(2, 1, ZZ, {(((1,), 5),): 0}),  # weight 5 in n = 2
     lambda: GenPoly(True, ZZ),
+    lambda: NPoly.variable(True, 1, 1, 2, ZZ),
+    lambda: NPoly.variable(1, True, 1, 2, ZZ),
 ], ids=["NPoly-float-exponent", "NPoly-bool-exponent", "NPoly-negative-exponent",
         "NPoly-bool-n", "NPoly-float-m", "EPoly-float-exponent", "EPoly-bool-exponent",
-        "EPoly-zero-term", "Msf-bool-m", "Msf-zero-term", "GenPoly-bool-m"])
+        "EPoly-zero-term", "Msf-bool-m", "Msf-zero-term", "GenPoly-bool-m",
+        "NPoly-variable-bool-i", "NPoly-variable-bool-j"])
 def test_constructors_take_integers_only(build):
     with pytest.raises(ValueError):
         build()

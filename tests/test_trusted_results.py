@@ -4,7 +4,7 @@ Arithmetic builds its results through a trusted internal constructor that
 skips index validation.  These tests rebuild every kind of result through
 the validating public constructor, check that no zero coefficient is
 stored, and compare the one-dict accumulation of evaluate and
-primitive_reduce with a naive running-total reference.
+primitive_reduce with running-total references (refimpl's ref_evaluate).
 """
 
 import pytest
@@ -12,9 +12,10 @@ import pytest
 from conftest import random_coeff, random_element, seeded
 from multisym.coeffring import QQ, ZZ, Zmod
 from multisym.monomial import grlex_key
-from multisym.msf import INF, MsfElement, e_alpha
+from multisym.msf import INF, MsfElement
 from multisym.rewrite import (GenPoly, evaluate, primitive_reduce,
                               reduce_to_monomial_es, rewrite)
+from refimpl import ref_evaluate
 
 RINGS = [ZZ, QQ, Zmod(2), Zmod(3), Zmod(5)]
 AMBIENTS = [1, 2, 3, 4, INF]
@@ -32,23 +33,6 @@ def assert_canonical_genpoly(g: GenPoly) -> None:
         syms = [s for s, _ in symmono]
         key = [(grlex_key(nu), i) for i, nu in syms]
         assert key == sorted(key) and len(set(syms)) == len(syms)
-
-
-def naive_evaluate(g: GenPoly, n) -> MsfElement:
-    """evaluate with a running total, copied once per term."""
-    R, m = g.ring, g.m
-    total = MsfElement.zero(n, m, R)
-    for symmono, c in g.terms.items():
-        term = MsfElement.one(n, m, R)
-        for (i, nu), e in symmono:
-            if term.is_zero:
-                break
-            if n is not INF and i > n:  # e_i(nu) vanishes
-                term = MsfElement.zero(n, m, R)
-            else:
-                term = term * (e_alpha([(nu, i)], n, m, R) ** e)
-        total = total + term.scale(c)
-    return total
 
 
 def naive_primitive_reduce(p: GenPoly, n) -> GenPoly:
@@ -120,10 +104,10 @@ def test_one_dict_accumulation_matches_naive_reference():
                 assert_canonical_genpoly(got)
                 # evaluate at n truncates any E[i;nu] with i > n
                 ev = evaluate(g, n)
-                assert ev == naive_evaluate(g, n)
+                assert ev == ref_evaluate(g, n)
                 assert_canonical_msf(ev)
                 x = random_element(rng, n, 2, ring, 3)
-                assert evaluate(rewrite(x), n) == naive_evaluate(rewrite(x), n)
+                assert evaluate(rewrite(x), n) == ref_evaluate(rewrite(x), n)
 
 
 def test_accumulation_cancels_to_zero():
